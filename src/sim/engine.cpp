@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <tuple>
 
@@ -27,17 +27,9 @@ TimeUs completion_tol(TimeUs now) { return std::max(1e-6, 1e-9 * now); }
 
 }  // namespace
 
-namespace {
-std::uint64_t next_engine_gen() {
-  static std::uint64_t counter = 0;
-  return ++counter;
-}
-}  // namespace
-
 Engine::Engine(DeviceSpec spec) : Engine(Machine::single(std::move(spec))) {}
 
-Engine::Engine(Machine machine)
-    : gen_(next_engine_gen()), machine_(std::move(machine)) {
+Engine::Engine(Machine machine) : machine_(std::move(machine)) {
   if (machine_.num_devices() < 1) {
     throw ApiError("Engine: machine roster is empty");
   }
@@ -66,28 +58,7 @@ Engine::Engine(Machine machine)
   class_member_touches_.assign(static_cast<std::size_t>(num_classes_), 0);
   class_solve_time_.assign(static_cast<std::size_t>(num_classes_), 0.0);
   copy_waiters_.resize(static_cast<std::size_t>(num_classes_));
-  if (const char* env = std::getenv("PSCHED_LEGACY_SOLVER");
-      env != nullptr && *env != '\0' && !(env[0] == '0' && env[1] == '\0')) {
-    solver_path_ = SolverPath::Legacy;
-  }
   streams_.emplace_back();  // default stream 0, device 0
-}
-
-void Engine::set_solver_path(SolverPath path) {
-  if (path == solver_path_) return;
-  solver_path_ = path;
-  // Leave the virtual-service regime cleanly (materialize progress at
-  // now_) and re-solve every populated class at the next advance, so the
-  // switch takes effect at the call like any other rate change. Entering
-  // Incremental, classes promote at the scan that re-solve performs.
-  for (int cls = 0; cls < num_classes_; ++cls) {
-    if (class_solver_[static_cast<std::size_t>(cls)].incremental) {
-      demote_class(cls);
-    }
-    if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
-      mark_class_dirty(cls);
-    }
-  }
 }
 
 Engine::SolverClassStats Engine::class_solver_stats(DeviceId device,
@@ -127,7 +98,6 @@ StreamId Engine::create_stream(DeviceId device, TenantId tenant) {
   StreamState st;
   st.device = device;
   st.tenant = tenant;
-  if (tenant != kDefaultTenant) tenancy_active_ = true;
   streams_.push_back(std::move(st));
   return static_cast<StreamId>(streams_.size() - 1);
 }
@@ -161,11 +131,9 @@ void Engine::set_tenant_weight(TenantId t, double weight) {
   // unrelated membership churn: dirty every populated class so the next
   // advance re-solves it (dynamic re-weighting — the QoS entry point —
   // must take effect at the call, like every other rate change).
-  if (tenancy_active_) {
-    for (int cls = 0; cls < num_classes_; ++cls) {
-      if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
-        mark_class_dirty(cls);
-      }
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
+      mark_class_dirty(cls);
     }
   }
 }
@@ -389,7 +357,6 @@ void Submission::enqueue(Op op, TimeUs host_time, BindFn bind) {
   item.host_time = host_time;
   items_.push_back(std::move(item));
   ++num_ops_;
-  sealed_gen_ = 0;  // mutation: the next commit re-validates
 }
 
 void Submission::record_event(EventId event, StreamId stream,
@@ -400,7 +367,6 @@ void Submission::record_event(EventId event, StreamId stream,
   item.stream = stream;
   item.host_time = host_time;
   items_.push_back(std::move(item));
-  sealed_gen_ = 0;
 }
 
 void Submission::wait_event(StreamId stream, EventId event, TimeUs host_time) {
@@ -411,7 +377,6 @@ void Submission::wait_event(StreamId stream, EventId event, TimeUs host_time) {
   item.host_time = host_time;
   items_.push_back(std::move(item));
   ++num_ops_;  // lowered to a wait-marker op: consumes an op id
-  sealed_gen_ = 0;
 }
 
 void Engine::begin_transaction(TimeUs host_time) {
@@ -449,7 +414,7 @@ void Engine::validate_submission(const Submission& sub) const {
   TimeUs prev = sub.items_.front().host_time;
   for (const Submission::Item& item : sub.items_) {
     if (item.host_time < prev) {
-      throw ApiError("commit: submission host times must be non-decreasing");
+      throw ApiError("ingest: submission host times must be non-decreasing");
     }
     prev = item.host_time;
     switch (item.kind) {
@@ -457,78 +422,25 @@ void Engine::validate_submission(const Submission& sub) const {
         check_enqueueable(item.op);
         break;
       case Submission::ItemKind::Record:
-        check_event_id(item.event, "commit/record_event");
-        check_stream_id(item.stream, "commit/record_event");
+        check_event_id(item.event, "ingest/record_event");
+        check_stream_id(item.stream, "ingest/record_event");
         break;
       case Submission::ItemKind::Wait:
-        check_event_id(item.event, "commit/wait_event");
-        check_stream_id(item.stream, "commit/wait_event");
+        check_event_id(item.event, "ingest/wait_event");
+        check_stream_id(item.stream, "ingest/wait_event");
         break;
     }
   }
-  ++sub.validations_;
 }
 
-std::vector<OpId> Engine::commit(Submission& sub) {
-  std::vector<OpId> ids;
-  ids.reserve(sub.num_ops_);
-  if (sub.items_.empty()) return ids;
-
-  // Atomic pre-pass: reject the whole submission before touching any
-  // engine state (including the open-transaction check begin_transaction
-  // would otherwise hit after the items were already drained).
-  if (txn_open_) {
-    throw TransactionError(TransactionError::Kind::AlreadyOpen, "commit",
-                           txn_ops_);
-  }
+std::size_t Engine::ingest(const Submission& sub) {
+  if (sub.items_.empty()) return 0;
+  // Atomic pre-pass: reject the whole list before touching any state.
   validate_submission(sub);
-
-  // The items are moved out before anything is applied: zero-work ops
-  // complete inside the committing advance and their callbacks may
-  // re-enter the runtime, which must find the submission buffer empty
-  // (not mid-iteration). The capacity is donated back afterwards.
-  std::vector<Submission::Item> items = std::move(sub.items_);
-  sub.items_.clear();
-  sub.num_ops_ = 0;
-
-  begin_transaction(items.front().host_time);
-  for (Submission::Item& item : items) {
-    switch (item.kind) {
-      case Submission::ItemKind::Enqueue: {
-        const OpId id = enqueue(std::move(item.op), item.host_time);
-        ids.push_back(id);
-        if (item.bind) item.bind(*this, id);
-        break;
-      }
-      case Submission::ItemKind::Record:
-        record_event(item.event, item.stream, item.host_time);
-        break;
-      case Submission::ItemKind::Wait:
-        // Inline wait_event so the marker's id lands in `ids` like any
-        // other enqueued op.
-        ids.push_back(
-            enqueue(make_wait_marker(item.stream, item.event), item.host_time));
-        break;
-    }
-  }
-  commit_transaction();
-  if (sub.items_.empty()) {
-    // Donate the buffer capacity back for reuse (unless a re-entrant
-    // callback already appended fresh items to the submission).
-    items.clear();
-    sub.items_ = std::move(items);
-  }
-  return ids;
-}
-
-std::size_t Engine::apply_submission(const Submission& sub) {
-  // A recorded list replayed against the engine that sealed it skips the
-  // validation pre-pass: nothing it references can have disappeared
-  // (streams and events only ever grow) and the list is unchanged.
-  if (sub.sealed_gen_ != gen_) {
-    validate_submission(sub);
-    sub.sealed_gen_ = gen_;
-  }
+  // Outside a transaction the list brackets itself: one pre-ingest
+  // advance to its first host time, one commit after its last item.
+  const bool own_txn = !txn_open_;
+  if (own_txn) begin_transaction(sub.items_.front().host_time);
   // Index-based: zero-work items can complete inside the bracketing
   // commit and their callbacks may re-enter the engine (but must not
   // mutate `sub`).
@@ -549,27 +461,8 @@ std::size_t Engine::apply_submission(const Submission& sub) {
         break;
     }
   }
+  if (own_txn) commit_transaction();
   return sub.num_ops_;
-}
-
-std::size_t Engine::commit(const Submission& sub) {
-  if (sub.items_.empty()) return 0;
-  if (txn_open_) {
-    throw TransactionError(TransactionError::Kind::AlreadyOpen, "commit",
-                           txn_ops_);
-  }
-  begin_transaction(sub.items_.front().host_time);
-  const std::size_t n = apply_submission(sub);
-  commit_transaction();
-  return n;
-}
-
-std::size_t Engine::ingest(const Submission& sub) {
-  if (!txn_open_) {
-    throw TransactionError(TransactionError::Kind::NotOpen, "ingest", 0);
-  }
-  if (sub.items_.empty()) return 0;
-  return apply_submission(sub);
 }
 
 bool Engine::stream_idle(StreamId stream) const {
@@ -763,14 +656,7 @@ void Engine::complete_op(Op& op) {
         g.c = 0;
         g.heap.clear();
       }
-      if (members.empty()) {
-        sol.fill_sum = 0;
-        sol.bww_sum = 0;
-        sol.w_max = 0;
-        sol.w_min = kTimeInfinity;
-        sol.zero_w = 0;
-        sol.groups.clear();
-      }
+      if (members.empty()) sol.reset_aggregates();
     }
     if (op.kind == OpKind::Kernel) {
       // Keep the SoA demand mirror aligned with the member list.
@@ -1129,7 +1015,7 @@ void Engine::recompute_rates() {
       demote_class(cls);
     }
 
-    // Full scan: the legacy arithmetic, verbatim. Counted separately so
+    // Full scan: every member folded and re-rated. Counted separately so
     // the bench can prove scans are rare under churn.
     ++full_scan_count_;
     ++class_full_scans_[static_cast<std::size_t>(cls)];
@@ -1145,21 +1031,13 @@ void Engine::recompute_rates() {
                               solve_rates_);
     }
     // Tenancy: a class whose members span several tenants re-shares its
-    // aggregate bandwidth weight-proportionally across them. An engine
-    // with only default-tenant streams skips the uniformity scan on one
-    // branch; with tenancy active the scan is O(members), dwarfed by the
-    // solve itself, and a uniform tenant column never leaves the
-    // historical arithmetic.
-    bool multi_tenant = false;
-    if (tenancy_active_) {
-      const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
-      for (std::size_t i = 1; i < tenants.size(); ++i) {
-        if (tenants[i] != tenants[0]) {
-          multi_tenant = true;
-          break;
-        }
-      }
-    }
+    // aggregate bandwidth weight-proportionally across them. The
+    // uniformity scan is O(members), dwarfed by the solve itself, and a
+    // uniform tenant column never leaves the unweighted arithmetic.
+    const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
+    const bool multi_tenant =
+        std::adjacent_find(tenants.begin(), tenants.end(),
+                           std::not_equal_to<>()) != tenants.end();
     if (multi_tenant) apply_tenant_shares(cls, kernel_class, share);
     const bool per_member = kernel_class || multi_tenant;
     auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
@@ -1190,9 +1068,7 @@ void Engine::recompute_rates() {
     // Re-enter the virtual-service regime if this scan's rates sit on the
     // linear model (the scan just folded every remaining to now_, so the
     // finish index rebuilds exactly, rebased to V = 0).
-    if (solver_path_ == SolverPath::Incremental) {
-      try_promote_class(cls, kernel_class, share);
-    }
+    try_promote_class(cls, kernel_class, share);
     if (solve_timing_) {
       const double us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t0)
@@ -1282,7 +1158,7 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
     return true;
   }
 
-  // Kernels: validity test of the linear regime. The legacy solve is
+  // Kernels: validity test of the linear regime. The full-scan solve is
   // exactly rate_i = C * w_i (C = utilization(total_fill) / total_fill)
   // while no member hits the 1.0 solo cap or the 1e-9 floor and DRAM
   // stays unsaturated (bw demand C * sum(bw * w) under the budget) — all
@@ -1332,71 +1208,37 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
 }
 
 void Engine::demote_class(int cls) {
-  // Leave the virtual-service regime: materialize every member's progress
-  // at now_ into the plain mirrors (one fold from its entry tag — not the
-  // repeated per-solve folds the legacy path would have run, but equal to
-  // their telescoped sum up to rounding), stamp rates and predictions,
-  // and reset the fold timestamp so a legacy scan that follows folds
-  // dt = 0.
+  // Leave the virtual-service regime: materialize every member's remaining
+  // work at now_ into the plain mirror (one fold from its entry tag, equal
+  // to the telescoped per-solve folds up to rounding). The failed
+  // incremental_resolve already advanced every group's V and the fold
+  // timestamp to now_, and the full scan that follows folds dt = 0 and
+  // re-rates every member, so remainings are all that needs writing.
   ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-  const auto& members = class_members_[static_cast<std::size_t>(cls)];
   const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
   const auto& wcol = class_w_[static_cast<std::size_t>(cls)];
   auto& vcol = class_venter_[static_cast<std::size_t>(cls)];
   auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
-  const auto& wrk = class_work_[static_cast<std::size_t>(cls)];
-  auto& rate = class_rate_[static_cast<std::size_t>(cls)];
-  auto& pred = class_pred_[static_cast<std::size_t>(cls)];
-  const TimeUs since = class_since_[static_cast<std::size_t>(cls)];
-  const TimeUs dt = now_ - since;
-  TimeUs next = kTimeInfinity;
-  for (std::size_t i = 0; i < members.size(); ++i) {
+  for (std::size_t i = 0; i < rem.size(); ++i) {
     const SolverGroup* g = group_of(sol, tenants[i]);
-    double v_now = 0;
-    double c = 0;
-    if (g != nullptr) {
-      v_now = g->v + (dt > 0 ? g->c * dt : 0.0);
-      c = g->c;
-    }
+    const double v_now = g != nullptr ? g->v : 0.0;
     rem[i] = std::max(0.0, rem[i] - wcol[i] * (v_now - vcol[i]));
     vcol[i] = 0;
-    const double r = c * wcol[i];
-    rate[i] = r;
-    if (rem[i] <= kWorkEps * std::max(1.0, wrk[i])) {
-      pred[i] = now_;
-    } else if (r > 0) {
-      pred[i] = now_ + rem[i] / r;
-    } else {
-      pred[i] = kTimeInfinity;
-    }
-    next = std::min(next, pred[i]);
   }
-  class_since_[static_cast<std::size_t>(cls)] = now_;
-  class_next_[static_cast<std::size_t>(cls)] = next;
   sol.incremental = false;
-  sol.fill_sum = 0;
-  sol.bww_sum = 0;
-  sol.w_max = 0;
-  sol.w_min = kTimeInfinity;
-  sol.zero_w = 0;
-  sol.groups.clear();
+  sol.reset_aggregates();
 }
 
 void Engine::try_promote_class(int cls, bool kernel_class, double share) {
   // Called right after a full scan: remainings are folded to now_ and
-  // class_rate_ holds the exact legacy rates. Rebuild the aggregates and
-  // groups exactly, derive the linear-model slopes, and only promote if
-  // every member's scanned rate equals c_g * w_i — one verification pass
-  // that subsumes every cap/floor/saturation/tenancy corner without
+  // class_rate_ holds the exact full-scan rates. Rebuild the aggregates
+  // and groups exactly, derive the linear-model slopes, and only promote
+  // if every member's scanned rate equals c_g * w_i — one verification
+  // pass that subsumes every cap/floor/saturation/tenancy corner without
   // duplicating the solver's case analysis.
   ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
   sol.incremental = false;
-  sol.fill_sum = 0;
-  sol.bww_sum = 0;
-  sol.w_max = 0;
-  sol.w_min = kTimeInfinity;
-  sol.zero_w = 0;
-  sol.groups.clear();
+  sol.reset_aggregates();
   const auto& members = class_members_[static_cast<std::size_t>(cls)];
   const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
   const auto& wcol = class_w_[static_cast<std::size_t>(cls)];

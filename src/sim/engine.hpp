@@ -58,44 +58,44 @@ class Engine;
 /// docs/engine-internals.md, "Transactions and batched ingestion").
 ///
 /// Items are recorded in host issue order, each stamped with the host time
-/// of the original call; Engine::commit applies them in exactly that order
+/// of the original call; Engine::ingest applies them in exactly that order
 /// without stepping the engine in between, then advances once to the last
-/// item's host time. Committing a group of same-time calls is therefore
+/// item's host time. Ingesting a group of same-time calls is therefore
 /// bit-identical to issuing them per call: batch boundaries group the op
-/// sequence, they never reorder it.
+/// sequence, they never reorder it. Ingest applies the items by copy, so
+/// one recorded list can be replayed any number of times.
 class Submission {
  public:
-  /// Invoked at commit with an enqueued op's assigned id, right after the
+  /// Invoked at ingest with an enqueued op's assigned id, right after the
   /// op enters its stream FIFO and before it can start — the batched
   /// counterpart of "enqueue returned an id, now attach state to it"
   /// (set_on_complete, host-side pending-op tracking).
   using BindFn = std::function<void(Engine&, OpId)>;
 
-  /// Append an op enqueue (validated at commit, not here).
+  /// Append an op enqueue (validated at ingest, not here).
   void enqueue(Op op, TimeUs host_time, BindFn bind = nullptr);
   /// Append an event record on `stream`.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
-  /// Append an event wait (lowered to a wait marker op at commit).
+  /// Append an event wait (lowered to a wait marker op at ingest).
   void wait_event(StreamId stream, EventId event, TimeUs host_time);
 
   /// Pre-size the item buffer (ops are buffered by value; reserving spares
   /// the growth reallocations of a large transaction).
   void reserve(std::size_t items) { items_.reserve(items); }
-  /// Drop every recorded item (buffer capacity retained) and unseal.
+  /// Drop every recorded item (buffer capacity retained).
   /// Used to discard a partial recording after a failed capture.
   void clear() {
     items_.clear();
     working_sets_.clear();
     num_ops_ = 0;
-    sealed_gen_ = 0;
   }
 
   // --- working-set annotations (schedule-time residency planning) ---
   /// Record one launch's working set (in record order). Pure metadata for
   /// the ResidencyPlanner: replaying the list hands these entries to the
-  /// planner as the ready frontier. Never validated, never sealed, and
-  /// absent on lists recorded before the planner existed (replay then
-  /// behaves exactly as it always has).
+  /// planner as the ready frontier. Never validated, and absent on lists
+  /// recorded before the planner existed (replay then behaves exactly as
+  /// it always has).
   void note_working_set(DeviceId device, std::vector<ArrayId> ids) {
     working_sets_.push_back({device, std::move(ids)});
   }
@@ -108,17 +108,6 @@ class Submission {
   /// Number of enqueue items (excludes records; waits count — they become
   /// marker ops and consume op ids).
   [[nodiscard]] std::size_t num_ops() const { return num_ops_; }
-
-  // --- replay introspection (recorded, re-committable lists) ---
-  /// True once a const-view Engine::commit validated this list; replays
-  /// against the same engine skip re-validation. Any mutation unseals.
-  [[nodiscard]] bool sealed() const { return sealed_gen_ != 0; }
-  /// How many validation passes engines have run over this list (a sealed
-  /// list re-committed N times stays at 1).
-  [[nodiscard]] long validations() const { return validations_; }
-  /// Identity of the recorded item buffer: replayed commits must neither
-  /// drain nor reallocate it (asserted by the replay tests).
-  [[nodiscard]] const void* buffer_id() const { return items_.data(); }
 
  private:
   friend class Engine;
@@ -134,13 +123,6 @@ class Submission {
   std::vector<Item> items_;
   std::vector<FrontierEntry> working_sets_;  ///< planner metadata only
   std::size_t num_ops_ = 0;
-  /// Generation id of the engine whose const-commit validated this list
-  /// (0 = unsealed). Engine topology only grows, so a sealed list stays
-  /// valid until the list itself changes; the id (unique per engine
-  /// instance, never reused) — not the engine's address — keys the seal,
-  /// so an engine reconstructed at the same address cannot inherit it.
-  mutable std::uint64_t sealed_gen_ = 0;
-  mutable long validations_ = 0;
 };
 
 class Engine {
@@ -170,8 +152,9 @@ class Engine {
   /// Set tenant `t`'s fair-share weight (default 1.0; must be > 0). Within
   /// a saturated resource class holding ops of several tenants, bandwidth
   /// is split across tenants in proportion to weight, then equally among a
-  /// tenant's own ops. Classes occupied by a single tenant keep today's
-  /// arithmetic bit-for-bit — single-app runs never pay for tenancy.
+  /// tenant's own ops. Classes occupied by a single tenant keep the
+  /// unweighted arithmetic bit-for-bit. Every populated class re-solves at
+  /// the next advance, so a re-weight takes effect at the call.
   void set_tenant_weight(TenantId t, double weight);
   [[nodiscard]] double tenant_weight(TenantId t) const;
   /// Completed-op count / completed kernel work (solo-us) per tenant —
@@ -228,28 +211,17 @@ class Engine {
   std::size_t commit_transaction();
   [[nodiscard]] bool in_transaction() const { return txn_open_; }
 
-  /// Commit a detached Submission as one transaction: validate every item
-  /// up front (atomic — a bad item rejects the whole submission
-  /// untouched), then begin_transaction at the first item's host time,
-  /// apply all items in recorded order, commit_transaction at the last.
-  /// Item host times must be non-decreasing (they replay a host call
-  /// sequence). Returns the ids of enqueued ops (including wait markers)
-  /// in submission order; the submission is drained but keeps its buffer
-  /// capacity for reuse.
-  std::vector<OpId> commit(Submission& sub);
-  std::vector<OpId> commit(Submission&& sub) { return commit(sub); }
-  /// Commit a *recorded* submission without consuming it: the list is
-  /// validated once (sealed; replays against the same engine skip the
-  /// pre-pass), the items are applied by copy in recorded order, and the
-  /// buffer is left intact for the next replay — no draining, no
-  /// reallocation, no per-replay ids vector. Binds rerun with the freshly
-  /// assigned ids. Returns the number of ops committed. The submission
-  /// must not be mutated re-entrantly from completion callbacks.
-  std::size_t commit(const Submission& sub);
-  /// Apply a recorded submission *into the open transaction* (throws
-  /// ApiError without one): the replay path of a batch join — items
-  /// ingest like any other in-transaction calls and start at the batch's
-  /// commit. Same sealing/copy semantics as the const commit.
+  /// Apply a Submission — the one engine entry that accepts one. Every
+  /// item is validated up front (atomic: a bad item, or host times that
+  /// decrease, reject the whole list with ApiError before any state
+  /// changes). Inside an open transaction the items ingest like any other
+  /// in-transaction calls and start at its commit; otherwise ingest
+  /// brackets itself — begin_transaction at the first item's host time,
+  /// commit_transaction after the last. Items apply by copy in recorded
+  /// order, binds run with the freshly assigned ids, and the list is left
+  /// intact for the next replay. Returns the number of ops ingested
+  /// (wait markers included). The submission must not be mutated
+  /// re-entrantly from completion callbacks.
   std::size_t ingest(const Submission& sub);
   /// Attach/replace the completion callback of a not-yet-completed op.
   void set_on_complete(OpId op, std::function<void()> fn);
@@ -298,22 +270,6 @@ class Engine {
   }
   [[nodiscard]] const ResourceModel& model(DeviceId d) const;
 
-  // --- solver path selection (legacy full-scan vs virtual-service) ---
-  /// The re-solve algorithm. Incremental (the default) keeps per-class
-  /// cumulative virtual service so a membership-count rate change touches
-  /// zero members; Legacy folds every member of a dirty class per solve —
-  /// the historical arithmetic, kept selectable so equivalence between the
-  /// two is provable (the `solver`-labeled tests run both and diff the
-  /// timelines). The PSCHED_LEGACY_SOLVER environment variable (non-empty,
-  /// not "0") selects Legacy at construction.
-  enum class SolverPath { Incremental, Legacy };
-  /// Switch solver paths mid-run: incremental classes are materialized to
-  /// plain progress mirrors (Legacy) or re-enter the virtual-service
-  /// regime at their next full scan (Incremental). Every populated class
-  /// is re-solved at the next advance.
-  void set_solver_path(SolverPath path);
-  [[nodiscard]] SolverPath solver_path() const { return solver_path_; }
-
   // --- solver-work introspection (tests, perf-regression ratchets) ---
   /// Number of per-class rate re-solve passes across all classes.
   [[nodiscard]] long solve_count() const { return solve_count_; }
@@ -325,7 +281,7 @@ class Engine {
   /// assigned). The virtual-service path exists to keep this flat as
   /// fan-in grows; the bench's solver-scaling gate rides on it.
   [[nodiscard]] long member_touch_count() const { return member_touches_; }
-  /// Full-scan re-solve passes (legacy arithmetic over every member):
+  /// Full-scan re-solve passes (every member folded and re-rated):
   /// solve_count() minus the incremental passes. Rare by design — only
   /// where rate *ratios* change (DRAM-saturation toggles, capped members,
   /// a class's first solve).
@@ -463,6 +419,16 @@ class Engine {
     double w_min = kTimeInfinity;
     long zero_w = 0;  ///< members with no usable weight (forces scans)
     std::vector<SolverGroup> groups;
+
+    /// Exact zeros for an empty (or about to be rebuilt) class.
+    void reset_aggregates() {
+      fill_sum = 0;
+      bww_sum = 0;
+      w_max = 0;
+      w_min = kTimeInfinity;
+      zero_w = 0;
+      groups.clear();
+    }
   };
 
   [[nodiscard]] static constexpr int slot_of(OpKind kind) {
@@ -489,14 +455,11 @@ class Engine {
   [[nodiscard]] const OpRecord& record_of(OpId id, const char* who) const;
 
   /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
-  /// peer constraints. Used by enqueue() and by commit()'s atomic pre-pass.
+  /// peer constraints. Used by enqueue() and by ingest()'s atomic pre-pass.
   void check_enqueueable(const Op& op) const;
-  /// Atomic pre-pass shared by both commit flavours: per-item validation
-  /// plus non-decreasing host times. Throws ApiError; touches no state.
+  /// ingest()'s atomic pre-pass: per-item validation plus non-decreasing
+  /// host times. Throws ApiError; touches no state.
   void validate_submission(const Submission& sub) const;
-  /// Validate-or-skip (sealing) plus the item-apply loop shared by the
-  /// const commit and ingest(); the caller brackets the transaction.
-  std::size_t apply_submission(const Submission& sub);
   /// The wait_event lowering: one zero-work marker gated on `event`.
   [[nodiscard]] static Op make_wait_marker(StreamId stream, EventId event);
   void check_event_id(EventId event, const char* who) const;
@@ -541,9 +504,9 @@ class Engine {
   /// apply_tenant_shares' weighted budget split over group aggregates.
   bool compute_group_rates(int cls, bool kernel_class, double share,
                            ClassSolver& sol);
-  /// Leave the incremental regime: materialize every member's remaining
-  /// work / rate / pred at now_ into the plain progress mirrors and set
-  /// class_since_ = now_, so the legacy scan that follows folds dt = 0.
+  /// Leave the incremental regime after a failed incremental_resolve:
+  /// materialize every member's remaining work at now_ into the plain
+  /// progress mirror for the full scan that follows.
   void demote_class(int cls);
   /// Attempt to enter the incremental regime right after a full scan (the
   /// scan just folded remainings to now_ and wrote exact rates): rebuild
@@ -591,10 +554,6 @@ class Engine {
   /// steps that neither advance the clock nor complete an op.
   void note_progress(bool advanced);
 
-  /// Unique per engine instance (monotone process-wide counter, assigned
-  /// at construction, never reused): keys Submission seals so an engine
-  /// reconstructed at a dead engine's address cannot inherit one.
-  const std::uint64_t gen_;
   Machine machine_;
   std::vector<ResourceModel> models_;  ///< one per roster device
   Timeline timeline_;
@@ -704,10 +663,6 @@ class Engine {
   std::vector<double> tenant_weights_;     ///< indexed by TenantId; 1.0 gap
   std::vector<long> tenant_done_ops_;      ///< completions per tenant
   std::vector<double> tenant_done_work_;   ///< completed kernel solo-us
-  /// True once any stream with a non-default tenant exists. Single-app
-  /// engines (every stream tenant 0) skip the per-solve tenant-
-  /// uniformity scan on this one branch — tenancy costs them nothing.
-  bool tenancy_active_ = false;
 
   // --- QoS ready-head keys (EEVDF; published by QosManager) ---
   /// Indexed by TenantId; gap defaults are eligible / infinite deadline,
@@ -727,7 +682,6 @@ class Engine {
   std::vector<double> class_solve_time_;    ///< per-class host us (opt-in)
   double solve_time_us_ = 0;
   bool solve_timing_ = false;
-  SolverPath solver_path_ = SolverPath::Incremental;
   long completed_count_ = 0;
   long stall_steps_ = 0;
   static constexpr long kStallLimit = 100'000;

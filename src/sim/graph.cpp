@@ -165,8 +165,8 @@ TaskGraph::Exec TaskGraph::instantiate(GpuRuntime& rt) const {
 void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
   rt.host_advance(TaskGraph::kLaunchUs);
   // Recorded relaunch: the first Recorded launch captured the lowered op
-  // list; later launches re-commit it verbatim as one transaction (sealed
-  // validation is skipped, the list is neither rebuilt nor reallocated).
+  // list; later launches re-ingest it verbatim as one transaction (the
+  // list is not rebuilt).
   if (replay == TaskGraph::Replay::Recorded && recorded_valid_) {
     rt.replay(recorded_);
     return;

@@ -70,9 +70,8 @@ class TaskGraph {
     /// per-call equivalence tests and host-overhead cost studies).
     PerCall,
     /// First launch runs the batched path while recording the lowered op
-    /// list into the Exec; every later launch re-commits that recorded
-    /// list verbatim — no re-validation, no re-lowering, no reallocation
-    /// on the submission path (CUDA Graphs' static relaunch). Staging
+    /// list into the Exec; every later launch re-ingests that recorded
+    /// list verbatim — no re-lowering (CUDA Graphs' static relaunch). Staging
     /// decisions are frozen at record time: keep the graph's arrays alive,
     /// and pinned if the device is oversubscribed.
     Recorded,

@@ -6,9 +6,9 @@
 //   * resident_mask — devices whose capacity these pages are charged to;
 //   * fresh_mask    — devices holding a current copy of these pages;
 //   * host_fresh    — whether the host copy of these pages is current.
-// The legacy whole-array flags (host_dirty / device_dirty / on_device and
-// the aggregate fresh_mask / resident_mask) are derived from the extents,
-// so code that only ever sees uniform arrays behaves exactly as before.
+// The whole-array aggregates (fresh_mask / resident_mask) are derived from
+// the extents, so code that only ever sees uniform arrays behaves exactly
+// as before.
 //
 // Oversubscription is a first-class scenario: a migration that exceeds a
 // device's capacity no longer throws — charge_residency builds an
@@ -37,6 +37,7 @@
 // historical admission-time LRU path.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -80,9 +81,6 @@ struct ArrayInfo {
   std::size_t page_size = 0;
   std::uint32_t num_pages = 0;
 
-  bool on_device = false;    ///< a device copy exists (possibly stale)
-  bool host_dirty = true;    ///< host copy newer than every device copy
-  bool device_dirty = false; ///< a device copy newer than the host copy
   /// Managed pages materialize on first touch: an array the host never
   /// wrote has no host data to migrate, so the first device use of a fresh
   /// allocation (e.g. a kernel output buffer) transfers nothing.
@@ -166,11 +164,15 @@ struct ArrayInfo {
     return (pinned_mask & (1u << d)) != 0;
   }
 
-  // --- legacy whole-array accessors (derived aggregates) ------------------
+  // --- whole-array accessors ---------------------------------------------
   /// True if a kernel launch needs to migrate this array to the device
-  /// (single-device legacy form: device 0).
+  /// (single-device form): host data exists and either nothing is charged
+  /// to any device or no page is current on any device.
   [[nodiscard]] bool needs_h2d() const {
-    return host_touched && (!on_device || host_dirty);
+    return host_touched &&
+           (resident_mask == 0 ||
+            std::none_of(extents.begin(), extents.end(),
+                         [](const PageExtent& e) { return e.fresh_mask != 0; }));
   }
   /// True if device `d` lacks current pages and there is data anywhere
   /// (host or a peer device) to move. A never-touched allocation
@@ -182,13 +184,11 @@ struct ArrayInfo {
   [[nodiscard]] bool fresh_on(DeviceId d) const {
     return (fresh_mask & (1u << d)) != 0;
   }
-  /// Source of a migration when one is needed: the host when its copy is
-  /// newest (or nothing is device-resident yet), else a fresh peer device.
-  /// Page-granular staging refines this per run; whole-array consumers
-  /// (prefetch policy decisions) still branch on the aggregate.
-  [[nodiscard]] bool host_sourced() const {
-    return host_dirty || fresh_mask == 0;
-  }
+  /// Source of a migration when one is needed: a fresh peer device when
+  /// some device holds a full current copy, else the host. Page-granular
+  /// staging refines this per run; whole-array consumers (prefetch policy
+  /// decisions) still branch on the aggregate.
+  [[nodiscard]] bool host_sourced() const { return fresh_mask == 0; }
   /// Lowest-indexed device holding a full current copy (kInvalidDevice if
   /// none): the deterministic source for whole-array peer transfers.
   [[nodiscard]] DeviceId lowest_fresh() const {
@@ -251,19 +251,12 @@ struct ArrayInfo {
   void refresh_masks() {
     std::uint32_t any_res = 0;
     std::uint32_t all_fresh = ~0u;
-    bool any_fresh = false;
-    bool any_device_newer = false;
     for (const PageExtent& e : extents) {
       any_res |= e.resident_mask;
       all_fresh &= e.fresh_mask;
-      if (e.fresh_mask != 0) any_fresh = true;
-      if (!e.host_fresh) any_device_newer = true;
     }
     resident_mask = any_res;
     fresh_mask = extents.empty() ? 0 : all_fresh;
-    on_device = resident_mask != 0;
-    device_dirty = any_device_newer;
-    host_dirty = !any_fresh;
   }
 
   void normalize() {

@@ -211,18 +211,20 @@ std::size_t GpuRuntime::replay(const Submission& sub) {
   // One driver call relaunches the whole recorded list.
   host_now_ += kLaunchCpuOverheadUs;
   replay_admit(sub);
-  if (batch_open_) {
-    // Join an open batch instead of force-flushing it: the recorded items
-    // ingest into the open transaction and start at the batch's commit,
-    // exactly like a Batched graph launch joining the batch. The flush at
-    // the next observation point accounts the ops.
-    if (!engine_.in_transaction()) engine_.begin_transaction(host_now_);
-    return engine_.ingest(std::as_const(sub));
+  // In a batch, join it instead of force-flushing: the recorded items
+  // ingest into the open transaction and start at the batch's commit,
+  // exactly like a Batched graph launch joining the batch, and the flush
+  // at the next observation point accounts the ops. Outside one, the
+  // list brackets itself as its own transaction.
+  if (batch_open_ && !engine_.in_transaction()) {
+    engine_.begin_transaction(host_now_);
   }
-  const std::size_t n = engine_.commit(std::as_const(sub));
-  batched_ops_ += static_cast<long>(n);
-  ++batch_commits_;
-  engine_.advance_to(host_now_);
+  const std::size_t n = engine_.ingest(sub);
+  if (!batch_open_) {
+    batched_ops_ += static_cast<long>(n);
+    ++batch_commits_;
+    engine_.advance_to(host_now_);
+  }
   return n;
 }
 
@@ -730,7 +732,10 @@ void GpuRuntime::host_read(ArrayId id) {
   const auto gate = api_guard();
   note_host_access(id, /*for_write=*/false);
   ArrayInfo& a = memory_.info(id);
-  if (!a.device_dirty) return;
+  if (std::all_of(a.extents.begin(), a.extents.end(),
+                  [](const PageExtent& e) { return e.host_fresh; })) {
+    return;  // the host copy of every page is current
+  }
   // Migrate the runs the host lacks back over PCIe; blocks the host. Each
   // run's source is the lowest-indexed device holding its newest copy
   // (device 0 rides the default stream, preserving the single-GPU

@@ -36,15 +36,16 @@
 // an array while device ops on it are still pending means the caller failed
 // to synchronize — a correctness bug in the scheduler under test.
 //
-// Transactional submission: every engine mutation flows through an
-// engine-level Submission. The per-call API opens and commits an implicit
-// single-item transaction per call (behaviour identical to the historical
-// direct path); begin_submit()/commit() brackets an explicit batch in which
-// async calls append to one open submission — charged a reduced per-call
-// host cost — that reaches the engine as a single transaction. Blocking and
+// Transactional submission: engine work arrives on one of three paths.
+// Per-call, each async call is an implicit single-op transaction that
+// commits at the call. begin_submit()/commit() brackets an explicit batch:
+// async calls ingest into one open engine transaction — charged a reduced
+// per-call host cost — that commits as a unit. replay() hands a recorded
+// Submission to Engine::ingest, which joins the open batch if there is one
+// and otherwise brackets the list as its own transaction. Blocking and
 // observing calls (synchronize_*, host_read/host_write, poll, stream_idle,
-// event_done, free_array) flush the open submission first, so batch
-// boundaries align with host observation points.
+// event_done, free_array) flush the open batch first, so batch boundaries
+// align with host observation points.
 #pragma once
 
 #include <atomic>
@@ -220,8 +221,8 @@ class GpuRuntime {
   // --- recorded submissions (replayable; see TaskGraph::Replay::Recorded) --
   /// Tee every subsequent async call into `sub` *in addition to* normal
   /// execution (a batch is opened if none is). The recorded list can then
-  /// be re-committed with replay() — repeatedly, without re-validation or
-  /// rebuilding — like a CUDA graph relaunch. Mutually exclusive with
+  /// be re-committed with replay() — repeatedly, without rebuilding —
+  /// like a CUDA graph relaunch. Mutually exclusive with
   /// stream capture and with an already-active recording.
   void begin_record(Submission& sub);
   /// Stop recording; commits the batch begin_record opened (if it opened
@@ -233,8 +234,9 @@ class GpuRuntime {
   /// mode. The caller discards the partial recording (Submission::clear).
   void abort_record();
   [[nodiscard]] bool recording() const { return record_ != nullptr; }
-  /// Re-commit a previously recorded submission as one engine transaction
-  /// (one driver-call host charge). The recorded ops replay verbatim —
+  /// Re-commit a previously recorded submission through Engine::ingest
+  /// (one API-call host charge): its own transaction, or part of the
+  /// open batch if one is open. The recorded ops replay verbatim —
   /// staging decisions are NOT re-derived, matching CUDA Graphs' static
   /// replay — so keep the referenced arrays alive (and pinned, if the
   /// device is oversubscribed). Returns the number of ops committed.

@@ -62,8 +62,8 @@ class ApiError : public Error {
 };
 
 /// Raised on misuse of the transactional-ingestion surface: opening a
-/// transaction while one is already open, or committing / ingesting with
-/// none. Structured (which call failed, the state it found, how many ops
+/// transaction while one is already open, or committing with none.
+/// Structured (which call failed, the state it found, how many ops
 /// the open transaction had ingested) and — critically — recoverable: the
 /// throw happens before any engine state changes, so the concurrent
 /// ingestion front-end's drain threads catch it, fail the offending item's
@@ -71,8 +71,8 @@ class ApiError : public Error {
 class TransactionError : public ApiError {
  public:
   enum class Kind {
-    AlreadyOpen,  ///< begin_transaction / commit(Submission) found one open
-    NotOpen,      ///< commit_transaction / ingest found none
+    AlreadyOpen,  ///< begin_transaction found one open
+    NotOpen,      ///< commit_transaction found none
   };
 
   TransactionError(Kind kind_, const char* call_, std::size_t pending_ops_)

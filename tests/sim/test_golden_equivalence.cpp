@@ -76,14 +76,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return sanitized(benchsuite::name(info.param)); });
 
 // ---------------------------------------------------------------------
-// Single-tenant fast path (tenancy guardrail): with one tenant, all of
-// the fairness accounting — tenant columns in the solver mirrors, the
-// weight table, quota bookkeeping — must compile down to today's
-// behaviour. Not "within tolerance": the two runs execute the identical
+// Tenancy guardrail: with one tenant, the general solver path — tenant
+// columns in the solver mirrors, the per-scan uniformity check, the
+// weight table — must leave the schedule exactly as an unconfigured run
+// has it. Not "within tolerance": the two runs execute the identical
 // arithmetic on one engine build, so every time must match bit for bit.
 // ---------------------------------------------------------------------
 
-TEST(GoldenEquivalence, SingleTenantFastPathBitIdentical) {
+TEST(GoldenEquivalence, TenancyConfigDoesNotPerturbSingleTenantSchedule) {
   const GoldenRun base = run_contention_scenario();
 
   Engine eng(DeviceSpec::test_device());

@@ -242,7 +242,7 @@ TEST_F(GraphTest, RecordedReplayMatchesBatchedOnTheFirstLaunch) {
   }
 }
 
-TEST_F(GraphTest, RecordedRelaunchReusesTheRecordingAllocationFree) {
+TEST_F(GraphTest, RecordedRelaunchReusesTheRecording) {
   const ArrayId a = rt_.alloc(1000, "a");
   rt_.host_write(a);
   TaskGraph g;
@@ -256,21 +256,15 @@ TEST_F(GraphTest, RecordedRelaunchReusesTheRecordingAllocationFree) {
   rt_.synchronize_device();
   ASSERT_TRUE(exec.has_recording());
   const Submission& rec = exec.recording();
-  const void* buffer = rec.buffer_id();
   const std::size_t items = rec.size();
   EXPECT_GT(items, 0u);
 
-  // Later launches are allocation-free on the submission path: the
-  // recorded list is re-committed verbatim — not drained, not rebuilt,
-  // not reallocated — and no ids vector is returned. The first replay
-  // runs the one validation pass (sealing the list); the rest skip it.
+  // Later launches re-ingest the recorded list verbatim — not drained,
+  // not rebuilt.
   for (int i = 0; i < 3; ++i) {
     exec.launch(rt_, TaskGraph::Replay::Recorded);
     rt_.synchronize_device();
-    EXPECT_EQ(rec.buffer_id(), buffer);
     EXPECT_EQ(rec.size(), items);
-    EXPECT_TRUE(rec.sealed());
-    EXPECT_EQ(rec.validations(), 1);
   }
   int kernel_count = 0;
   for (const auto& e : rt_.timeline().entries()) {
@@ -316,7 +310,9 @@ TEST_F(GraphTest, RecordedRelaunchReappliesWriteTransitions) {
 
   exec.launch(rt_, TaskGraph::Replay::Recorded);  // replay re-writes `a`
   rt_.synchronize_device();
-  EXPECT_TRUE(rt_.memory().info(a).device_dirty);
+  for (const PageExtent& e : rt_.memory().info(a).extents) {
+    EXPECT_FALSE(e.host_fresh);  // the replayed write left the host stale
+  }
   rt_.host_read(a);  // must migrate the replayed result back
   EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
 }

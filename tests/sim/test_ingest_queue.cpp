@@ -96,7 +96,7 @@ TEST(TransactionErrorTest, BeginWhileOpenIsStructuredAndRecoverable) {
   rt.synchronize_device();
 }
 
-TEST(TransactionErrorTest, CommitAndIngestWithoutOpenAreStructured) {
+TEST(TransactionErrorTest, CommitWithoutOpenIsStructured) {
   GpuRuntime rt(DeviceSpec::test_device());
   Engine& eng = rt.engine();
   try {

@@ -26,7 +26,7 @@ TEST_F(MemoryTest, FreshArrayIsUntouched) {
   // needs no migration until the host actually writes it.
   const ArrayId a = mem_.alloc(1000, "a");
   const ArrayInfo& info = mem_.info(a);
-  EXPECT_FALSE(info.on_device);
+  EXPECT_EQ(info.resident_mask, 0u);
   EXPECT_FALSE(info.host_touched);
   EXPECT_FALSE(info.needs_h2d());
   EXPECT_EQ(info.attached_stream, kInvalidStream);
@@ -238,14 +238,16 @@ TEST_F(PerDeviceMemoryTest, WritebackHandsTheOnlyCopyToTheHost) {
   ArrayInfo& ia = mem_.info(a);
   mem_.charge_residency(ia, 1);
   ia.note_kernel_write(1);  // device 1 holds the only current copy
-  EXPECT_TRUE(ia.device_dirty);
+  ASSERT_EQ(ia.extents.size(), 1u);
+  EXPECT_FALSE(ia.extents.front().host_fresh);
+  EXPECT_EQ(ia.extents.front().fresh_mask, 0b10u);
   const EvictionPlan plan = mem_.charge_residency(mem_.info(b), 1);
   ASSERT_EQ(plan.page_outs.size(), 1u);
   EXPECT_TRUE(plan.page_outs.front().writeback);
   EXPECT_EQ(plan.writeback_bytes, 3000u);
   EXPECT_EQ(mem_.device_writeback_bytes(1), 3000u);
   // The host now owns the newest version; nothing was lost.
-  EXPECT_FALSE(ia.device_dirty);
+  for (const PageExtent& e : ia.extents) EXPECT_TRUE(e.host_fresh);
   EXPECT_TRUE(ia.host_touched);
   EXPECT_TRUE(ia.needs_transfer_to(1));  // and it can be fetched back
 }
@@ -253,12 +255,18 @@ TEST_F(PerDeviceMemoryTest, WritebackHandsTheOnlyCopyToTheHost) {
 TEST_F(MemoryTest, ResidencyFlagsRoundTrip) {
   const ArrayId a = mem_.alloc(100, "a");
   ArrayInfo& info = mem_.info(a);
-  info.host_touched = true;
-  info.on_device = true;
-  info.host_dirty = false;
-  EXPECT_FALSE(info.needs_h2d());
-  info.host_dirty = true;  // host wrote: device copy stale again
+  info.note_host_write();  // host data, no device copy
   EXPECT_TRUE(info.needs_h2d());
+  EXPECT_TRUE(info.host_sourced());
+  mem_.charge_residency(info, 0);
+  info.note_migrated(0);  // charged and current on device 0
+  EXPECT_FALSE(info.needs_h2d());
+  EXPECT_FALSE(info.host_sourced());
+  info.note_host_write();  // host wrote: device copy stale again
+  EXPECT_EQ(info.resident_mask, 1u);
+  EXPECT_EQ(info.extents.front().fresh_mask, 0u);
+  EXPECT_TRUE(info.needs_h2d());
+  EXPECT_TRUE(info.host_sourced());
 }
 
 }  // namespace

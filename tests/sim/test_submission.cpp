@@ -40,7 +40,7 @@ void expect_identical(const Timeline& got, const Timeline& want) {
   }
 }
 
-/// Drive the contention DAG through a Submission committed as one
+/// Drive the contention DAG through a Submission ingested as one
 /// transaction (all items at host time 0).
 void build_contention_via_submission(Engine& eng, int n_ops, int n_streams) {
   Submission sub;
@@ -49,8 +49,8 @@ void build_contention_via_submission(Engine& eng, int n_ops, int n_streams) {
       [&](Op op) { sub.enqueue(std::move(op), 0); },
       [&](EventId ev, StreamId s) { sub.record_event(ev, s, 0); },
       [&](StreamId s, EventId ev) { sub.wait_event(s, ev, 0); });
-  eng.commit(sub);
-  EXPECT_TRUE(sub.empty());  // consumed (capacity retained)
+  EXPECT_EQ(eng.ingest(sub), sub.num_ops());
+  EXPECT_FALSE(eng.in_transaction());  // ingest bracketed itself
 }
 
 // --- golden equivalence: pinned fixture scenario, single-device ---
@@ -129,7 +129,7 @@ TEST(SubmissionEquivalence, MultiDeviceContentionMatchesPerCall) {
       sub.enqueue(std::move(op), 0);
     }
   }
-  batched.commit(sub);
+  batched.ingest(sub);
   batched.run_all();
 
   expect_identical(batched.timeline(), per_call.timeline());
@@ -206,23 +206,24 @@ TEST(Transaction, StaggeredHostTimesReplayPerCallIssueTiming) {
 
 // --- Submission builder semantics ---
 
-TEST(Submission, CommitReturnsIdsInSubmissionOrder) {
+TEST(Submission, IngestAssignsIdsInSubmissionOrder) {
   Engine eng(DeviceSpec::test_device());
   const StreamId s1 = eng.create_stream();
   const EventId ev = eng.create_event();
+  std::vector<OpId> ids;
+  const auto keep_id = [&ids](Engine&, OpId id) { ids.push_back(id); };
   Submission sub;
-  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
+  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0, keep_id);
   sub.record_event(ev, kDefaultStream, 0);
   sub.wait_event(s1, ev, 0);  // lowered to a marker op: consumes an id
-  sub.enqueue(raw_kernel(s1, 5, 2, 1.0), 0);
+  sub.enqueue(raw_kernel(s1, 5, 2, 1.0), 0, keep_id);
   EXPECT_EQ(sub.size(), 4u);
   EXPECT_EQ(sub.num_ops(), 3u);
-  const std::vector<OpId> ids = eng.commit(sub);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[1], ids[0] + 1);
-  EXPECT_EQ(ids[2], ids[1] + 1);
+  EXPECT_EQ(eng.ingest(sub), 3u);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids[1], ids[0] + 2);  // the wait marker took the id between
   eng.run_all();
-  EXPECT_TRUE(eng.op_done(ids[2]));
+  EXPECT_TRUE(eng.op_done(ids[1]));
 }
 
 TEST(Submission, BindRunsWithAssignedIdBeforeOpCanStart) {
@@ -241,9 +242,9 @@ TEST(Submission, BindRunsWithAssignedIdBeforeOpCanStart) {
     EXPECT_FALSE(e.op_done(id));
     e.set_on_complete(id, [&completed] { completed = true; });
   });
-  const std::vector<OpId> ids = eng.commit(sub);
-  EXPECT_EQ(seen, ids.front());
-  EXPECT_TRUE(completed);  // marker completed during the commit
+  EXPECT_EQ(eng.ingest(sub), 1u);
+  EXPECT_NE(seen, kInvalidOp);
+  EXPECT_TRUE(completed);  // marker completed during the ingest
 }
 
 TEST(Submission, AtomicValidationRejectsWholeSubmission) {
@@ -251,8 +252,9 @@ TEST(Submission, AtomicValidationRejectsWholeSubmission) {
   Submission sub;
   sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
   sub.enqueue(raw_kernel(99, 5, 2, 1.0), 0);  // invalid stream
-  EXPECT_THROW((void)eng.commit(sub), ApiError);
+  EXPECT_THROW((void)eng.ingest(sub), ApiError);
   // Nothing was applied: the engine is untouched and idle.
+  EXPECT_FALSE(eng.in_transaction());
   EXPECT_TRUE(eng.all_idle());
   EXPECT_EQ(eng.run_all(), 0.0);
 }
@@ -262,47 +264,55 @@ TEST(Submission, NonMonotoneHostTimesRejected) {
   Submission sub;
   sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 10);
   sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 5);
-  EXPECT_THROW((void)eng.commit(sub), ApiError);
+  EXPECT_THROW((void)eng.ingest(sub), ApiError);
   EXPECT_TRUE(eng.all_idle());
 }
 
-TEST(Submission, P2PValidationAppliesAtCommit) {
+TEST(Submission, P2PValidationAppliesAtIngest) {
   Engine eng(Machine::uniform(DeviceSpec::test_device(), 2, true));
   const StreamId s1 = eng.create_stream(1);
   Submission sub;
   Op bad = raw_copy(s1, OpKind::CopyP2P, 1e4, "p2p");
   bad.peer = 1;  // equals destination device
   sub.enqueue(std::move(bad), 0);
-  EXPECT_THROW((void)eng.commit(sub), ApiError);
+  EXPECT_THROW((void)eng.ingest(sub), ApiError);
   EXPECT_TRUE(eng.all_idle());
 }
 
-TEST(Submission, CommitDuringOpenTransactionRejectsSubmissionIntact) {
+TEST(Submission, IngestJoinsAnOpenTransaction) {
   Engine eng(DeviceSpec::test_device());
   eng.begin_transaction(0);
+  const OpId first = eng.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
+  OpId joined = kInvalidOp;
   Submission sub;
-  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
-  // Atomic rejection: the submission keeps its items (nothing drained).
-  EXPECT_THROW((void)eng.commit(sub), ApiError);
-  EXPECT_EQ(sub.num_ops(), 1u);
-  EXPECT_EQ(eng.commit_transaction(), 0u);
-  // After the transaction closes the same submission commits normally.
-  const auto ids = eng.commit(sub);
-  ASSERT_EQ(ids.size(), 1u);
+  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0,
+              [&joined](Engine&, OpId id) { joined = id; });
+  EXPECT_EQ(eng.ingest(sub), 1u);
+  // Joined, not bracketed: still open, the item ingested after `first`
+  // and frozen until the transaction commits.
+  EXPECT_TRUE(eng.in_transaction());
+  EXPECT_EQ(joined, first + 1);
+  EXPECT_EQ(eng.op(joined).state, OpState::Queued);
+  // A rejected list leaves the open transaction as it was.
+  Submission bad;
+  bad.enqueue(raw_kernel(99, 5, 2, 1.0), 0);
+  EXPECT_THROW((void)eng.ingest(bad), ApiError);
+  EXPECT_EQ(eng.commit_transaction(), 2u);
   eng.run_all();
-  EXPECT_TRUE(eng.op_done(ids.front()));
+  EXPECT_TRUE(eng.op_done(joined));
 }
 
-TEST(Submission, EmptyCommitIsNoop) {
+TEST(Submission, EmptyIngestIsNoop) {
   Engine eng(DeviceSpec::test_device());
   Submission sub;
-  EXPECT_TRUE(eng.commit(sub).empty());
+  EXPECT_EQ(eng.ingest(sub), 0u);
+  EXPECT_FALSE(eng.in_transaction());
   EXPECT_TRUE(eng.all_idle());
 }
 
-// --- recorded (re-committable) submissions ---
+// --- recorded (replayable) submissions ---
 
-TEST(RecordedSubmission, RecommitsWithoutRevalidationOrReallocation) {
+TEST(RecordedSubmission, ReplayExecutesEveryTimeAndLeavesTheListIntact) {
   Engine eng(DeviceSpec::test_device());
   const StreamId s1 = eng.create_stream();
   const EventId ev = eng.create_event();
@@ -311,70 +321,20 @@ TEST(RecordedSubmission, RecommitsWithoutRevalidationOrReallocation) {
   sub.record_event(ev, kDefaultStream, 0);
   sub.wait_event(s1, ev, 0);
   sub.enqueue(raw_kernel(s1, 5, 2, 1.0), 0);
-  const void* buffer = sub.buffer_id();
   const std::size_t items = sub.size();
 
-  // Const-view commit: the recording is validated once (sealed), applied,
-  // and left fully intact — no draining, no reallocation.
-  const std::size_t n1 = eng.commit(std::as_const(sub));
-  EXPECT_EQ(n1, 3u);
-  EXPECT_TRUE(sub.sealed());
-  EXPECT_EQ(sub.validations(), 1);
-  EXPECT_EQ(sub.size(), items);
-  EXPECT_EQ(sub.buffer_id(), buffer);
-  eng.run_all();
-
-  // Replays skip the validation pre-pass and reuse the same buffer.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(eng.commit(std::as_const(sub)), 3u);
+  // Items apply by copy: the recording survives every ingest unchanged.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(eng.ingest(sub), 3u);
+    EXPECT_EQ(sub.size(), items);
     eng.run_all();
   }
-  EXPECT_EQ(sub.validations(), 1);
-  EXPECT_EQ(sub.buffer_id(), buffer);
-  EXPECT_EQ(sub.size(), items);
-  // Every replay really executed: four commits x two kernels each.
+  // Every replay really executed: four ingests x two kernels each.
   long kernels = 0;
   for (const auto& e : eng.timeline().entries()) {
     if (e.kind == OpKind::Kernel) ++kernels;
   }
   EXPECT_EQ(kernels, 8);
-}
-
-TEST(RecordedSubmission, MutationUnsealsAndForcesRevalidation) {
-  Engine eng(DeviceSpec::test_device());
-  Submission sub;
-  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
-  eng.commit(std::as_const(sub));
-  EXPECT_TRUE(sub.sealed());
-  sub.enqueue(raw_kernel(kDefaultStream, 5, 2, 1.0), 0);
-  EXPECT_FALSE(sub.sealed());
-  eng.commit(std::as_const(sub));
-  EXPECT_EQ(sub.validations(), 2);
-  // A recording sealed by one engine is re-validated by another.
-  Engine other(DeviceSpec::test_device());
-  other.create_stream();
-  other.commit(std::as_const(sub));
-  EXPECT_EQ(sub.validations(), 3);
-}
-
-TEST(RecordedSubmission, ConstCommitMatchesDrainingCommitBitExact) {
-  // The same recorded list through the const-view path and the draining
-  // path: identical timelines.
-  Engine drained(DeviceSpec::test_device());
-  build_contention_via_submission(drained, 300, 8);
-  drained.run_all();
-
-  Engine replayed(DeviceSpec::test_device());
-  Submission sub;
-  emit_contention_dag(
-      replayed, 300, 8, [&](Op op) { sub.enqueue(std::move(op), 0); },
-      [&](EventId ev, StreamId s) { sub.record_event(ev, s, 0); },
-      [&](StreamId s, EventId ev) { sub.wait_event(s, ev, 0); });
-  replayed.commit(std::as_const(sub));
-  replayed.run_all();
-  EXPECT_FALSE(sub.empty());  // const commit does not drain
-
-  expect_identical(replayed.timeline(), drained.timeline());
 }
 
 // --- batched solver-work amortization ---

@@ -1,5 +1,5 @@
-// Randomized join/leave churn and mid-flight re-weighting across the two
-// solver paths (legacy per-member fold vs virtual-service incremental).
+// Randomized join/leave churn and mid-flight re-weighting, checked against
+// the full-scan reference oracle (tests/solver/reference_solver.hpp).
 //
 // The churn harness drives a seeded random mix of kernels, transfers and
 // faults across several tenants and devices, interleaving enqueues with
@@ -7,63 +7,37 @@
 // of other members' lifetimes — the regime where the virtual-service
 // bookkeeping (lazy V advance, finish-heap epochs, group aggregate
 // joins/leaves) has to agree with folding every member on every change.
-// Schedules must be identical between the paths: same op order, same
-// times to 1e-9 relative.
+// At the midpoint of every inter-event interval each running op's rate
+// must equal the oracle's to 1e-9 relative.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../sim/sim_test_util.hpp"
+#include "reference_solver.hpp"
 #include "sim/engine.hpp"
 #include "sim/synthetic.hpp"
 
 namespace psched::sim {
 namespace {
 
-constexpr double kAbsTol = 1e-6;
-constexpr double kRelTol = 1e-9;
+using test::Stepper;
+using test::expect_rates_match_reference;
 
-void expect_time_eq(TimeUs got, TimeUs want, const std::string& what) {
-  const double tol = std::max(kAbsTol, kRelTol * std::abs(want));
-  EXPECT_NEAR(got, want, tol) << what;
-}
+constexpr int kChurnOps = 400;
 
-void compare_timelines(const std::vector<TimelineEntry>& inc,
-                       const std::vector<TimelineEntry>& leg,
-                       const std::string& name) {
-  ASSERT_EQ(inc.size(), leg.size()) << name << ": timeline length diverged";
-  for (std::size_t i = 0; i < leg.size(); ++i) {
-    const TimelineEntry& got = inc[i];
-    const TimelineEntry& want = leg[i];
-    const std::string what =
-        name + ": entry " + std::to_string(i) + " (" + want.name + ")";
-    ASSERT_EQ(got.kind, want.kind) << what;
-    ASSERT_EQ(got.stream, want.stream) << what;
-    ASSERT_EQ(got.name, want.name) << what;
-    expect_time_eq(got.start, want.start, what + " start");
-    expect_time_eq(got.end, want.end, what + " end");
-  }
-}
-
-/// One seeded churn run: every random draw is made from the same
-/// deterministic sequence regardless of solver path, so both runs see
-/// the identical op stream.
-std::vector<TimelineEntry> run_churn(Engine::SolverPath path,
-                                     unsigned seed) {
+/// One seeded churn run: every random draw comes from the same
+/// deterministic sequence however the clock is driven.
+std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed) {
   std::mt19937 rng(seed);
-  Machine machine = Machine::uniform(DeviceSpec::test_device(), 2,
-                                     /*nvlink_all_pairs=*/true);
-  Engine eng(std::move(machine));
-  eng.set_solver_path(path);
-
   std::vector<StreamId> streams;
   for (TenantId t = 1; t <= 4; ++t) {
     eng.set_tenant_weight(t, 1.0 + 0.5 * t);
-    for (DeviceId d = 0; d < 2; ++d) {
-      streams.push_back(eng.create_stream(d, t));
+    for (DeviceId dev = 0; dev < 2; ++dev) {
+      streams.push_back(eng.create_stream(dev, t));
     }
   }
 
@@ -74,7 +48,7 @@ std::vector<TimelineEntry> run_churn(Engine::SolverPath path,
   std::uniform_real_distribution<double> gap(0.0, 3.0);
 
   TimeUs t = 0;
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < kChurnOps; ++i) {
     const StreamId s = streams[pick(rng)];
     switch (kind(rng)) {
       case 0:
@@ -99,18 +73,28 @@ std::vector<TimelineEntry> run_churn(Engine::SolverPath path,
     // steps stay put so transactions of same-instant joins occur too.
     if (i % 4 != 3) {
       t += gap(rng);
-      eng.advance_to(t);
+      d.advance_to(eng, t);
     }
   }
-  eng.run_all();
+  d.run_all(eng);
   return eng.timeline().entries();
 }
 
-TEST(SolverChurn, RandomJoinLeaveSchedulesIdentical) {
-  for (const unsigned seed : {1u, 7u, 1234u}) {
-    compare_timelines(run_churn(Engine::SolverPath::Incremental, seed),
-                      run_churn(Engine::SolverPath::Legacy, seed),
-                      "churn seed " + std::to_string(seed));
+constexpr unsigned kChurnSeeds[] = {1u, 7u, 1234u};
+
+Machine churn_machine() {
+  return Machine::uniform(DeviceSpec::test_device(), 2,
+                          /*nvlink_all_pairs=*/true);
+}
+
+TEST(SolverChurn, RandomJoinLeaveRatesMatchReference) {
+  for (const unsigned seed : kChurnSeeds) {
+    expect_rates_match_reference(
+        [seed](Stepper& d) {
+          Engine eng(churn_machine());
+          return run_churn(d, eng, seed);
+        },
+        "churn seed " + std::to_string(seed));
   }
 }
 
@@ -122,7 +106,6 @@ TEST(SolverChurn, RandomJoinLeaveSchedulesIdentical) {
 
 TEST(SolverChurn, WeightChangeRepricesWithoutMemberScan) {
   Engine eng(DeviceSpec::test_device());
-  ASSERT_EQ(eng.solver_path(), Engine::SolverPath::Incremental);
   const StreamId s1 = eng.create_stream(kDefaultDevice, 1);
   const StreamId s2 = eng.create_stream(kDefaultDevice, 2);
   // Saturated: fill 1.0 each, base rate 0.5 apiece at equal weights.
@@ -143,38 +126,51 @@ TEST(SolverChurn, WeightChangeRepricesWithoutMemberScan) {
   EXPECT_NEAR(eng.tenant_inflight_work(2), 7.5, 1e-9);
 }
 
-TEST(SolverChurn, WeightChangeMatchesLegacyPath) {
-  // The same mid-flight re-weighting sequence on both paths must land
-  // the same completions.
-  auto run = [](Engine::SolverPath path) {
-    Engine eng(DeviceSpec::test_device());
-    eng.set_solver_path(path);
-    std::vector<StreamId> streams;
-    for (TenantId t = 1; t <= 3; ++t) {
-      streams.push_back(eng.create_stream(kDefaultDevice, t));
+std::vector<TimelineEntry> weight_change(Stepper& d) {
+  Engine eng(DeviceSpec::test_device());
+  std::vector<StreamId> streams;
+  for (TenantId t = 1; t <= 3; ++t) {
+    streams.push_back(eng.create_stream(kDefaultDevice, t));
+  }
+  for (const StreamId s : streams) {
+    for (int k = 0; k < 8; ++k) {
+      eng.enqueue(test::raw_kernel(s, 6.0, 4, 1.0), 0);
     }
-    for (const StreamId s : streams) {
-      for (int k = 0; k < 8; ++k) {
-        eng.enqueue(test::raw_kernel(s, 6.0, 4, 1.0), 0);
-      }
-    }
-    eng.advance_to(15.0);
-    eng.set_tenant_weight(1, 4.0);
-    eng.advance_to(40.0);
-    eng.set_tenant_weight(1, 1.0);
-    eng.set_tenant_weight(3, 0.5);
-    eng.run_all();
-    return eng.timeline().entries();
-  };
-  compare_timelines(run(Engine::SolverPath::Incremental),
-                    run(Engine::SolverPath::Legacy), "weight_change");
+  }
+  d.advance_to(eng, 15.0);
+  eng.set_tenant_weight(1, 4.0);
+  d.advance_to(eng, 40.0);
+  eng.set_tenant_weight(1, 1.0);
+  eng.set_tenant_weight(3, 0.5);
+  d.run_all(eng);
+  return eng.timeline().entries();
+}
+
+TEST(SolverChurn, WeightChangeRatesMatchReference) {
+  // A mid-flight re-weighting sequence: every interval between re-weights
+  // and completions is priced with the weights in effect.
+  expect_rates_match_reference(weight_change, "weight_change");
 }
 
 // ---------------------------------------------------------------------
-// Counter contract: the churn scenario's incremental run must do far
-// less member work than the legacy fold, and per-class stats must add
-// up to the engine-wide totals.
+// Counter contract: full-scan member touches stay bounded per op under
+// churn — pinned at twice what each seed measured when the second solver
+// path was retired — and per-class stats add up to the engine-wide
+// totals.
 // ---------------------------------------------------------------------
+
+TEST(SolverChurn, MemberTouchesPerOpStayBounded) {
+  constexpr std::pair<unsigned, double> kMeasuredPerOp[] = {
+      {1u, 1.1025}, {7u, 0.975}, {1234u, 1.15}};
+  for (const auto& [seed, measured] : kMeasuredPerOp) {
+    Stepper plain;
+    Engine eng(churn_machine());
+    run_churn(plain, eng, seed);
+    const double per_op = static_cast<double>(eng.member_touch_count()) /
+                          static_cast<double>(kChurnOps);
+    EXPECT_LE(per_op, 2 * measured) << "churn seed " << seed;
+  }
+}
 
 TEST(SolverChurn, PerClassStatsSumToTotals) {
   Engine eng(DeviceSpec::test_device());
