@@ -1,14 +1,19 @@
 // Golden-equivalence scenarios: the DAGs whose virtual timelines are pinned
 // against recorded fixtures (tests/sim/golden/*.txt).
 //
-// The fixtures were generated by the seed scan-per-step engine; the indexed
-// heap-driven engine must reproduce the same per-op completion times and
+// The engine and benchmark fixtures were generated by the seed
+// scan-per-step engine; the runtime-level oversub_planner and
+// multi_gpu_staging fixtures pin the residency planner and multi-GPU
+// staging paths as they stood before the runtime's transfer issuers were
+// folded. Every build must reproduce the same per-op completion times and
 // Timeline contents on every scenario. Regenerate with
 //
 //   sim_test_golden_equivalence --gtest_also_run_disabled_tests
 //       --gtest_filter='*Regenerate*'
 //
-// but ONLY from a build whose engine is the intended source of truth.
+// which writes only fixtures that are missing (delete a file to rewrite
+// it: the seed_solves/seed_solved_ops header lines feed the solver
+// ratchets), and ONLY from a build that is the intended source of truth.
 #pragma once
 
 #include <cmath>
@@ -21,6 +26,7 @@
 
 #include "bench_suite/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 #include "sim/synthetic.hpp"
 
 namespace psched::sim::golden {
@@ -81,6 +87,85 @@ inline GoldenRun run_benchmark_scenario(benchsuite::BenchId id) {
   return r;
 }
 
+inline GoldenRun runtime_run(GpuRuntime& rt) {
+  GoldenRun r;
+  r.entries = rt.timeline().entries();
+  r.makespan = rt.timeline().makespan();
+  r.solves = rt.engine().solve_count();
+  r.solved_ops = rt.engine().solved_ops();
+  return r;
+}
+
+inline LaunchSpec golden_kernel(std::string name, std::vector<ArrayUse> arrays) {
+  LaunchSpec k;
+  k.name = std::move(name);
+  k.config = LaunchConfig::linear(16, 128);
+  k.profile.flops_sp = 1e6;
+  k.arrays = std::move(arrays);
+  return k;
+}
+
+/// Schedule-time residency planning under 1.5x oversubscription: four
+/// 3 MiB arrays cycled over an 8 MiB device, one synchronized kernel per
+/// array, with the first two rounds announced as the frontier. Pins
+/// planner serves (merged `evict:a+N` write-backs and coalesced prefetches
+/// on the prefetch stream) and, in the unannounced third round,
+/// admission-time write-backs on the service stream.
+inline GoldenRun run_oversub_planner_scenario() {
+  constexpr std::size_t kMiB = 1u << 20;
+  DeviceSpec spec = DeviceSpec::test_device();
+  spec.memory_bytes = 8 * kMiB;
+  GpuRuntime rt(spec);
+  std::vector<ArrayId> arrays;
+  for (int i = 0; i < 4; ++i) {
+    arrays.push_back(rt.alloc(3 * kMiB, std::string(1, static_cast<char>('a' + i))));
+    rt.host_write(arrays.back());
+  }
+  std::vector<FrontierEntry> frontier;
+  for (int r = 0; r < 2; ++r) {
+    for (const ArrayId a : arrays) frontier.push_back({kDefaultDevice, {a}});
+  }
+  rt.announce_frontier(std::move(frontier));
+  // The third, unannounced round runs on the admission path.
+  for (int r = 0; r < 3; ++r) {
+    if (r == 2) rt.clear_frontier();
+    for (const ArrayId a : arrays) {
+      rt.launch(kDefaultStream, golden_kernel("touch", {{a, true}}));
+      rt.synchronize_device();
+    }
+  }
+  return runtime_run(rt);
+}
+
+/// Page-granular staging across two NVLinked devices (1000-byte pages,
+/// 6000-byte devices). Device 0's admission evicts one page of a
+/// kernel-written array; device 1 then stages it partly from the peer
+/// (CopyP2P) and partly from the host behind the in-flight write-back,
+/// prefetches a peer-fresh array, and the host reads results back from
+/// device 1.
+inline GoldenRun run_multi_gpu_staging_scenario() {
+  DeviceSpec spec = DeviceSpec::test_device();
+  spec.memory_bytes = 6000;
+  GpuRuntime rt(Machine::uniform(spec, 2, /*nvlink=*/true),
+                /*page_bytes=*/1000);
+  const StreamId s1 = rt.create_stream(1);
+  const ArrayId big = rt.alloc(5000, "big");
+  const ArrayId one = rt.alloc(2000, "one");
+  const ArrayId out = rt.alloc(1000, "out");
+  rt.host_write(big);
+  rt.host_write(one);
+  rt.launch(kDefaultStream, golden_kernel("k0", {{big, true}}));
+  rt.launch(kDefaultStream, golden_kernel("k1", {{one, false}}));
+  rt.launch(s1, golden_kernel("k2", {{big, false}, {out, true}}));
+  rt.mem_prefetch_async(one, s1);
+  rt.synchronize_device();
+  rt.launch(s1, golden_kernel("k3", {{out, false}, {big, true}}));
+  rt.synchronize_device();
+  rt.host_read(big);
+  rt.host_read(out);
+  return runtime_run(rt);
+}
+
 inline std::vector<std::pair<std::string, GoldenRun>> run_all_scenarios() {
   std::vector<std::pair<std::string, GoldenRun>> all;
   all.emplace_back("contention_1k", run_contention_scenario());
@@ -88,6 +173,8 @@ inline std::vector<std::pair<std::string, GoldenRun>> run_all_scenarios() {
   for (benchsuite::BenchId id : benchsuite::all_benchmarks()) {
     all.emplace_back(benchsuite::name(id), run_benchmark_scenario(id));
   }
+  all.emplace_back("oversub_planner", run_oversub_planner_scenario());
+  all.emplace_back("multi_gpu_staging", run_multi_gpu_staging_scenario());
   return all;
 }
 
@@ -136,6 +223,7 @@ inline OpKind kind_from_string(const std::string& s) {
   if (s == "h2d") return OpKind::CopyH2D;
   if (s == "d2h") return OpKind::CopyD2H;
   if (s == "fault") return OpKind::Fault;
+  if (s == "p2p") return OpKind::CopyP2P;
   if (s == "marker") return OpKind::Marker;
   if (s == "host") return OpKind::Host;
   throw Error("fixture: unknown op kind '" + s + "'");

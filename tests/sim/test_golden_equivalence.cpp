@@ -75,6 +75,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(benchsuite::all_benchmarks()),
     [](const auto& info) { return sanitized(benchsuite::name(info.param)); });
 
+TEST(GoldenEquivalence, OversubPlanner) {
+  compare(run_oversub_planner_scenario(), load_fixture("oversub_planner"),
+          "oversub_planner");
+}
+
+TEST(GoldenEquivalence, MultiGpuStaging) {
+  compare(run_multi_gpu_staging_scenario(),
+          load_fixture("multi_gpu_staging"), "multi_gpu_staging");
+}
+
 // ---------------------------------------------------------------------
 // Tenancy guardrail: with one tenant, the general solver path — tenant
 // columns in the solver mirrors, the per-scan uniformity check, the
@@ -185,6 +195,7 @@ TEST(SolverRegression, TransferChurnSolvesCollapse) {
 
 TEST(GoldenFixtures, DISABLED_Regenerate) {
   for (const auto& [name, run] : run_all_scenarios()) {
+    if (std::ifstream(fixture_path(name))) continue;  // never overwrite
     write_fixture(name, run);
     std::printf("wrote %s: %zu entries, makespan %.6f, solves %ld/%ld\n",
                 name.c_str(), run.entries.size(), run.makespan, run.solves,
