@@ -355,8 +355,6 @@ RunResult run_benchmark(const Benchmark& bench, Variant variant,
   opts.prefetch = run_opts.prefetch;
   opts.stream_policy = run_opts.stream_policy;
   opts.honor_read_only = run_opts.honor_read_only;
-  opts.batch_submit =
-      run_opts.batched && opts.policy == rt::SchedulePolicy::Parallel;
   rt::Context ctx(gpu, opts);
 
   const Program prog = bench.build(ctx, cfg);

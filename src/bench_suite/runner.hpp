@@ -47,11 +47,6 @@ struct RunOptions {
   bool prefetch = true;  ///< auto-prefetch for the GrCUDA parallel scheduler
   rt::StreamPolicy stream_policy = rt::StreamPolicy::FifoReuse;
   bool honor_read_only = true;
-  /// Drive the run through the transactional batch path: GrCUDA variants
-  /// submit each scheduled DAG level as one engine transaction
-  /// (rt::Options::batch_submit); CUDA-Graphs variants always replay
-  /// batched (one transaction per graph launch) regardless of this flag.
-  bool batched = false;
 };
 
 /// Run `bench` end to end and collect measurements.

@@ -21,7 +21,6 @@ Context::~Context() {
     // not run with another context's tenant ambient.
     flush_ingest();
     activate();
-    if (opts_.batch_submit && gpu_->submitting()) gpu_->commit();
     gpu_->synchronize_device();
   } catch (...) {
     // Destructors must not throw; an unsatisfiable schedule at teardown
@@ -95,8 +94,6 @@ ContextStats Context::stats() const {
   ContextStats s = stats_;
   s.streams_created = static_cast<long>(streams_->num_streams());
   s.devices_used = std::popcount(devices_used_mask_);
-  s.batch_commits = gpu_->batch_commits();
-  s.batched_ops = gpu_->batched_ops();
   return s;
 }
 
@@ -226,13 +223,6 @@ void Context::submit_library(const LibraryFunctionDef& def,
 void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                              const sim::KernelProfile& profile,
                              std::function<void()> functional) {
-  // Batched submission: open the runtime transaction lazily at the first
-  // async computation. The runtime flushes it at every synchronization /
-  // host-observation point, so batch boundaries track DAG levels as the
-  // host program exposes them; the bracket closes in ~Context.
-  if (opts_.batch_submit && !gpu_->submitting() && !gpu_->capturing()) {
-    gpu_->begin_submit();
-  }
   // Model the cost of dependency computation and stream selection.
   gpu_->host_advance(opts_.scheduling_overhead_us);
 
@@ -258,24 +248,19 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   for (const Computation::Use& use : c.uses) {
     if (!seen.insert(use.array).second) continue;
     const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
-    if (info.needs_transfer_to(c.device)) {
-      staged_bytes += static_cast<double>(info.bytes);
-      if (page_fault && info.host_sourced()) {
-        if (opts_.prefetch) {
-          gpu_->mem_prefetch_async(use.array->sim_id, c.stream);
-          ++stats_.prefetches;
-        }
-        // else: the launch falls back to on-demand fault migration
-      } else {
-        // Pre-Pascal host sources transfer ahead of execution (and
-        // restrict visibility of the array to this stream); peer-device
-        // sources always move eagerly — there is no fault path between
-        // GPUs in this model.
-        gpu_->memcpy_h2d_async(use.array->sim_id, c.stream);
-        if (!page_fault) gpu_->attach_array(use.array->sim_id, c.stream);
+    if (!info.needs_transfer_to(c.device)) continue;
+    staged_bytes += static_cast<double>(info.bytes);
+    if (page_fault && info.host_sourced()) {
+      if (opts_.prefetch) {
+        gpu_->mem_prefetch_async(use.array->sim_id, c.stream);
+        ++stats_.prefetches;
       }
-    } else if (!page_fault) {
-      gpu_->attach_array(use.array->sim_id, c.stream);
+      // else: the launch falls back to on-demand fault migration
+    } else {
+      // Pre-Pascal host sources transfer ahead of execution; peer-device
+      // sources always move eagerly — there is no fault path between GPUs
+      // in this model.
+      gpu_->memcpy_h2d_async(use.array->sim_id, c.stream);
     }
   }
 

@@ -47,13 +47,6 @@ struct Options {
   /// Automatic unified-memory prefetching ahead of kernels (Pascal+ only;
   /// pre-Pascal architectures always transfer ahead of execution).
   bool prefetch = true;
-  /// Submit asynchronous computations through the runtime's transactional
-  /// batch path: the context opens a submission at the first async
-  /// computation and the runtime commits it at each synchronization /
-  /// host-observation point, so a whole scheduled DAG level (the span
-  /// between host observations) reaches the engine as one transaction.
-  /// Parallel policy only; the serial baseline is blocking per call.
-  bool batch_submit = false;
   /// Execute kernels' functional host implementations (tests/examples);
   /// disable for paper-scale timing-only benchmark runs.
   bool functional = true;
@@ -86,8 +79,6 @@ struct ContextStats {
   long prefetches = 0;
   long streams_created = 0;
   long devices_used = 0;  ///< distinct devices computations were placed on
-  long batch_commits = 0;  ///< engine transactions the batch path committed
-  long batched_ops = 0;    ///< ops those transactions carried
   long advised_evictions = 0;  ///< advise_evict calls that released pages
 };
 

@@ -162,33 +162,18 @@ TaskGraph::Exec TaskGraph::instantiate(GpuRuntime& rt) const {
   return exec;
 }
 
-void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
+void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay /*replay*/) {
   rt.host_advance(TaskGraph::kLaunchUs);
-  // Recorded relaunch: the first Recorded launch captured the lowered op
-  // list; later launches re-ingest it verbatim as one transaction (the
-  // list is not rebuilt).
-  if (replay == TaskGraph::Replay::Recorded && recorded_valid_) {
-    rt.replay(recorded_);
-    return;
-  }
-  const bool record = replay == TaskGraph::Replay::Recorded;
-  // Batched replay: everything below appends to one open submission and
-  // reaches the engine in a single transaction at commit. Joins an already
-  // open batch rather than nesting. Recording tees the same batched
-  // lowering into the Exec's submission.
-  const bool own_batch =
-      replay == TaskGraph::Replay::Batched && !rt.submitting();
-  if (record) {
-    rt.begin_record(recorded_);
-  } else if (own_batch) {
-    rt.begin_submit();
-  }
+  // Everything below appends to one open submission and reaches the
+  // engine in a single transaction at commit. Joins an already open batch
+  // rather than nesting.
+  const bool own_batch = !rt.submitting();
+  if (own_batch) rt.begin_submit();
   // The topo order about to be lowered IS the ready frontier: hand it to
   // the residency planner so admissions are future-scored and prefetch can
-  // run ahead of the lowering. Skipped when the planner is disabled or
-  // already fed a wider frontier (a drained ingest batch).
-  const bool announced =
-      rt.lookahead() > 0 && !rt.memory().planner().active();
+  // run ahead of the lowering. Skipped when the planner was already fed a
+  // wider frontier (a drained ingest batch).
+  const bool announced = !rt.memory().planner().active();
   if (announced) {
     std::vector<FrontierEntry> frontier;
     frontier.reserve(topo_order_.size());
@@ -209,28 +194,16 @@ void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
     rt.announce_frontier(std::move(frontier));
   }
   // A throwing lowering (e.g. a node whose working set exceeds the
-  // device) must not leave the runtime recording into this Exec — the
-  // pointer would dangle past the Exec's lifetime and every later async
-  // call would tee into a half-built list. Detach and discard the partial
-  // recording; ops already issued stay in the open batch and flush at the
-  // next observation point (same recovery as an interrupted plain batch).
+  // device) withdraws the frontier; ops already issued stay in the open
+  // batch and flush at the next observation point.
   try {
     lower_nodes(rt);
   } catch (...) {
     if (announced) rt.clear_frontier();
-    if (record) {
-      rt.abort_record();
-      recorded_.clear();
-    }
     throw;
   }
   if (announced) rt.clear_frontier();
-  if (record) {
-    rt.end_record();
-    recorded_valid_ = true;
-  } else if (own_batch) {
-    rt.commit();
-  }
+  if (own_batch) rt.commit();
 }
 
 void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {

@@ -61,39 +61,27 @@ class TaskGraph {
   void on_captured_wait_event(StreamId stream, EventId event);
   void on_captured_prefetch(StreamId stream, ArrayId array);
 
-  /// How a launch reaches the engine.
-  enum class Replay {
-    /// The whole graph — kernels, staged migrations, event edges — lowers
-    /// into one runtime transaction, like a single cudaGraphLaunch call.
-    Batched,
-    /// Node-by-node replay through the per-call API (kept for batched /
-    /// per-call equivalence tests and host-overhead cost studies).
-    PerCall,
-    /// First launch runs the batched path while recording the lowered op
-    /// list into the Exec; every later launch re-ingests that recorded
-    /// list verbatim — no re-lowering (CUDA Graphs' static relaunch). Staging
-    /// decisions are frozen at record time: keep the graph's arrays alive,
-    /// and pinned if the device is oversubscribed.
-    Recorded,
-  };
+  /// How a launch reaches the engine. There is one way: the whole graph —
+  /// kernels, staged migrations, event edges — lowers into one runtime
+  /// transaction, like a single cudaGraphLaunch call. The enum survives as
+  /// a launch() argument for callers that name the mode explicitly. A
+  /// static relaunch of a recorded op list is GpuRuntime::begin_record /
+  /// end_record / replay.
+  enum class Replay { Batched };
 
   /// Instantiated, executable graph bound to static internal streams.
   class Exec {
    public:
-    /// Asynchronously replay all nodes; call runtime.synchronize_device()
-    /// (or sync the terminal streams) to wait for completion. The default
-    /// lowers the whole graph into one engine transaction; if the runtime
-    /// already has a batch open, the replay joins it instead of committing
-    /// its own.
+    /// Asynchronously replay all nodes as one engine transaction; call
+    /// runtime.synchronize_device() (or sync the terminal streams) to wait
+    /// for completion. If the runtime already has a batch open, the launch
+    /// joins it instead of committing its own.
     void launch(GpuRuntime& rt, Replay replay = Replay::Batched);
 
     [[nodiscard]] std::size_t num_streams_used() const { return streams_.size(); }
     [[nodiscard]] StreamId stream_of(NodeId n) const {
       return streams_[static_cast<std::size_t>(assignment_[static_cast<std::size_t>(n)])];
     }
-    /// The op list the first Recorded launch captured (empty before it).
-    [[nodiscard]] const Submission& recording() const { return recorded_; }
-    [[nodiscard]] bool has_recording() const { return recorded_valid_; }
 
    private:
     friend class TaskGraph;
@@ -103,8 +91,6 @@ class TaskGraph {
     std::vector<NodeId> topo_order_;
     std::vector<int> assignment_;    // node -> index into streams_
     std::vector<StreamId> streams_;  // internal streams (created on demand)
-    Submission recorded_;            // Replay::Recorded capture
-    bool recorded_valid_ = false;
   };
 
   /// Validate (throws ApiError on cycles / bad edges) and bind to runtime.

@@ -278,11 +278,10 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   // items' recorded working sets, concatenated in pop order, are the ready
   // frontier this batch is about to execute — so each replay's residency
   // planning scores victims against the entire batch, not just its own
-  // list. Skipped when the planner is disabled, already fed a frontier, or
-  // the batch carries no annotated replays.
+  // list. Skipped when the planner was already fed a frontier or the batch
+  // carries no annotated replays.
   bool announced = false;
-  if (batch_error == nullptr && rt.lookahead() > 0 &&
-      !rt.memory().planner().active()) {
+  if (batch_error == nullptr && !rt.memory().planner().active()) {
     std::vector<FrontierEntry> frontier;
     for (const Item* it : batch) {
       if (it->kind != Item::Kind::Replay || it->replay == nullptr) continue;

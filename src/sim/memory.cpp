@@ -205,11 +205,6 @@ void MemoryManager::consume_prefetched(ArrayInfo& a, DeviceId d) {
 
 // --- ResidencyPlanner (policy half of the split) ---------------------------
 
-void ResidencyPlanner::set_horizon(int h) {
-  horizon_ = h < 0 ? 0 : h;
-  nu_cache_pos_ = kNoNextUse;
-}
-
 void ResidencyPlanner::announce(std::vector<FrontierEntry> entries) {
   frontier_ = std::move(entries);
   pos_ = 0;
@@ -287,8 +282,7 @@ void ResidencyPlanner::ensure_window_cache() const {
   // contents and pos_, so it stays valid across every residency change
   // until the schedule advances.
   nu_cache_.clear();
-  const std::size_t end =
-      std::min(frontier_.size(), pos_ + static_cast<std::size_t>(horizon_));
+  const std::size_t end = std::min(frontier_.size(), pos_ + kDefaultHorizon);
   for (std::size_t k = pos_; k < end; ++k) {
     const FrontierEntry& fe = frontier_[k];
     for (const ArrayId a : fe.arrays) {
@@ -473,8 +467,7 @@ std::vector<PrefetchStep> ResidencyPlanner::plan_prefetch(
   // admitted — nothing to do until the schedule consumes it.
   if (served_until_ >= pos_ + kServeSlack) return steps;
   ensure_window_cache();
-  const std::size_t end =
-      std::min(frontier_.size(), pos_ + static_cast<std::size_t>(horizon_));
+  const std::size_t end = std::min(frontier_.size(), pos_ + kDefaultHorizon);
   // Per loud device: gather its missing window entries, then serve the
   // batch, shrinking from the back until the never-evict-nearer rule can
   // be satisfied (a victim must have a next use farther than EVERY entry

@@ -33,8 +33,8 @@
 // exposes); with a frontier active, victims are scored against the future
 // working set (farthest next use evicted first, Belady-style) instead of
 // LRU-now, and prefetch plans bring the frontier's arrays in early. With
-// no frontier (or horizon 0) every decision is bit-identical to the
-// historical admission-time LRU path.
+// no frontier every decision is bit-identical to the historical
+// admission-time LRU path.
 #pragma once
 
 #include <algorithm>
@@ -102,10 +102,6 @@ struct ArrayInfo {
   /// has consumed yet. Cleared when the target launch admits the array;
   /// pages evicted while the mark is set count as wasted prefetch.
   std::vector<std::size_t> prefetch_pending;
-
-  /// Pre-Pascal visibility restriction: the stream this array is attached
-  /// to (kInvalidStream = visible everywhere).
-  StreamId attached_stream = kInvalidStream;
 
   /// Per-device event completing when the latest migration of this array
   /// *to that device* is done; later launches on other streams of the
@@ -360,29 +356,20 @@ class MemoryManager;
 /// through the owning MemoryManager's accounting primitives.
 class ResidencyPlanner {
  public:
-  /// Default lookahead horizon (frontier entries considered ahead of the
-  /// current schedule position).
-  static constexpr int kDefaultHorizon = 8;
+  /// Lookahead horizon (frontier entries considered ahead of the current
+  /// schedule position).
+  static constexpr std::size_t kDefaultHorizon = 8;
   static constexpr std::size_t kNoNextUse =
       std::numeric_limits<std::size_t>::max();
 
   explicit ResidencyPlanner(MemoryManager& mm) : mm_(mm) {}
 
-  /// Horizon knob: 0 disables frontier consumption and prefetch entirely
-  /// (the admission-time LRU path, bit-identical to planning never having
-  /// existed).
-  void set_horizon(int h);
-  [[nodiscard]] int horizon() const { return horizon_; }
-
   /// Replace the frontier with `entries` (schedule order). Position and
-  /// prefetch progress reset. No-op content-wise when horizon is 0 — the
-  /// entries are stored but never consulted.
+  /// prefetch progress reset.
   void announce(std::vector<FrontierEntry> entries);
   void clear();
-  /// True when unconsumed frontier entries remain and the horizon is open.
-  [[nodiscard]] bool active() const {
-    return horizon_ > 0 && pos_ < frontier_.size();
-  }
+  /// True when unconsumed frontier entries remain.
+  [[nodiscard]] bool active() const { return pos_ < frontier_.size(); }
   [[nodiscard]] std::size_t frontier_remaining() const {
     return frontier_.size() - pos_;
   }
@@ -401,7 +388,7 @@ class ResidencyPlanner {
                                     std::span<const ArrayId> protect,
                                     TenantId requester);
 
-  /// Walk the frontier up to `horizon()` entries past the current
+  /// Walk the frontier up to kDefaultHorizon entries past the current
   /// position and plan prefetch for the entries with stale pages. All of
   /// a device's missing entries in the window are served as ONE batch —
   /// one eviction plan, one PrefetchStep — so the runtime prices one
@@ -421,7 +408,7 @@ class ResidencyPlanner {
 
  private:
   /// Next-use index of `id` on device `d` within the lookahead window
-  /// [pos_, pos_+horizon), or kNoNextUse. Served from nu_cache_, rebuilt
+  /// [pos_, pos_+kDefaultHorizon), or kNoNextUse. Served from nu_cache_, rebuilt
   /// lazily whenever the window (pos_) has moved.
   [[nodiscard]] std::size_t next_use(ArrayId id, DeviceId d) const;
   /// Core plan builder shared by admission and prefetch. Victims with
@@ -478,7 +465,6 @@ class ResidencyPlanner {
   MemoryManager& mm_;
   std::vector<FrontierEntry> frontier_;
   std::size_t pos_ = 0;  ///< next entry the schedule will admit
-  int horizon_ = kDefaultHorizon;
   /// Frontier index (exclusive) up to which prefetch batches have been
   /// served. Advances only on actual serves — never on gate skips — so a
   /// stale mark cannot pin a decision made before later pressure.

@@ -24,6 +24,41 @@ void add_source_bytes(std::vector<std::pair<DeviceId, double>>& acc,
   }
 }
 
+/// The sources one array's stale runs resolved to.
+struct StaleSources {
+  bool host = false;
+  std::uint32_t peers = 0;  ///< bit d: fresh peer device d
+};
+
+/// Page-granular source resolution: add every run of `a` stale on `dev`
+/// to `host_bytes` when no device holds it, otherwise to the entry of the
+/// lowest-indexed fresh device in `peer_bytes` (unsorted). Shared by
+/// launch-time staging and the planner's prefetch steps.
+StaleSources add_stale_runs(const ArrayInfo& a, DeviceId dev,
+                            double& host_bytes,
+                            std::vector<std::pair<DeviceId, double>>& peer_bytes) {
+  StaleSources used;
+  for (const PageExtent& e : a.extents) {
+    if (!a.run_stale_on(e, dev)) continue;
+    const auto run = static_cast<double>(a.run_bytes(e.first, e.count));
+    if (e.fresh_mask == 0) {
+      host_bytes += run;
+      used.host = true;
+      continue;
+    }
+    const auto src = static_cast<DeviceId>(std::countr_zero(e.fresh_mask));
+    add_source_bytes(peer_bytes, src, run);
+    used.peers |= 1u << src;
+  }
+  return used;
+}
+
+/// Write-back victims are captured by value: one array for an admission
+/// page-out (no allocation), a shared list for a merged planner step.
+using SharedIds = std::shared_ptr<const std::vector<ArrayId>>;
+std::span<const ArrayId> ids_of(const ArrayId& id) { return {&id, 1}; }
+std::span<const ArrayId> ids_of(const SharedIds& ids) { return *ids; }
+
 /// Scope guard nulling an active recording target: eviction servicing is
 /// transient memory-pressure traffic, not part of the program being
 /// recorded — a static replay must not re-execute phantom page-outs.
@@ -99,18 +134,9 @@ void GpuRuntime::flush_ingest(TenantId tenant) {
 
 void GpuRuntime::ingest_flush() { flush_ingest(active_tenant()); }
 
-StreamId GpuRuntime::service_stream(DeviceId device) {
-  auto& per_device = service_streams_[static_cast<std::size_t>(device)];
-  const TenantId tenant = active_tenant();
-  const auto t = static_cast<std::size_t>(tenant);
-  if (per_device.size() <= t) per_device.resize(t + 1, kInvalidStream);
-  StreamId& s = per_device[t];
-  if (s == kInvalidStream) s = engine_.create_stream(device, tenant);
-  return s;
-}
-
-StreamId GpuRuntime::prefetch_stream(DeviceId device) {
-  auto& per_device = prefetch_streams_[static_cast<std::size_t>(device)];
+StreamId GpuRuntime::tenant_stream(std::vector<std::vector<StreamId>>& table,
+                                   DeviceId device) {
+  auto& per_device = table[static_cast<std::size_t>(device)];
   const TenantId tenant = active_tenant();
   const auto t = static_cast<std::size_t>(tenant);
   if (per_device.size() <= t) per_device.resize(t + 1, kInvalidStream);
@@ -123,50 +149,55 @@ void GpuRuntime::note_api_call() {
   host_now_ += batch_open_ ? kBatchedCallCpuOverheadUs : kLaunchCpuOverheadUs;
   // Inside a batch the engine deliberately lags the host clock: it catches
   // up in one transaction at commit/flush time.
-  if (!batch_open_) engine_.advance_to(host_now_);
+  settle();
 }
 
-void GpuRuntime::flush_submission() {
-  if (!engine_.in_transaction()) return;
+std::size_t GpuRuntime::flush_submission() {
+  if (!engine_.in_transaction()) return 0;
   const std::size_t n = engine_.commit_transaction();
   batched_ops_ += static_cast<long>(n);
   ++batch_commits_;
+  return n;
+}
+
+void GpuRuntime::observe() {
+  flush_submission();
+  engine_.advance_to(host_now_);
+}
+
+void GpuRuntime::join_batch() {
+  if (batch_open_ && !engine_.in_transaction()) {
+    engine_.begin_transaction(host_now_);
+  }
+}
+
+void GpuRuntime::settle() {
+  if (!batch_open_) engine_.advance_to(host_now_);
 }
 
 OpId GpuRuntime::issue_op(Op op, Submission::BindFn bind) {
-  if (batch_open_ && !engine_.in_transaction()) {
-    // Lazily (re)open the engine transaction: the first async call after
-    // begin_submit or after an implicit flush at a synchronization point.
-    engine_.begin_transaction(host_now_);
-  }
+  join_batch();
   // Tee into an active recording before the op is consumed: the recorded
   // list replays the exact same (op, bind) pairs.
   if (record_ != nullptr) record_->enqueue(op, host_now_, bind);
   const OpId id = engine_.enqueue(std::move(op), host_now_);
   if (bind) bind(engine_, id);
-  // Per-call mode: the implicit single-op transaction commits right here
-  // (one trailing drain at the unchanged clock). In a batch the drain is
-  // deferred to the commit/flush.
-  if (!batch_open_) engine_.advance_to(host_now_);
+  settle();
   return id;
 }
 
 void GpuRuntime::issue_record(EventId event, StreamId stream) {
-  if (batch_open_ && !engine_.in_transaction()) {
-    engine_.begin_transaction(host_now_);
-  }
+  join_batch();
   if (record_ != nullptr) record_->record_event(event, stream, host_now_);
   engine_.record_event(event, stream, host_now_);
-  if (!batch_open_) engine_.advance_to(host_now_);
+  settle();
 }
 
 void GpuRuntime::issue_wait(StreamId stream, EventId event) {
-  if (batch_open_ && !engine_.in_transaction()) {
-    engine_.begin_transaction(host_now_);
-  }
+  join_batch();
   if (record_ != nullptr) record_->wait_event(stream, event, host_now_);
   engine_.wait_event(stream, event, host_now_);
-  if (!batch_open_) engine_.advance_to(host_now_);
+  settle();
 }
 
 void GpuRuntime::begin_record(Submission& sub) {
@@ -191,19 +222,6 @@ std::size_t GpuRuntime::end_record() {
   return 0;
 }
 
-void GpuRuntime::abort_record() {
-  const auto gate = api_guard();
-  record_ = nullptr;
-  if (record_owns_batch_) {
-    record_owns_batch_ = false;
-    // Close the batch begin_record opened: the ops lowered before the
-    // failure are real and already ingested, so commit them and return
-    // the runtime to per-call mode. A batch someone else opened is theirs
-    // to close.
-    if (batch_open_) commit();
-  }
-}
-
 std::size_t GpuRuntime::replay(const Submission& sub) {
   const auto gate = api_guard();
   if (capture_ != nullptr) throw ApiError("replay: capture active");
@@ -216,22 +234,20 @@ std::size_t GpuRuntime::replay(const Submission& sub) {
   // exactly like a Batched graph launch joining the batch, and the flush
   // at the next observation point accounts the ops. Outside one, the
   // list brackets itself as its own transaction.
-  if (batch_open_ && !engine_.in_transaction()) {
-    engine_.begin_transaction(host_now_);
-  }
+  join_batch();
   const std::size_t n = engine_.ingest(sub);
   if (!batch_open_) {
     batched_ops_ += static_cast<long>(n);
     ++batch_commits_;
-    engine_.advance_to(host_now_);
   }
+  settle();
   return n;
 }
 
 void GpuRuntime::replay_admit(const Submission& sub) {
   ResidencyPlanner& planner = memory_.planner();
   const std::vector<FrontierEntry>& ws = sub.working_sets();
-  if (ws.empty() || planner.horizon() == 0) return;
+  if (ws.empty()) return;
   // The recorded list is its own ready frontier (unless a wider one — a
   // drained ingest batch spanning several replays — is already active).
   const bool own_frontier = !planner.active();
@@ -267,19 +283,8 @@ void GpuRuntime::replay_admit(const Submission& sub) {
     // the data themselves — replay stays static, no prefetch is issued —
     // so this closes the accounting gap where replays touched pages the
     // manager no longer charged anywhere.
-    EvictionPlan plan;
-    try {
-      plan = memory_.charge_residency(fe.arrays, fe.device, active_tenant());
-    } catch (const OutOfMemoryError&) {
-      // In-flight ops pin their arrays; drain the device and retry, like
-      // the launch path's fault stall.
-      if (engine_.all_idle() && !engine_.in_transaction()) throw;
-      flush_submission();
-      const TimeUs t = engine_.run_all();
-      host_now_ = std::max(host_now_, t);
-      plan = memory_.charge_residency(fe.arrays, fe.device, active_tenant());
-    }
-    price_eviction(plan, service_stream(fe.device));
+    price_eviction(charge_or_stall(fe.arrays, fe.device),
+                   service_stream(fe.device));
     planner.on_admitted(fe.arrays, fe.device);
   }
   if (own_frontier) planner.clear();
@@ -297,12 +302,7 @@ void GpuRuntime::begin_submit() {
 std::size_t GpuRuntime::commit() {
   const auto gate = api_guard();
   if (!batch_open_) throw ApiError("commit: no open batch");
-  std::size_t n = 0;
-  if (engine_.in_transaction()) {
-    n = engine_.commit_transaction();
-    batched_ops_ += static_cast<long>(n);
-    ++batch_commits_;
-  }
+  const std::size_t n = flush_submission();
   batch_open_ = false;
   engine_.advance_to(host_now_);
   return n;
@@ -312,14 +312,13 @@ void GpuRuntime::host_advance(TimeUs dt) {
   if (dt < 0) throw ApiError("host_advance: negative time");
   const auto gate = api_guard();
   host_now_ += dt;
-  if (!batch_open_) engine_.advance_to(host_now_);
+  settle();
 }
 
 void GpuRuntime::poll() {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
 }
 
 StreamId GpuRuntime::create_stream() {
@@ -362,16 +361,14 @@ void GpuRuntime::stream_wait_event(StreamId stream, EventId event) {
 bool GpuRuntime::stream_idle(StreamId stream) {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   return engine_.stream_idle(stream);
 }
 
 void GpuRuntime::synchronize_stream(StreamId stream) {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   const TimeUs t = engine_.run_until_stream_idle(stream);
   host_now_ = std::max(host_now_, t);
 }
@@ -379,8 +376,7 @@ void GpuRuntime::synchronize_stream(StreamId stream) {
 void GpuRuntime::synchronize_event(EventId event) {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   const TimeUs t = engine_.run_until_event(event);
   host_now_ = std::max(host_now_, t);
 }
@@ -388,8 +384,7 @@ void GpuRuntime::synchronize_event(EventId event) {
 void GpuRuntime::synchronize_device() {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   const TimeUs t = engine_.run_all();
   host_now_ = std::max(host_now_, t);
 }
@@ -397,8 +392,7 @@ void GpuRuntime::synchronize_device() {
 bool GpuRuntime::event_done(EventId event) {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   return engine_.event_done(event);
 }
 
@@ -410,8 +404,7 @@ ArrayId GpuRuntime::alloc(std::size_t bytes, const std::string& name) {
 void GpuRuntime::free_array(ArrayId id) {
   ingest_flush();
   const auto gate = api_guard();
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   // Runtime-initiated page-outs of this array may still be in flight —
   // traffic the caller never issued and cannot have synchronized. Drain
   // those (a blocking stall, like the fault path); user ops still pending
@@ -432,44 +425,81 @@ void GpuRuntime::free_array(ArrayId id) {
   memory_.free_array(id);
 }
 
+template <typename Victims>
+void GpuRuntime::issue_writeback(StreamId stream, std::string name,
+                                 double bytes, const Victims& victims) {
+  // A write-back is a real D2H transfer on the caller's stream (the
+  // device's service stream at admission, the prefetch stream for early
+  // planner page-outs): it rides the (device, CopyD2H) DMA class and
+  // contends with foreground copies for the link.
+  Op op;
+  op.kind = OpKind::CopyD2H;
+  op.stream = stream;
+  op.name = std::move(name);
+  op.bytes = bytes;
+  op.work = op.bytes;
+  // The page-out reads the device copies: register it like any other
+  // in-flight read so hazard checks, eviction eligibility, and free all
+  // see it (free_array drains runtime-initiated page-outs).
+  issue_op(std::move(op), [this, victims](Engine& eng, OpId op_id) {
+    for (const ArrayId aid : ids_of(victims)) {
+      if (ArrayInfo* a = memory_.find(aid)) a->pending_reads.insert(op_id);
+    }
+    evict_inflight_.insert(op_id);
+    eng.set_on_complete(op_id, [this, victims, op_id]() {
+      for (const ArrayId aid : ids_of(victims)) {
+        if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
+      }
+      evict_inflight_.erase(op_id);
+    });
+  });
+  ++evict_ops_;
+  bytes_d2h_ += bytes;
+}
+
+void GpuRuntime::issue_fetch(StreamId stream, OpKind kind, DeviceId src,
+                             const std::string& tag, double bytes,
+                             bool prefetch, Submission::BindFn bind) {
+  Op op;
+  op.stream = stream;
+  op.kind = kind;
+  op.peer = src;
+  op.name = (prefetch                  ? "prefetch:"
+             : kind == OpKind::Fault   ? "fault:"
+             : kind == OpKind::CopyP2P ? "p2p:"
+                                       : "h2d:") +
+            tag;
+  op.bytes = bytes;
+  op.work = op.bytes;
+  issue_op(std::move(op), std::move(bind));
+  if (kind == OpKind::Fault) {
+    bytes_faulted_ += bytes;
+    ++fault_ops_;
+  } else if (kind == OpKind::CopyP2P) {
+    bytes_p2p_ += bytes;
+  } else {
+    bytes_h2d_ += bytes;
+  }
+  if (prefetch) {
+    ++prefetch_ops_;
+    prefetch_bytes_ += bytes;
+  }
+}
+
 EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
                                    StreamId stream) {
   bool any = false;
   for (const PageOut& po : plan.page_outs) {
     if (!po.writeback) continue;  // dropped pages move nothing
-    ArrayInfo& victim = memory_.info(po.array);
+    const ArrayInfo& victim = memory_.info(po.array);
     // A prior write-back of this array (another device's plan) may still
     // be in flight; its host copy must land before this one overwrites
     // the slot, so chain the new page-out behind it.
-    if (victim.host_ready_event != kInvalidEvent &&
-        !engine_.event_done(victim.host_ready_event)) {
+    if (event_pending(victim.host_ready_event)) {
       issue_wait(stream, victim.host_ready_event);
     }
-    // A write-back is a real D2H transfer on the caller's stream (the
-    // device's service stream at admission, the prefetch stream for early
-    // planner page-outs): it rides the (device, CopyD2H) DMA class and
-    // contends with foreground copies for the link.
-    Op op;
-    op.kind = OpKind::CopyD2H;
-    op.stream = stream;
-    op.name = "evict:" + victim.name;
-    op.bytes = static_cast<double>(po.bytes);
-    op.work = op.bytes;
-    // The page-out reads the device copy: register it like any other
-    // in-flight read so hazard checks, eviction eligibility, and free
-    // all see it (free_array drains runtime-initiated page-outs).
-    const ArrayId aid = po.array;
-    issue_op(std::move(op), [this, aid](Engine& eng, OpId op_id) {
-      if (!memory_.valid(aid)) return;
-      memory_.info(aid).pending_reads.insert(op_id);
-      evict_inflight_.insert(op_id);
-      eng.set_on_complete(op_id, [this, aid, op_id]() {
-        if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-        evict_inflight_.erase(op_id);
-      });
-    });
-    ++evict_ops_;
-    bytes_d2h_ += static_cast<double>(po.bytes);
+    issue_writeback(stream, "evict:" + victim.name,
+                    static_cast<double>(po.bytes), po.array);
     any = true;
   }
   if (!any) return kInvalidEvent;
@@ -486,11 +516,10 @@ EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
   return ev;
 }
 
-void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
-                                   DeviceId device, StreamId stream) {
-  EvictionPlan plan;
+EvictionPlan GpuRuntime::charge_or_stall(std::span<const ArrayId> ids,
+                                         DeviceId device) {
   try {
-    plan = memory_.charge_residency(ids, device, active_tenant());
+    return memory_.charge_residency(ids, device, active_tenant());
   } catch (const OutOfMemoryError&) {
     // Arrays of in-flight ops are not evictable, so a burst of async
     // launches can pin more than the device holds. A real UM fault stalls
@@ -501,8 +530,13 @@ void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
     flush_submission();
     const TimeUs t = engine_.run_all();
     host_now_ = std::max(host_now_, t);
-    plan = memory_.charge_residency(ids, device, active_tenant());
+    return memory_.charge_residency(ids, device, active_tenant());
   }
+}
+
+void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
+                                   DeviceId device, StreamId stream) {
+  const EvictionPlan plan = charge_or_stall(ids, device);
   // Keep fault servicing out of any active recording: at replay nothing
   // is admitted, so neither the page-outs nor the gate belong in the
   // static op list.
@@ -516,7 +550,7 @@ void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
 }
 
 void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
-                                 OpKind host_kind, bool prefetch) {
+                                 OpKind host_kind) {
   ArrayInfo& a = memory_.info(id);
   const DeviceId dev = engine_.stream_device(stream);
   if (!a.needs_transfer_to(dev)) {
@@ -525,28 +559,15 @@ void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
     // lag the host clock, so the done-check is conservative — a redundant
     // wait on an already-complete event never delays the head.)
     const EventId ev = a.ready_event_on(dev);
-    if (ev != kInvalidEvent && !engine_.event_done(ev)) {
-      issue_wait(stream, ev);
-    }
+    if (event_pending(ev)) issue_wait(stream, ev);
     return;
   }
-  // Page-granular source resolution: sum the stale runs by source — the
-  // host for runs no device holds, the lowest-indexed fresh device
-  // otherwise. A fully-stale array folds into today's single whole-array
-  // op; a partial-fresh array (pages evicted earlier) fetches only the
-  // stale runs.
+  // A fully-stale array folds into a single whole-array op; a
+  // partial-fresh array (pages evicted earlier) fetches only the stale
+  // runs, one op per distinct source.
   double host_bytes = 0;
   std::vector<std::pair<DeviceId, double>> peer_bytes;  // ascending src
-  for (const PageExtent& e : a.extents) {
-    if (!a.run_stale_on(e, dev)) continue;
-    const auto run = static_cast<double>(a.run_bytes(e.first, e.count));
-    if (e.fresh_mask == 0) {
-      host_bytes += run;
-      continue;
-    }
-    const DeviceId src = static_cast<DeviceId>(std::countr_zero(e.fresh_mask));
-    add_source_bytes(peer_bytes, src, run);
-  }
+  add_stale_runs(a, dev, host_bytes, peer_bytes);
   std::sort(peer_bytes.begin(), peer_bytes.end());
 
   const ArrayId aid = id;
@@ -565,50 +586,18 @@ void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
   if (host_bytes > 0) {
     // The host copy may still be materializing from an in-flight eviction
     // write-back: order the re-fault behind it.
-    const EventId host_ev = a.host_ready_event;
-    if (host_ev != kInvalidEvent && !engine_.event_done(host_ev)) {
-      issue_wait(stream, host_ev);
+    if (event_pending(a.host_ready_event)) {
+      issue_wait(stream, a.host_ready_event);
     }
-    Op op;
-    op.stream = stream;
-    op.kind = host_kind;
-    op.name = std::string(prefetch ? "prefetch:"
-                          : host_kind == OpKind::Fault ? "fault:"
-                                                       : "h2d:") +
-              a.name;
-    op.bytes = host_bytes;
-    op.work = op.bytes;
-    issue_op(std::move(op), bind);
-    if (host_kind == OpKind::Fault) {
-      bytes_faulted_ += host_bytes;
-      ++fault_ops_;
-    } else {
-      bytes_h2d_ += host_bytes;
-    }
-    if (prefetch) {
-      ++prefetch_ops_;
-      prefetch_bytes_ += host_bytes;
-    }
+    issue_fetch(stream, host_kind, kInvalidDevice, a.name, host_bytes,
+                /*prefetch=*/false, bind);
   }
   for (const auto& [src, bytes] : peer_bytes) {
     // The source copy may itself still be migrating: order behind it.
     const EventId src_ev = a.ready_event_on(src);
-    if (src_ev != kInvalidEvent && !engine_.event_done(src_ev)) {
-      issue_wait(stream, src_ev);
-    }
-    Op op;
-    op.stream = stream;
-    op.kind = OpKind::CopyP2P;
-    op.peer = src;
-    op.name = (prefetch ? "prefetch:" : "p2p:") + a.name;
-    op.bytes = bytes;
-    op.work = op.bytes;
-    issue_op(std::move(op), bind);
-    bytes_p2p_ += bytes;
-    if (prefetch) {
-      ++prefetch_ops_;
-      prefetch_bytes_ += bytes;
-    }
+    if (event_pending(src_ev)) issue_wait(stream, src_ev);
+    issue_fetch(stream, OpKind::CopyP2P, src, a.name, bytes,
+                /*prefetch=*/false, bind);
   }
 
   EventId ev = engine_.create_event();
@@ -616,55 +605,32 @@ void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
   a.set_ready_event(dev, ev);
 }
 
-OpId GpuRuntime::mem_prefetch_async(ArrayId id, StreamId stream) {
+void GpuRuntime::copy_to_device_async(ArrayId id, StreamId stream,
+                                      bool explicit_copy) {
   const auto gate = api_guard();
   if (capture_ != nullptr) {
-    capture_->on_captured_prefetch(stream, id);
-    return kInvalidOp;
+    // Captured graphs keep explicit copies as nodes and drop prefetches.
+    if (explicit_copy) {
+      capture_->on_captured_h2d(stream, id, memory_.info(id).name);
+    } else {
+      capture_->on_captured_prefetch(stream, id);
+    }
+    return;
   }
   note_api_call();
   ArrayInfo& a = memory_.info(id);
   const DeviceId dev = engine_.stream_device(stream);
+  const ArrayId ids[] = {id};
   // Copies are frontier entries too (graph CopyH2D nodes announce them):
   // advance past a matching head even when nothing needs to move, so a
   // fully-resident prefetch never stalls the planner's position.
   if (memory_.planner().active()) {
     memory_.consume_prefetched(a, dev);
-    const ArrayId head[] = {id};
-    memory_.planner().on_admitted(head, dev);
+    memory_.planner().on_admitted(ids, dev);
   }
-  if (!a.needs_transfer_to(dev)) return kInvalidOp;
-  const ArrayId ids[] = {id};
+  if (!a.needs_transfer_to(dev)) return;
   admit_working_set(ids, dev, stream);
   stage_to_device(id, stream, OpKind::CopyH2D);
-  // The staged op is the newest op on `stream`.
-  return kInvalidOp;  // callers use the array's ready events for ordering
-}
-
-OpId GpuRuntime::memcpy_h2d_async(ArrayId id, StreamId stream) {
-  const auto gate = api_guard();
-  if (capture_ != nullptr) {
-    capture_->on_captured_h2d(stream, id, memory_.info(id).name);
-    return kInvalidOp;
-  }
-  note_api_call();
-  ArrayInfo& a = memory_.info(id);
-  const DeviceId dev = engine_.stream_device(stream);
-  if (memory_.planner().active()) {
-    memory_.consume_prefetched(a, dev);
-    const ArrayId head[] = {id};
-    memory_.planner().on_admitted(head, dev);
-  }
-  if (!a.needs_transfer_to(dev)) return kInvalidOp;
-  const ArrayId ids[] = {id};
-  admit_working_set(ids, dev, stream);
-  stage_to_device(id, stream, OpKind::CopyH2D);
-  return kInvalidOp;
-}
-
-void GpuRuntime::attach_array(ArrayId id, StreamId stream) {
-  const auto gate = api_guard();
-  memory_.info(id).attached_stream = stream;
 }
 
 void GpuRuntime::advise_pin(ArrayId id, DeviceId device) {
@@ -688,14 +654,12 @@ std::size_t GpuRuntime::advise_evict(ArrayId id, DeviceId device) {
 }
 
 void GpuRuntime::note_host_access(ArrayId id, bool for_write) {
-  flush_submission();
-  engine_.advance_to(host_now_);
+  observe();
   ArrayInfo& a = memory_.info(id);
   // An eviction write-back of this array may still be in flight: the host
   // copy it advertises is not readable (or safely overwritable) until the
   // page-out lands. Block like a page fault would.
-  if (a.host_ready_event != kInvalidEvent &&
-      !engine_.event_done(a.host_ready_event)) {
+  if (event_pending(a.host_ready_event)) {
     const TimeUs t = engine_.run_until_event(a.host_ready_event);
     host_now_ = std::max(host_now_, t);
   }
@@ -772,7 +736,6 @@ void GpuRuntime::host_write(ArrayId id) {
   note_host_access(id, /*for_write=*/true);
   ArrayInfo& a = memory_.info(id);
   a.note_host_write();
-  a.attached_stream = kInvalidStream;
 }
 
 OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
@@ -848,18 +811,11 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // (the next call's staging decisions must see it even while a batch is
   // open), and a recorded replay re-runs binds, so replayed write-kernels
   // re-invalidate host/peer copies exactly like the original issue did.
-  struct Use {
-    ArrayId id;
-    bool write;
-  };
-  std::vector<Use> used;
-  used.reserve(spec.arrays.size());
-  for (const ArrayUse& use : spec.arrays) used.push_back({use.id, use.write});
   // The use list is moved through the bind into the completion closure —
   // one allocation per launch instead of a copy per capture.
-  auto bind = [this, used = std::move(used), dev,
+  auto bind = [this, used = spec.arrays, dev,
                fn = spec.functional](Engine& eng, OpId op_id) mutable {
-    for (const Use& u : used) {
+    for (const ArrayUse& u : used) {
       ArrayInfo& a = memory_.info(u.id);
       (u.write ? a.pending_writes : a.pending_reads).insert(op_id);
       // The kernel materializes the array on `dev`, which now owns the
@@ -867,7 +823,7 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
       if (u.write) a.note_kernel_write(dev);
     }
     eng.set_on_complete(op_id, [this, used = std::move(used), op_id, fn]() {
-      for (const Use& u : used) {
+      for (const ArrayUse& u : used) {
         if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(op_id);
       }
       if (fn) fn();
@@ -905,21 +861,26 @@ void GpuRuntime::run_prefetch_pass() {
 void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
                                      StreamId stream) {
   const DeviceId dev = engine_.stream_device(stream);
+  std::vector<EventId> waits;
+  const auto wait_for = [&](EventId ev) {
+    if (event_pending(ev)) waits.push_back(ev);
+  };
+  // "first+N": the first array's name and how many more share the op.
+  const auto tag_of = [this](const std::vector<ArrayId>& ids) {
+    std::string tag = memory_.info(ids.front()).name;
+    if (ids.size() > 1) tag.append("+").append(std::to_string(ids.size() - 1));
+    return tag;
+  };
   // One merged CopyD2H for the step's page-outs: same bytes on the same
   // DMA class as per-victim ops, but a single launch overhead — op count,
   // not byte count, is the host-side cost this pass must control.
   double evict_bytes = 0;
   std::vector<ArrayId> victims;
-  std::vector<EventId> waits;
   for (const PageOut& po : step.evictions.page_outs) {
     if (!po.writeback) continue;  // dropped pages move nothing
-    ArrayInfo& victim = memory_.info(po.array);
     // A prior write-back of this array may still be in flight; its host
     // copy must land before this one overwrites the slot.
-    if (victim.host_ready_event != kInvalidEvent &&
-        !engine_.event_done(victim.host_ready_event)) {
-      waits.push_back(victim.host_ready_event);
-    }
+    wait_for(memory_.info(po.array).host_ready_event);
     victims.push_back(po.array);
     evict_bytes += static_cast<double>(po.bytes);
   }
@@ -931,87 +892,38 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
   std::vector<ArrayId> movers;
   for (const ArrayId id : step.arrays) {
     if (!memory_.valid(id)) continue;
-    ArrayInfo& a = memory_.info(id);
+    const ArrayInfo& a = memory_.info(id);
     if (!a.needs_transfer_to(dev)) {
-      const EventId ev = a.ready_event_on(dev);
-      if (ev != kInvalidEvent && !engine_.event_done(ev)) waits.push_back(ev);
+      wait_for(a.ready_event_on(dev));
       continue;
     }
-    bool any = false;
-    for (const PageExtent& e : a.extents) {
-      if (!a.run_stale_on(e, dev)) continue;
-      const auto run = static_cast<double>(a.run_bytes(e.first, e.count));
-      if (e.fresh_mask == 0) {
-        host_bytes += run;
-        // The host copy may still be materializing from an in-flight
-        // eviction write-back: order the re-fetch behind it.
-        if (a.host_ready_event != kInvalidEvent &&
-            !engine_.event_done(a.host_ready_event)) {
-          waits.push_back(a.host_ready_event);
-        }
-      } else {
-        const DeviceId src =
-            static_cast<DeviceId>(std::countr_zero(e.fresh_mask));
-        add_source_bytes(peer_bytes, src, run);
-        const EventId sev = a.ready_event_on(src);
-        if (sev != kInvalidEvent && !engine_.event_done(sev)) {
-          waits.push_back(sev);
-        }
-      }
-      any = true;
+    const StaleSources used = add_stale_runs(a, dev, host_bytes, peer_bytes);
+    // The host copy may still be materializing from an in-flight eviction
+    // write-back, and a source copy may itself still be migrating: order
+    // the re-fetch behind both.
+    if (used.host) wait_for(a.host_ready_event);
+    for (std::uint32_t m = used.peers; m != 0; m &= m - 1) {
+      wait_for(a.ready_event_on(static_cast<DeviceId>(std::countr_zero(m))));
     }
-    if (any) movers.push_back(id);
+    if (used.host || used.peers != 0) movers.push_back(id);
   }
   if (victims.empty() && movers.empty()) return;
-  const auto shared_victims =
-      std::make_shared<std::vector<ArrayId>>(std::move(victims));
-  const auto shared_movers =
-      std::make_shared<std::vector<ArrayId>>(std::move(movers));
   std::sort(waits.begin(), waits.end());
   waits.erase(std::unique(waits.begin(), waits.end()), waits.end());
   for (const EventId w : waits) issue_wait(stream, w);
+  // The victim and mover lists ride shared_ptrs into the binds and the
+  // completion closures: one allocation each instead of a copy per capture.
+  const SharedIds shared_victims =
+      std::make_shared<std::vector<ArrayId>>(std::move(victims));
   if (!shared_victims->empty()) {
-    Op op;
-    op.kind = OpKind::CopyD2H;
-    op.stream = stream;
-    op.name =
-        "evict:" + memory_.info(shared_victims->front()).name +
-        (shared_victims->size() > 1
-             ? "+" + std::to_string(shared_victims->size() - 1)
-             : std::string());
-    op.bytes = evict_bytes;
-    op.work = op.bytes;
-    // The page-out reads the device copies: register the in-flight read on
-    // every victim so hazard checks, eviction eligibility, and free all
-    // see it (free_array drains runtime-initiated page-outs).
-    // The victim list rides a shared_ptr: the bind, the completion
-    // closure, and the trailing event assignment all read it — one
-    // allocation for the step instead of a vector copy per capture.
-    issue_op(std::move(op), [this, shared_victims](Engine& eng, OpId op_id) {
-      for (const ArrayId aid : *shared_victims) {
-        if (ArrayInfo* a = memory_.find(aid)) a->pending_reads.insert(op_id);
-      }
-      evict_inflight_.insert(op_id);
-      eng.set_on_complete(op_id, [this, shared_victims, op_id]() {
-        for (const ArrayId aid : *shared_victims) {
-          if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-        }
-        evict_inflight_.erase(op_id);
-      });
-    });
-    ++evict_ops_;
-    bytes_d2h_ += evict_bytes;
+    issue_writeback(stream, "evict:" + tag_of(*shared_victims), evict_bytes,
+                    shared_victims);
   }
   std::sort(peer_bytes.begin(), peer_bytes.end());
-  const std::string tag =
-      shared_movers->empty()
-          ? std::string()
-          : memory_.info(shared_movers->front()).name +
-                (shared_movers->size() > 1
-                     ? "+" + std::to_string(shared_movers->size() - 1)
-                     : std::string());
-  // The bind is shared by the host fetch and every peer fetch; like the
-  // victims, the mover list rides a shared_ptr.
+  const std::string tag = movers.empty() ? std::string() : tag_of(movers);
+  // The bind is shared by the host fetch and every peer fetch.
+  const SharedIds shared_movers =
+      std::make_shared<std::vector<ArrayId>>(std::move(movers));
   const auto bind = [this, shared_movers, dev](Engine& eng, OpId op_id) {
     for (const ArrayId aid : *shared_movers) {
       ArrayInfo* ai = memory_.find(aid);
@@ -1025,32 +937,15 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
       }
     });
   };
+  // The stream's FIFO orders the fetches behind the frame-freeing
+  // write-back above without an event.
   if (host_bytes > 0) {
-    // The stream's FIFO orders this fetch behind the frame-freeing
-    // write-back above without an event.
-    Op op;
-    op.stream = stream;
-    op.kind = OpKind::CopyH2D;
-    op.name = "prefetch:" + tag;
-    op.bytes = host_bytes;
-    op.work = op.bytes;
-    issue_op(std::move(op), bind);
-    bytes_h2d_ += host_bytes;
-    ++prefetch_ops_;
-    prefetch_bytes_ += host_bytes;
+    issue_fetch(stream, OpKind::CopyH2D, kInvalidDevice, tag, host_bytes,
+                /*prefetch=*/true, bind);
   }
   for (const auto& [src, bytes] : peer_bytes) {
-    Op op;
-    op.stream = stream;
-    op.kind = OpKind::CopyP2P;
-    op.peer = src;
-    op.name = "prefetch:" + tag;
-    op.bytes = bytes;
-    op.work = op.bytes;
-    issue_op(std::move(op), bind);
-    bytes_p2p_ += bytes;
-    ++prefetch_ops_;
-    prefetch_bytes_ += bytes;
+    issue_fetch(stream, OpKind::CopyP2P, src, tag, bytes, /*prefetch=*/true,
+                bind);
   }
   // ONE event closes the step: recorded after the fetches (and thus after
   // the write-back on this FIFO stream), it serves both as the victims'
@@ -1095,7 +990,5 @@ void GpuRuntime::end_capture() {
   if (capture_ == nullptr) throw ApiError("end_capture: not capturing");
   capture_ = nullptr;
 }
-
-bool GpuRuntime::spec_page_fault() const { return engine_.spec().page_fault_um; }
 
 }  // namespace psched::sim

@@ -36,16 +36,18 @@
 // an array while device ops on it are still pending means the caller failed
 // to synchronize — a correctness bug in the scheduler under test.
 //
-// Transactional submission: engine work arrives on one of three paths.
-// Per-call, each async call is an implicit single-op transaction that
-// commits at the call. begin_submit()/commit() brackets an explicit batch:
-// async calls ingest into one open engine transaction — charged a reduced
-// per-call host cost — that commits as a unit. replay() hands a recorded
-// Submission to Engine::ingest, which joins the open batch if there is one
-// and otherwise brackets the list as its own transaction. Blocking and
-// observing calls (synchronize_*, host_read/host_write, poll, stream_idle,
-// event_done, free_array) flush the open batch first, so batch boundaries
-// align with host observation points.
+// Transactional submission: every async call goes through one issue path
+// (issue_op / issue_record / issue_wait). Outside a batch the call is an
+// implicit single-op transaction that commits at the call; between
+// begin_submit() and commit() it ingests into one open engine transaction,
+// charged a reduced per-call host cost, that commits as a unit (a
+// TaskGraph launch and an ingest drain are such batches). begin_record()
+// tees the same path into a Submission that replay() later hands to
+// Engine::ingest, which joins the open batch if there is one and otherwise
+// brackets the list as its own transaction. Blocking and observing calls
+// (synchronize_*, host_read/host_write, poll, stream_idle, event_done,
+// free_array) flush the open batch first, so batch boundaries align with
+// host observation points.
 #pragma once
 
 #include <atomic>
@@ -145,14 +147,18 @@ class GpuRuntime {
   [[nodiscard]] const MemoryManager& memory() const { return memory_; }
 
   // --- data movement ---
-  /// UM prefetch: H2D migration at full PCIe bandwidth if the device copy is
-  /// stale; returns the op id or kInvalidOp if nothing to move.
-  OpId mem_prefetch_async(ArrayId id, StreamId stream);
+  /// UM prefetch: migration at full link bandwidth if the device copy is
+  /// stale (nothing is issued otherwise). Later ops order behind it through
+  /// the array's per-device ready event.
+  void mem_prefetch_async(ArrayId id, StreamId stream) {
+    copy_to_device_async(id, stream, /*explicit_copy=*/false);
+  }
   /// Explicit ahead-of-time copy (identical timing; used by pre-Pascal code
-  /// paths and hand-tuned baselines).
-  OpId memcpy_h2d_async(ArrayId id, StreamId stream);
-  /// Pre-Pascal visibility restriction bookkeeping.
-  void attach_array(ArrayId id, StreamId stream);
+  /// paths and hand-tuned baselines). Unlike a prefetch, stream capture
+  /// keeps it as a graph node.
+  void memcpy_h2d_async(ArrayId id, StreamId stream) {
+    copy_to_device_async(id, stream, /*explicit_copy=*/true);
+  }
 
   // --- unified-memory advice (oversubscription control) ---
   /// Pin the array's pages on `device`: exempt from LRU eviction until
@@ -175,12 +181,6 @@ class GpuRuntime {
   OpId launch(StreamId stream, const LaunchSpec& spec);
 
   // --- schedule-time residency planning (see sim/memory.hpp) ---
-  /// Lookahead horizon of the residency planner: how many ready-frontier
-  /// entries ahead of the current schedule position prefetch planning
-  /// walks. 0 disables planning and prefetch entirely — the admission-time
-  /// LRU path, bit-identical to runs that never announced a frontier.
-  void set_lookahead(int horizon) { memory_.planner().set_horizon(horizon); }
-  [[nodiscard]] int lookahead() const { return memory_.planner().horizon(); }
   /// Announce the upcoming schedule (one entry per future launch, in
   /// order) to the planner. Graph launches and drained ingest batches do
   /// this automatically; explicit stream programs may announce by hand.
@@ -218,7 +218,7 @@ class GpuRuntime {
   [[nodiscard]] long batch_commits() const { return batch_commits_; }
   [[nodiscard]] long batched_ops() const { return batched_ops_; }
 
-  // --- recorded submissions (replayable; see TaskGraph::Replay::Recorded) --
+  // --- recorded submissions (replayable) ---
   /// Tee every subsequent async call into `sub` *in addition to* normal
   /// execution (a batch is opened if none is). The recorded list can then
   /// be re-committed with replay() — repeatedly, without rebuilding —
@@ -226,13 +226,11 @@ class GpuRuntime {
   /// stream capture and with an already-active recording.
   void begin_record(Submission& sub);
   /// Stop recording; commits the batch begin_record opened (if it opened
-  /// one) and returns the ops that batch carried.
+  /// one) and returns the ops that batch carried. Also the recovery path
+  /// after a throwing call: ops already issued are real, the runtime
+  /// returns to per-call mode, and the caller discards the partial
+  /// recording (Submission::clear).
   std::size_t end_record();
-  /// Abandon an active recording (exception-safety path): detaches the
-  /// recording target and, if begin_record opened the batch, commits it —
-  /// ops already issued are real and the runtime returns to per-call
-  /// mode. The caller discards the partial recording (Submission::clear).
-  void abort_record();
   [[nodiscard]] bool recording() const { return record_ != nullptr; }
   /// Re-commit a previously recorded submission through Engine::ingest
   /// (one API-call host charge): its own transaction, or part of the
@@ -349,8 +347,14 @@ class GpuRuntime {
   /// or from the lowest-indexed fresh peer device (CopyP2P) — one op per
   /// distinct source, partial-fresh arrays fetch only their stale runs.
   /// Residency must already be admitted (see admit_working_set).
-  void stage_to_device(ArrayId id, StreamId stream, OpKind host_kind,
-                       bool prefetch = false);
+  void stage_to_device(ArrayId id, StreamId stream, OpKind host_kind);
+  /// Body of mem_prefetch_async / memcpy_h2d_async (`explicit_copy` only
+  /// decides how stream capture records the call).
+  void copy_to_device_async(ArrayId id, StreamId stream, bool explicit_copy);
+  /// Charge `ids` to `device` for the ambient tenant. On OutOfMemoryError
+  /// with device work in flight, stall like a UM fault: drain the device
+  /// and retry once.
+  EvictionPlan charge_or_stall(std::span<const ArrayId> ids, DeviceId device);
   /// Admit the working set of one operation to `device` in a single
   /// eviction plan, price the plan's write-backs as D2H ops on the
   /// device's service stream, and make `stream` wait for the page-outs to
@@ -361,6 +365,18 @@ class GpuRuntime {
   /// when the last page-out drains (kInvalidEvent if the plan carries
   /// none).
   EventId price_eviction(const EvictionPlan& plan, StreamId stream);
+  /// Issue one write-back: a CopyD2H of `bytes` on `stream`, registered as
+  /// an in-flight read of every victim until it completes. `victims` is an
+  /// ArrayId or a shared id list, captured by value.
+  template <typename Victims>
+  void issue_writeback(StreamId stream, std::string name, double bytes,
+                       const Victims& victims);
+  /// Issue one fetch onto `stream`'s device — from the host (`kind`
+  /// CopyH2D or Fault) or from peer `src` (CopyP2P) — named `tag` behind
+  /// a kind prefix ("prefetch:" for planner steps), and count its bytes.
+  void issue_fetch(StreamId stream, OpKind kind, DeviceId src,
+                   const std::string& tag, double bytes, bool prefetch,
+                   Submission::BindFn bind);
   /// Issue one planner step with minimal op count: all write-backs merged
   /// into one CopyD2H, all fetches as one op per distinct source (host or
   /// fresh peer), and a single closing event serving as both the victims'
@@ -382,7 +398,10 @@ class GpuRuntime {
   /// outright, keeping such replays bit-identical (stamps included).
   void replay_admit(const Submission& sub);
   void note_host_access(ArrayId id, bool for_write);
-  [[nodiscard]] bool spec_page_fault() const;
+  /// True if `ev` names an event that has not completed yet.
+  [[nodiscard]] bool event_pending(EventId ev) {
+    return ev != kInvalidEvent && !engine_.event_done(ev);
+  }
   /// Internal per-(device, tenant) stream used for runtime-initiated
   /// transfers (eviction write-backs, host-read D2H). Keyed by the
   /// *ambient* tenant so the traffic — and its weighted share of the D2H
@@ -390,22 +409,39 @@ class GpuRuntime {
   /// never to a shared system tenant. (Device 0, tenant 0) maps to the
   /// default stream, the historical single-app behaviour; others are
   /// lazily made.
-  [[nodiscard]] StreamId service_stream(DeviceId device);
+  [[nodiscard]] StreamId service_stream(DeviceId device) {
+    return tenant_stream(service_streams_, device);
+  }
   /// Internal per-(device, tenant) stream prefetch traffic rides — kept
   /// distinct from the service stream (which the default-stream program
   /// shares on device 0) so lookahead transfers genuinely overlap the
   /// schedule instead of serializing behind it. Lazily made: runs without
   /// prefetch never create it, so stream ids stay bit-identical.
-  [[nodiscard]] StreamId prefetch_stream(DeviceId device);
+  [[nodiscard]] StreamId prefetch_stream(DeviceId device) {
+    return tenant_stream(prefetch_streams_, device);
+  }
+  /// The ambient tenant's stream on `device` in `table`, made on first use.
+  StreamId tenant_stream(std::vector<std::vector<StreamId>>& table,
+                         DeviceId device);
 
   /// Charge one async API call to the host clock (full per-call overhead,
   /// or the cheaper batched append cost inside an open batch) and bring
   /// the engine up to date in per-call mode.
   void note_api_call();
   /// Commit the open engine transaction, if any (keeps an explicit batch
-  /// open — the next async call reopens lazily). Called by every blocking
-  /// / observing entry, so batch boundaries align with host observations.
-  void flush_submission();
+  /// open — the next async call reopens lazily); returns its op count.
+  std::size_t flush_submission();
+  /// The entry of every blocking / observing call: flush_submission, then
+  /// bring the engine up to the host clock, so batch boundaries align with
+  /// host observations.
+  void observe();
+  /// The bracket around every engine submission. join_batch lazily
+  /// (re)opens the engine transaction inside a batch: the first async call
+  /// after begin_submit or after an implicit flush. settle commits the
+  /// implicit single-op transaction in per-call mode (one trailing drain at
+  /// the unchanged clock); in a batch the drain waits for the commit.
+  void join_batch();
+  void settle();
   /// Route one op enqueue through the current transaction: an implicit
   /// single-op transaction per call, or an ingest into the open batch.
   /// `bind` runs with the assigned id before the op can start.

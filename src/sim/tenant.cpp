@@ -51,9 +51,9 @@ OpId Tenant::launch(StreamId stream, const LaunchSpec& spec) {
   return id;
 }
 
-OpId Tenant::mem_prefetch_async(ArrayId id, StreamId stream) {
+void Tenant::mem_prefetch_async(ArrayId id, StreamId stream) {
   const auto gate = mgr_->gpu_->api_guard();
-  return gpu().mem_prefetch_async(id, stream);
+  gpu().mem_prefetch_async(id, stream);
 }
 
 void Tenant::host_write(ArrayId id) {

@@ -88,7 +88,7 @@ class Tenant {
   ArrayId alloc(std::size_t bytes, const std::string& name);
   void free_array(ArrayId id);
   OpId launch(StreamId stream, const LaunchSpec& spec);
-  OpId mem_prefetch_async(ArrayId id, StreamId stream);
+  void mem_prefetch_async(ArrayId id, StreamId stream);
   void host_write(ArrayId id);
   void host_read(ArrayId id);
   void record_event(EventId event, StreamId stream);

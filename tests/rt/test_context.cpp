@@ -301,7 +301,7 @@ TEST(Context, HostRewriteRearmsMigration) {
   EXPECT_DOUBLE_EQ(second, 2 * first);
 }
 
-TEST(Context, PrePascalTransfersAheadAndAttaches) {
+TEST(Context, PrePascalTransfersAhead) {
   sim::DeviceSpec spec = sim::DeviceSpec::test_device();
   spec.page_fault_um = false;
   Fixture f(Options{}, spec);
@@ -310,10 +310,6 @@ TEST(Context, PrePascalTransfersAheadAndAttaches) {
   x.fill(1.0);
   auto scale = ctx.build_kernel("scale", "pointer, sint32, float");
   scale(16, 256)(x, 1L << 16, 2.0);
-  // Visibility restricted to the kernel's stream while in use.
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(f.gpu->memory().info(x.state()->sim_id).attached_stream,
-            comps[0]->stream);
   // Reading the result must not trip the pre-Pascal hazard checks.
   EXPECT_DOUBLE_EQ(x.get(0), 3.0);
   EXPECT_EQ(f.gpu->hazard_count(), 0);
@@ -466,67 +462,6 @@ TEST(Context, LibraryFunctionWithoutStreamsIsSynchronous) {
   EXPECT_DOUBLE_EQ(x.get(0), 9.0);
   // Synchronous: not a DAG element with a stream.
   EXPECT_EQ(ctx.stats().edges, 0);
-}
-
-TEST(Context, BatchedSubmitMatchesPerCallResults) {
-  // The batched submission path (one engine transaction per DAG level)
-  // must be functionally indistinguishable from per-call issue: same
-  // results, same byte counters, same dependency structure.
-  auto run = [](bool batched) {
-    Options opts;
-    opts.batch_submit = batched;
-    Fixture f(opts);
-    auto& ctx = *f.ctx;
-    auto a = ctx.array<float>(4096, "a");
-    auto b = ctx.array<float>(4096, "b");
-    auto out = ctx.array<float>(4096, "out");
-    auto init = ctx.build_kernel("init", "pointer, sint32, float");
-    auto add2 = ctx.build_kernel(
-        "add2", "const pointer, const pointer, pointer, sint32");
-    init(4, 64)(a, 4096L, 2.0);
-    init(4, 64)(b, 4096L, 5.0);
-    add2(4, 64)(a, b, out, 4096L);
-    ctx.synchronize();
-    struct R {
-      double value, h2d, faulted;
-      long edges, batch_commits, batched_ops;
-    } r{out.get(13),
-        f.gpu->bytes_h2d(),
-        f.gpu->bytes_faulted(),
-        ctx.stats().edges,
-        ctx.stats().batch_commits,
-        ctx.stats().batched_ops};
-    return r;
-  };
-  const auto per_call = run(false);
-  const auto batched = run(true);
-  EXPECT_DOUBLE_EQ(per_call.value, 7.0);
-  EXPECT_DOUBLE_EQ(batched.value, 7.0);
-  EXPECT_DOUBLE_EQ(batched.h2d, per_call.h2d);
-  EXPECT_DOUBLE_EQ(batched.faulted, per_call.faulted);
-  EXPECT_EQ(batched.edges, per_call.edges);
-  EXPECT_EQ(per_call.batch_commits, 0);
-  EXPECT_GT(batched.batch_commits, 0);
-  EXPECT_GE(batched.batched_ops, 3);  // at least the three kernels
-}
-
-TEST(Context, BatchedSubmitFlushesAtHostReads) {
-  // A host read inside a batched program is a host observation point: the
-  // open transaction flushes, the read sees the finished value, and later
-  // submissions batch again.
-  Options opts;
-  opts.batch_submit = true;
-  Fixture f(opts);
-  auto& ctx = *f.ctx;
-  auto a = ctx.array<float>(4096, "a");
-  auto init = ctx.build_kernel("init", "pointer, sint32, float");
-  auto scale = ctx.build_kernel("scale", "pointer, sint32, float");
-  init(4, 64)(a, 4096L, 3.0);
-  EXPECT_DOUBLE_EQ(a.get(5), 3.0);  // flush + sync of the producer
-  scale(4, 64)(a, 4096L, 2.0);
-  ctx.synchronize();
-  EXPECT_DOUBLE_EQ(a.get(5), 7.0);  // 3*2 + 1
-  EXPECT_GE(ctx.stats().batch_commits, 2);
 }
 
 TEST(Context, TenantedContextsShareOneRuntimeWithAttribution) {

@@ -222,40 +222,6 @@ TEST(MultiGpu, PerDeviceMemoryCountersTrackResidency) {
   EXPECT_EQ(f.gpu->device_bytes_used(1), bytes);
 }
 
-TEST(MultiGpu, BatchedContextMatchesPerCallResults) {
-  // The same multi-GPU program through the per-call and the batched
-  // submission path: identical functional results, byte counters, and
-  // placement; the batched run commits through engine transactions.
-  auto run = [](bool batched) {
-    Options opts;
-    opts.device_policy = DevicePolicy::RoundRobin;
-    opts.batch_submit = batched;
-    Fixture f(opts, two_gpus());
-    auto& ctx = *f.ctx;
-    auto x = ctx.array<float>(kN, "x");
-    auto r1 = ctx.array<float>(kN, "r1");
-    auto r2 = ctx.array<float>(kN, "r2");
-    launch_init(ctx, x, 3);
-    auto affine =
-        ctx.build_kernel("affine", "const pointer, pointer, sint32");
-    affine(4, 64)(x, r1, static_cast<long>(kN));
-    affine(4, 64)(x, r2, static_cast<long>(kN));
-    ctx.synchronize();
-    struct R {
-      double r1v, r2v, p2p;
-      long batch_commits;
-    } r{r1.get(7), r2.get(7), f.gpu->bytes_p2p(), ctx.stats().batch_commits};
-    return r;
-  };
-  const auto per_call = run(false);
-  const auto batched = run(true);
-  EXPECT_DOUBLE_EQ(batched.r1v, per_call.r1v);
-  EXPECT_DOUBLE_EQ(batched.r2v, per_call.r2v);
-  EXPECT_DOUBLE_EQ(batched.p2p, per_call.p2p);
-  EXPECT_EQ(per_call.batch_commits, 0);
-  EXPECT_GT(batched.batch_commits, 0);
-}
-
 TEST(MultiGpu, MinPressureSteersAwayFromThrashingDevice) {
   // Thrash tenant 0 on device 0 (working set 2x its capacity, raw
   // runtime launches), then place a fresh root computation under the

@@ -1,6 +1,7 @@
 // GpuRuntime transactional batch API: begin_submit/commit semantics,
-// implicit flushes at host observation points, batched TaskGraph replay,
-// and per-device residency accounting surfaced by the runtime.
+// implicit flushes at host observation points, batched TaskGraph launches,
+// recorded submissions and their replay, and per-device residency
+// accounting surfaced by the runtime.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -132,55 +133,200 @@ TEST_F(BatchRuntimeTest, BatchBracketMisuseThrows) {
   rt_.commit();
 }
 
-// --- batched TaskGraph replay ---
+// --- batched TaskGraph launch ---
 
-TEST_F(BatchRuntimeTest, GraphReplayModesAgreeOnStructureAndBytes) {
-  auto run_graph = [](TaskGraph::Replay replay) {
-    GpuRuntime rt(DeviceSpec::test_device());
-    const ArrayId a = rt.alloc(10000, "a");
-    const ArrayId b = rt.alloc(10000, "b");
-    rt.host_write(a);
-    rt.host_write(b);
-    TaskGraph g;
-    const auto root = g.add_kernel(simple_kernel("root", {{a, true}}));
-    const auto left = g.add_kernel(simple_kernel("left", {{a, false}}));
-    const auto right = g.add_kernel(simple_kernel("right", {{b, true}}));
-    const auto join =
-        g.add_kernel(simple_kernel("join", {{a, false}, {b, false}}));
-    g.add_dependency(root, left);
-    g.add_dependency(root, right);
-    g.add_dependency(left, join);
-    g.add_dependency(right, join);
-    auto exec = g.instantiate(rt);
-    exec.launch(rt, replay);
-    rt.synchronize_device();
-    struct Result {
-      double makespan;
-      double faulted;
-      std::vector<std::string> kernels;
-      std::vector<TimelineEntry> entries;
-    } r;
-    r.makespan = rt.timeline().makespan();
-    r.faulted = rt.bytes_faulted();
-    for (const auto& e : rt.timeline().entries()) {
-      if (e.kind == OpKind::Kernel) r.kernels.push_back(e.name);
-      r.entries.push_back(e);
-    }
-    return r;
-  };
-  const auto batched = run_graph(TaskGraph::Replay::Batched);
-  const auto per_call = run_graph(TaskGraph::Replay::PerCall);
-  EXPECT_EQ(batched.kernels, per_call.kernels);
-  EXPECT_DOUBLE_EQ(batched.faulted, per_call.faulted);
-  // One transaction per launch compresses per-node issue overhead.
-  EXPECT_LE(batched.makespan, per_call.makespan + 1e-9);
-  // Dependencies still hold under batched replay.
+TEST_F(BatchRuntimeTest, GraphLaunchKeepsDependencyOrder) {
+  const ArrayId a = rt_.alloc(10000, "a");
+  const ArrayId b = rt_.alloc(10000, "b");
+  rt_.host_write(a);
+  rt_.host_write(b);
+  TaskGraph g;
+  const auto root = g.add_kernel(simple_kernel("root", {{a, true}}));
+  const auto left = g.add_kernel(simple_kernel("left", {{a, false}}));
+  const auto right = g.add_kernel(simple_kernel("right", {{b, true}}));
+  const auto join =
+      g.add_kernel(simple_kernel("join", {{a, false}, {b, false}}));
+  g.add_dependency(root, left);
+  g.add_dependency(root, right);
+  g.add_dependency(left, join);
+  g.add_dependency(right, join);
+  auto exec = g.instantiate(rt_);
+  exec.launch(rt_);
+  EXPECT_FALSE(rt_.submitting());  // the launch closed its own batch
+  rt_.synchronize_device();
+  // Dependencies still hold when the whole graph is one transaction.
   TimeUs root_end = 0, join_start = 0;
-  for (const auto& e : batched.entries) {
+  for (const auto& e : rt_.timeline().entries()) {
     if (e.name == "root") root_end = e.end;
     if (e.name == "join") join_start = e.start;
   }
   EXPECT_GE(join_start, root_end);
+  EXPECT_EQ(rt_.batch_commits(), 1);
+}
+
+// --- recorded submissions: begin_record / end_record / replay ---
+
+int count_kind(GpuRuntime& rt, OpKind kind) {
+  int n = 0;
+  for (const auto& e : rt.timeline().entries()) n += e.kind == kind;
+  return n;
+}
+
+TEST_F(BatchRuntimeTest, RecordingDoesNotPerturbTheBatch) {
+  // The recording tees the batched issue path: the recorded run's timeline
+  // is the plain batch's, time for time.
+  auto run = [](bool record) {
+    GpuRuntime rt{DeviceSpec::test_device()};
+    const ArrayId a = rt.alloc(1000, "a");
+    const ArrayId b = rt.alloc(1000, "b");
+    rt.host_write(a);
+    const StreamId s1 = rt.create_stream();
+    const EventId ev = rt.create_event();
+    Submission rec;
+    if (record) {
+      rt.begin_record(rec);
+    } else {
+      rt.begin_submit();
+    }
+    rt.launch(kDefaultStream, simple_kernel("root", {{a, false}, {b, true}}));
+    rt.record_event(ev, kDefaultStream);
+    rt.stream_wait_event(s1, ev);
+    rt.launch(s1, simple_kernel("leaf", {{b, false}}));
+    if (record) {
+      rt.end_record();
+    } else {
+      rt.commit();
+    }
+    rt.synchronize_device();
+    return rt.timeline().entries();
+  };
+  const auto batched = run(false);
+  const auto recorded = run(true);
+  ASSERT_EQ(batched.size(), recorded.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i].name, recorded[i].name) << i;
+    EXPECT_EQ(batched[i].start, recorded[i].start) << i;
+    EXPECT_EQ(batched[i].end, recorded[i].end) << i;
+  }
+}
+
+TEST_F(BatchRuntimeTest, ReplayReissuesRecordedMigrationsStatically) {
+  // CUDA Graphs' static replay: the migration recorded at first issue is
+  // re-issued on every replay even though the data is still resident —
+  // the recorded op list is frozen, not re-derived, and not consumed.
+  const ArrayId a = rt_.alloc(10000, "a");
+  rt_.host_write(a);
+  Submission rec;
+  rt_.begin_record(rec);
+  rt_.launch(kDefaultStream, simple_kernel("k", {{a, false}}));
+  EXPECT_GT(rt_.end_record(), 0u);
+  rt_.synchronize_device();
+  const std::size_t items = rec.size();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(rt_.replay(rec), rec.num_ops());
+    rt_.synchronize_device();
+    EXPECT_EQ(rec.size(), items);
+  }
+  EXPECT_EQ(count_kind(rt_, OpKind::Fault), 3);
+  EXPECT_EQ(count_kind(rt_, OpKind::Kernel), 3);
+}
+
+TEST_F(BatchRuntimeTest, ReplayedWriteReinvalidatesTheHostCopy) {
+  // The write transition lives in the recorded bind: a host read after
+  // every replay migrates the fresh result back, like per-call issue.
+  const ArrayId a = rt_.alloc(10000, "a");
+  rt_.host_write(a);
+  Submission rec;
+  rt_.begin_record(rec);
+  rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
+  rt_.end_record();
+  rt_.synchronize_device();
+  rt_.host_read(a);
+  const double d2h_after_first = rt_.bytes_d2h();
+  EXPECT_GT(d2h_after_first, 0);
+
+  rt_.replay(rec);  // re-writes `a`
+  rt_.synchronize_device();
+  for (const PageExtent& e : rt_.memory().info(a).extents) {
+    EXPECT_FALSE(e.host_fresh);  // the replayed write left the host stale
+  }
+  rt_.host_read(a);  // must migrate the replayed result back
+  EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
+}
+
+TEST_F(BatchRuntimeTest, EvictionServicingIsNotRecorded) {
+  // A recorded launch that evicts a bystander must not record the
+  // page-out or its gate: replays admit nothing, so re-executing the
+  // write-back would inflate every replay with phantom D2H traffic.
+  DeviceSpec spec = DeviceSpec::test_device();
+  spec.memory_bytes = 8000;
+  GpuRuntime rt{spec};
+  const ArrayId bystander = rt.alloc(8000, "bystander");
+  const ArrayId w = rt.alloc(8000, "w");
+  rt.host_write(bystander);
+  rt.host_write(w);
+  rt.launch(kDefaultStream, simple_kernel("kb", {{bystander, true}}));
+  rt.synchronize_device();  // bystander: only copy on device
+
+  Submission rec;
+  rt.begin_record(rec);
+  rt.launch(kDefaultStream, simple_kernel("kw", {{w, true}}));  // evicts
+  rt.end_record();
+  rt.synchronize_device();
+  EXPECT_EQ(rt.evict_ops(), 1);
+  rt.replay(rec);
+  rt.synchronize_device();
+  EXPECT_EQ(count_kind(rt, OpKind::CopyD2H), 1);  // the replay added none
+}
+
+TEST_F(BatchRuntimeTest, ReplayJoinsAnOpenBatchWithoutFlushing) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  rt_.host_write(a);
+  Submission rec;
+  rt_.begin_record(rec);
+  rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
+  rt_.end_record();
+  rt_.synchronize_device();
+
+  rt_.begin_submit();
+  rt_.launch(kDefaultStream, simple_kernel("k0", {{a, true}}));
+  const long commits_before = rt_.batch_commits();
+  rt_.replay(rec);
+  EXPECT_TRUE(rt_.submitting());
+  EXPECT_EQ(rt_.batch_commits(), commits_before);  // no early flush
+  rt_.commit();
+  rt_.synchronize_device();
+  EXPECT_EQ(count_kind(rt_, OpKind::Kernel), 3);  // k + k0 + the replay
+}
+
+TEST_F(BatchRuntimeTest, EndRecordRecoversAfterAThrowingLaunch) {
+  // A launch that throws mid-recording (working set beyond the device):
+  // end_record detaches, closes the batch begin_record opened, and the
+  // runtime records and replays normally afterwards.
+  DeviceSpec spec = DeviceSpec::test_device();
+  spec.memory_bytes = 8000;
+  GpuRuntime rt{spec};
+  const ArrayId big = rt.alloc(16000, "big");
+  const ArrayId small = rt.alloc(1000, "small");
+  rt.host_write(big);
+  rt.host_write(small);
+  Submission rec;
+  rt.begin_record(rec);
+  EXPECT_THROW(rt.launch(kDefaultStream, simple_kernel("kb", {{big, true}})),
+               OutOfMemoryError);
+  rt.end_record();
+  rec.clear();
+  EXPECT_FALSE(rt.recording());
+  EXPECT_FALSE(rt.submitting());
+  rt.begin_submit();
+  rt.commit();
+
+  rt.begin_record(rec);
+  rt.launch(kDefaultStream, simple_kernel("ks", {{small, true}}));
+  rt.end_record();
+  rt.replay(rec);
+  rt.synchronize_device();
+  EXPECT_EQ(count_kind(rt, OpKind::Kernel), 2);
 }
 
 // --- per-device residency accounting through the runtime ---

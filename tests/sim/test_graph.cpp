@@ -211,201 +211,6 @@ TEST_F(GraphTest, CaptureKeepsExplicitCopies) {
   EXPECT_DOUBLE_EQ(rt_.bytes_faulted(), 0);
 }
 
-// --- recorded replay (replayable submissions) ---------------------------
-
-TEST_F(GraphTest, RecordedReplayMatchesBatchedOnTheFirstLaunch) {
-  // The recording tees the batched lowering: first-launch timelines are
-  // identical between Replay::Batched and Replay::Recorded.
-  auto run = [](TaskGraph::Replay replay) {
-    GpuRuntime rt{DeviceSpec::test_device()};
-    const ArrayId a = rt.alloc(1000, "a");
-    const ArrayId b = rt.alloc(1000, "b");
-    rt.host_write(a);
-    TaskGraph g;
-    const auto root = g.add_kernel(kernel_spec("root", {{a, false}, {b, true}}));
-    const auto left = g.add_kernel(kernel_spec("left", {{b, false}}));
-    const auto right = g.add_kernel(kernel_spec("right", {{b, false}}));
-    g.add_dependency(root, left);
-    g.add_dependency(root, right);
-    auto exec = g.instantiate(rt);
-    exec.launch(rt, replay);
-    rt.synchronize_device();
-    return rt.timeline().entries();
-  };
-  const auto batched = run(TaskGraph::Replay::Batched);
-  const auto recorded = run(TaskGraph::Replay::Recorded);
-  ASSERT_EQ(batched.size(), recorded.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].name, recorded[i].name) << i;
-    EXPECT_EQ(batched[i].start, recorded[i].start) << i;
-    EXPECT_EQ(batched[i].end, recorded[i].end) << i;
-  }
-}
-
-TEST_F(GraphTest, RecordedRelaunchReusesTheRecording) {
-  const ArrayId a = rt_.alloc(1000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  const auto k1 = g.add_kernel(kernel_spec("k1", {{a, true}}));
-  const auto k2 = g.add_kernel(kernel_spec("k2", {{a, false}}));
-  g.add_dependency(k1, k2);
-  auto exec = g.instantiate(rt_);
-
-  // First launch lowers and records.
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  ASSERT_TRUE(exec.has_recording());
-  const Submission& rec = exec.recording();
-  const std::size_t items = rec.size();
-  EXPECT_GT(items, 0u);
-
-  // Later launches re-ingest the recorded list verbatim — not drained,
-  // not rebuilt.
-  for (int i = 0; i < 3; ++i) {
-    exec.launch(rt_, TaskGraph::Replay::Recorded);
-    rt_.synchronize_device();
-    EXPECT_EQ(rec.size(), items);
-  }
-  int kernel_count = 0;
-  for (const auto& e : rt_.timeline().entries()) {
-    if (e.kind == OpKind::Kernel) ++kernel_count;
-  }
-  EXPECT_EQ(kernel_count, 8);  // 4 launches x 2 kernels
-}
-
-TEST_F(GraphTest, RecordedRelaunchReplaysMigrationsStatically) {
-  // CUDA Graphs' static replay: the migration recorded at first launch is
-  // re-issued on every relaunch even though the data is still resident —
-  // the recorded op list is frozen, not re-derived.
-  const ArrayId a = rt_.alloc(10000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  g.add_kernel(kernel_spec("k", {{a, false}}));
-  auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  int faults = 0;
-  for (const auto& e : rt_.timeline().entries()) {
-    if (e.kind == OpKind::Fault) ++faults;
-  }
-  EXPECT_EQ(faults, 2);
-}
-
-TEST_F(GraphTest, RecordedRelaunchReappliesWriteTransitions) {
-  // Replayed write-kernels re-invalidate host/peer copies (the residency
-  // transition lives in the recorded bind): a host read after every
-  // relaunch migrates the fresh result back, exactly like per-call issue.
-  const ArrayId a = rt_.alloc(10000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  g.add_kernel(kernel_spec("k", {{a, true}}));
-  auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  rt_.host_read(a);
-  const double d2h_after_first = rt_.bytes_d2h();
-  EXPECT_GT(d2h_after_first, 0);
-
-  exec.launch(rt_, TaskGraph::Replay::Recorded);  // replay re-writes `a`
-  rt_.synchronize_device();
-  for (const PageExtent& e : rt_.memory().info(a).extents) {
-    EXPECT_FALSE(e.host_fresh);  // the replayed write left the host stale
-  }
-  rt_.host_read(a);  // must migrate the replayed result back
-  EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
-}
-
-TEST_F(GraphTest, FailedRecordingDetachesAndDiscards) {
-  // A lowering that throws mid-recording (single-op working set beyond
-  // device capacity) must leave the runtime not recording and the Exec
-  // without a half-built recording; the runtime stays usable.
-  DeviceSpec spec = DeviceSpec::test_device();
-  spec.memory_bytes = 8000;
-  GpuRuntime rt{spec};
-  const ArrayId big = rt.alloc(16000, "big");
-  const ArrayId small = rt.alloc(1000, "small");
-  rt.host_write(big);
-  rt.host_write(small);
-  TaskGraph bad;
-  bad.add_kernel(kernel_spec("kb", {{big, true}}));
-  auto bad_exec = bad.instantiate(rt);
-  EXPECT_THROW(bad_exec.launch(rt, TaskGraph::Replay::Recorded),
-               OutOfMemoryError);
-  EXPECT_FALSE(rt.recording());
-  EXPECT_FALSE(bad_exec.has_recording());
-  EXPECT_TRUE(bad_exec.recording().empty());
-  // The batch the recording opened was closed too: the runtime is back in
-  // per-call mode and an explicit batch can be opened normally.
-  EXPECT_FALSE(rt.submitting());
-  rt.begin_submit();
-  rt.commit();
-
-  TaskGraph ok;
-  ok.add_kernel(kernel_spec("ks", {{small, true}}));
-  auto ok_exec = ok.instantiate(rt);
-  ok_exec.launch(rt, TaskGraph::Replay::Recorded);
-  rt.synchronize_device();
-  EXPECT_TRUE(ok_exec.has_recording());
-}
-
-TEST_F(GraphTest, RecordedRelaunchJoinsAnOpenBatch) {
-  // Like a Batched launch, a Recorded relaunch inside a user batch joins
-  // it: the recording ingests into the open transaction and nothing is
-  // flushed before the user's commit.
-  const ArrayId a = rt_.alloc(1000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  g.add_kernel(kernel_spec("k", {{a, true}}));
-  auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-
-  rt_.begin_submit();
-  rt_.launch(kDefaultStream, kernel_spec("k0", {{a, true}}));
-  const long commits_before = rt_.batch_commits();
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  EXPECT_TRUE(rt_.submitting());
-  EXPECT_EQ(rt_.batch_commits(), commits_before);  // no early flush
-  rt_.commit();
-  rt_.synchronize_device();
-  int kernels = 0;
-  for (const auto& e : rt_.timeline().entries()) {
-    if (e.kind == OpKind::Kernel) ++kernels;
-  }
-  EXPECT_EQ(kernels, 3);  // first launch + k0 + the joined replay
-}
-
-TEST_F(GraphTest, EvictionServicingIsNotBakedIntoRecordings) {
-  // A first Recorded launch that evicts a bystander must not record the
-  // page-out or its gate: replays admit nothing, so re-executing the
-  // write-back would inflate every relaunch with phantom D2H traffic.
-  DeviceSpec spec = DeviceSpec::test_device();
-  spec.memory_bytes = 8000;
-  GpuRuntime rt{spec};
-  const ArrayId bystander = rt.alloc(8000, "bystander");
-  const ArrayId w = rt.alloc(8000, "w");
-  rt.host_write(bystander);
-  rt.host_write(w);
-  rt.launch(kDefaultStream, kernel_spec("kb", {{bystander, true}}));
-  rt.synchronize_device();  // bystander: only copy on device
-
-  TaskGraph g;
-  g.add_kernel(kernel_spec("kw", {{w, true}}));
-  auto exec = g.instantiate(rt);
-  exec.launch(rt, TaskGraph::Replay::Recorded);  // evicts bystander
-  rt.synchronize_device();
-  EXPECT_EQ(rt.evict_ops(), 1);
-  exec.launch(rt, TaskGraph::Replay::Recorded);  // replay: no admission
-  rt.synchronize_device();
-  int evict_entries = 0;
-  for (const auto& e : rt.timeline().entries()) {
-    if (e.kind == OpKind::CopyD2H) ++evict_entries;
-  }
-  EXPECT_EQ(evict_entries, 1);  // the recorded replay added none
-}
-
 TEST_F(GraphTest, WaitOnEventOutsideCaptureThrows) {
   TaskGraph g;
   const EventId ev = rt_.create_event();

@@ -29,7 +29,6 @@ TEST_F(MemoryTest, FreshArrayIsUntouched) {
   EXPECT_EQ(info.resident_mask, 0u);
   EXPECT_FALSE(info.host_touched);
   EXPECT_FALSE(info.needs_h2d());
-  EXPECT_EQ(info.attached_stream, kInvalidStream);
 }
 
 TEST_F(MemoryTest, FreeReleasesBytes) {

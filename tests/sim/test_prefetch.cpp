@@ -1,7 +1,7 @@
 // Schedule-time residency planning (ResidencyPlanner) guardrails.
 //
-// Golden guards: with lookahead 0, or with every announced device under
-// capacity, the planner must be a strict no-op — timelines bit-identical
+// Golden guard: with every announced device under capacity, the planner
+// must be a strict no-op — timelines bit-identical
 // (EXPECT_DOUBLE_EQ, no tolerance) to the admission-time eviction path the
 // golden fixtures pin. Policy tests: Belady farthest-next-use victim
 // order, the never-evict-nearer-frontier gate, wasted-prefetch
@@ -103,26 +103,6 @@ std::vector<std::string> evict_op_names(GpuRuntime& rt) {
 // ---------------------------------------------------------------------
 // Golden guards: planning must be a strict no-op where it promises to be.
 // ---------------------------------------------------------------------
-
-// Lookahead 0 disables the serve loop outright; an announced frontier must
-// then change nothing — the admission-time eviction path (LRU victims,
-// per-victim page-outs) runs byte for byte as with no frontier at all.
-TEST(PrefetchGoldenGuard, LookaheadZeroBitIdenticalToAdmissionPath) {
-  const std::size_t cap = 8 * kMiB;
-  Rig plain(cap, 4, 3 * kMiB);  // 12 MiB over an 8 MiB device: 1.5x
-  plain.drive(2);
-
-  Rig planned(cap, 4, 3 * kMiB);
-  planned.rt.set_lookahead(0);
-  planned.rt.announce_frontier(planned.cyclic_frontier(2));
-  planned.drive(2);
-  planned.rt.clear_frontier();
-
-  EXPECT_EQ(planned.rt.prefetch_ops(), 0);
-  EXPECT_EQ(planned.rt.evict_ops(), plain.rt.evict_ops());
-  EXPECT_EQ(planned.rt.fault_ops(), plain.rt.fault_ops());
-  expect_identical_timelines(planned.rt, plain.rt);
-}
 
 // Under capacity, every device stays quiet (its announced load fits the
 // headroom it had at announce time, and it never evicts): the planner must

@@ -260,15 +260,6 @@ TEST_F(RuntimeTest, StreamIdleQuery) {
   EXPECT_TRUE(rt_.stream_idle(s1));
 }
 
-TEST_F(RuntimeTest, AttachArrayBookkeeping) {
-  const StreamId s1 = rt_.create_stream();
-  const ArrayId a = rt_.alloc(1000, "a");
-  rt_.attach_array(a, s1);
-  EXPECT_EQ(rt_.memory().info(a).attached_stream, s1);
-  rt_.host_write(a);  // host takes the array back
-  EXPECT_EQ(rt_.memory().info(a).attached_stream, kInvalidStream);
-}
-
 TEST_F(RuntimeTest, FreeInUseArrayThrows) {
   const ArrayId a = rt_.alloc(1000, "a");
   rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
