@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -24,6 +25,13 @@ constexpr double kWorkEps = 1e-9;
 /// exactly the seed engine's `effectively_done` test expressed on predicted
 /// times (remaining / rate == predicted_t - now).
 TimeUs completion_tol(TimeUs now) { return std::max(1e-6, 1e-9 * now); }
+
+/// Most rate one class member can absorb in a tenant re-share: a kernel
+/// never runs faster than solo (1.0); a transfer has no ceiling, which
+/// turns the bounded water-fill into a plain weighted split.
+double member_rate_cap(bool kernel_class) {
+  return kernel_class ? 1.0 : std::numeric_limits<double>::infinity();
+}
 
 }  // namespace
 
@@ -120,8 +128,8 @@ void Engine::set_tenant_weight(TenantId t, double weight) {
   if (t < 0 || t >= kMaxTenants) {
     throw ApiError("set_tenant_weight: invalid tenant " + std::to_string(t));
   }
-  if (!(weight > 0)) {
-    throw ApiError("set_tenant_weight: weight must be > 0");
+  if (!(weight > 0) || !std::isfinite(weight)) {
+    throw ApiError("set_tenant_weight: weight must be finite and > 0");
   }
   if (tenant_weights_.size() <= static_cast<std::size_t>(t)) {
     tenant_weights_.resize(static_cast<std::size_t>(t) + 1, 1.0);
@@ -1135,29 +1143,7 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
   }
   if (n_groups == 0) return false;
 
-  if (!kernel_class) {
-    if (n_groups == 1) {
-      only->c = share;
-      return true;
-    }
-    // Weighted split of the aggregate `share * n` across tenants, equal
-    // within each tenant — apply_tenant_shares' transfer formula on group
-    // aggregates.
-    const auto n = static_cast<double>(
-        class_members_[static_cast<std::size_t>(cls)].size());
-    double total_weight = 0;
-    for (const SolverGroup& g : sol.groups) {
-      if (g.n > 0) total_weight += tenant_weight(g.tenant);
-    }
-    if (total_weight <= 0) return false;
-    for (SolverGroup& g : sol.groups) {
-      if (g.n <= 0) continue;
-      g.c = share * n * tenant_weight(g.tenant) /
-            (total_weight * static_cast<double>(g.n));
-    }
-    return true;
-  }
-
+  // Equal-share classes sit on the line C = share (every weight is 1).
   // Kernels: validity test of the linear regime. The full-scan solve is
   // exactly rate_i = C * w_i (C = utilization(total_fill) / total_fill)
   // while no member hits the 1.0 solo cap or the 1e-9 floor and DRAM
@@ -1165,21 +1151,25 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
   // checkable against O(1) aggregates. w_max/w_min are conservative
   // upper/lower bounds between scans, so a failed check may cost one
   // unnecessary scan but never a wrong rate.
-  if (sol.zero_w > 0 || sol.fill_sum <= 0) return false;
-  const DeviceSpec& spec = machine_.device(cls / kSlotsPerDevice);
-  const double device_u = ResourceModel::utilization(sol.fill_sum);
-  const double c_all = device_u / sol.fill_sum;
-  if (c_all * sol.w_max > 1.0) return false;
-  if (c_all * sol.w_min < 1e-9) return false;
-  if (c_all * sol.bww_sum > spec.dram_bytes_per_us()) return false;
+  double c_all = share;
+  if (kernel_class) {
+    if (sol.zero_w > 0 || sol.fill_sum <= 0) return false;
+    const DeviceSpec& spec = machine_.device(cls / kSlotsPerDevice);
+    c_all = ResourceModel::utilization(sol.fill_sum) / sol.fill_sum;
+    if (c_all * sol.w_max > 1.0) return false;
+    if (c_all * sol.w_min < 1e-9) return false;
+    if (c_all * sol.bww_sum > spec.dram_bytes_per_us()) return false;
+  }
   if (n_groups == 1) {
     only->c = c_all;
     return true;
   }
   // Multi-tenant: apply_tenant_shares' bounded water-fill of the class
   // aggregate over tenants, on group aggregates — budgets from (weight,
-  // rate sum C * W_g, absorbable cap n_g), then c_g = budget / W_g. The
-  // spread stays linear only if no member caps: c_g * w_max <= 1.
+  // rate sum C * W_g, absorbable cap n_g * member cap), then
+  // c_g = budget / W_g. The spread stays linear only if no member caps:
+  // c_g * w_max <= member cap (never binding on an uncapped transfer).
+  const double member_cap = member_rate_cap(kernel_class);
   share_weight_.clear();
   share_rate_sum_.clear();
   share_cap_.clear();
@@ -1189,7 +1179,7 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
     if (g.n <= 0) continue;
     share_weight_.push_back(tenant_weight(g.tenant));
     share_rate_sum_.push_back(c_all * g.w_sum);
-    share_cap_.push_back(static_cast<double>(g.n));
+    share_cap_.push_back(static_cast<double>(g.n) * member_cap);
     total_weight += share_weight_.back();
     total_rate += share_rate_sum_.back();
   }
@@ -1201,7 +1191,7 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
     if (g.n <= 0) continue;
     if (g.w_sum <= 0) return false;
     g.c = share_budget_[j] / g.w_sum;
-    if (g.c * sol.w_max > 1.0) return false;  // a member would cap
+    if (g.c * sol.w_max > member_cap) return false;  // a member would cap
     ++j;
   }
   return true;
@@ -1299,8 +1289,10 @@ void Engine::apply_tenant_shares(int cls, bool kernel_class, double share) {
   const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
   const std::size_t n = tenants.size();
   // Equal-share classes materialize their scalar into the rate vector so
-  // both class families re-share through the same per-member path.
+  // both class families re-share through the same per-member path; they
+  // differ only in the member cap.
   if (!kernel_class) solve_rates_.assign(n, share);
+  const double member_cap = member_rate_cap(kernel_class);
 
   // Distinct-tenant table (linear probe: concurrent tenants are few).
   share_tenant_.clear();
@@ -1321,38 +1313,25 @@ void Engine::apply_tenant_shares(int cls, bool kernel_class, double share) {
       total_weight += share_weight_.back();
     }
     share_rate_sum_[j] += solve_rates_[i];
-    share_cap_[j] += 1.0;  // a kernel member absorbs at most rate 1.0
+    share_cap_[j] += member_cap;
     total_rate += solve_rates_[i];
   }
   if (total_weight <= 0 || total_rate <= 0) return;
   const std::size_t nt = share_tenant_.size();
 
-  if (!kernel_class) {
-    // Transfers carry no per-member ceiling: a one-shot weighted split
-    // of the aggregate (equal within a tenant — share_cap_ holds the
-    // member count) is already work-conserving.
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t j = 0;
-      while (share_tenant_[j] != tenants[i]) ++j;
-      solve_rates_[i] =
-          total_rate * share_weight_[j] / (total_weight * share_cap_[j]);
-    }
-    return;
-  }
-
-  // Kernels: weighted water-fill of the aggregate over tenants, each
-  // capped by what its members can absorb (rate 1.0 apiece — never
-  // faster than solo). Base rates are <= 1.0, so the aggregate always
-  // fits under the caps: the class total is conserved, and a high-weight
-  // tenant that saturates at solo speed hands its surplus to the others
-  // instead of idling the device. The virtual-service path runs the same
-  // water-fill over group aggregates (compute_group_rates).
+  // Weighted water-fill of the aggregate over tenants, each capped by
+  // what its members can absorb. Kernel base rates are <= 1.0, so the
+  // aggregate always fits under the caps: the class total is conserved,
+  // and a high-weight tenant that saturates at solo speed hands its
+  // surplus to the others instead of idling the device. Uncapped
+  // transfers get the plain weighted split. The virtual-service path
+  // runs the same water-fill over group aggregates (compute_group_rates).
   ResourceModel::water_fill_budgets(share_weight_, share_cap_, total_rate,
                                     share_budget_, share_active_);
 
   // Intra-tenant: spread each budget over the tenant's members in
-  // proportion to their base-solve rates, member rates capped at 1.0 —
-  // a bounded water-fill converging in <= n_t passes (a capped member's
+  // proportion to their base-solve rates, member rates capped — a
+  // bounded water-fill converging in <= n_t passes (a capped member's
   // overflow re-spreads over the rest).
   share_capped_.assign(n, 0);
   for (std::size_t j = 0; j < nt; ++j) {
@@ -1365,10 +1344,10 @@ void Engine::apply_tenant_shares(int cls, bool kernel_class, double share) {
       bool any = false;
       for (std::size_t i = 0; i < n; ++i) {
         if (tenants[i] != t || share_capped_[i]) continue;
-        if (f * solve_rates_[i] >= 1.0) {
-          budget -= 1.0;
+        if (f * solve_rates_[i] >= member_cap) {
+          budget -= member_cap;
           unc_sum -= solve_rates_[i];
-          solve_rates_[i] = 1.0;
+          solve_rates_[i] = member_cap;
           share_capped_[i] = 1;
           any = true;
         }

@@ -149,7 +149,7 @@ class Engine {
   [[nodiscard]] int num_devices() const { return machine_.num_devices(); }
 
   // --- tenancy (weighted fair sharing; see docs/engine-internals.md) ---
-  /// Set tenant `t`'s fair-share weight (default 1.0; must be > 0). Within
+  /// Set tenant `t`'s fair-share weight (default 1.0; finite, > 0). Within
   /// a saturated resource class holding ops of several tenants, bandwidth
   /// is split across tenants in proportion to weight, then equally among a
   /// tenant's own ops. Classes occupied by a single tenant keep the
@@ -520,14 +520,12 @@ class Engine {
   /// Weighted per-tenant fair sharing of one class whose members span
   /// several tenants: rewrites solve_rates_ (sized to the class) so each
   /// tenant's aggregate rate is weight-proportional, conserving the
-  /// class's aggregate. Equal-share classes split the capacity
-  /// `share * n` outright; kernel classes run a bounded water-fill —
-  /// tenants are capped by what their members can absorb (rate 1.0
-  /// apiece, never faster than solo) and a capped tenant's surplus flows
-  /// to the others instead of idling the device, then each tenant's
-  /// budget spreads over its members in proportion to their base-solve
-  /// rates (again capped at 1.0). Called only on the multi-tenant path —
-  /// a single-tenant class never reaches it.
+  /// class's aggregate. One bounded water-fill for both class families:
+  /// tenants are capped by what their members can absorb (kernels: rate
+  /// 1.0 apiece, never faster than solo; transfers: uncapped) and a
+  /// capped tenant's surplus flows to the others, then each budget
+  /// spreads over the tenant's members in proportion to their base rates
+  /// (again member-capped). Called only on the multi-tenant path.
   void apply_tenant_shares(int cls, bool kernel_class, double share);
   /// Push a start-heap entry for `op` (displacing its previous entry, if
   /// any, into staleness) and compact the heap when stale entries outnumber
@@ -649,7 +647,7 @@ class Engine {
   std::vector<double> solve_rates_;
   /// Distinct-tenant table of the class being re-solved (weighted path
   /// only): tenant id, weight, base-rate sum, absorbable cap (member
-  /// count — rate 1.0 apiece), water-filled budget, still-active flag;
+  /// count times the member cap), water-filled budget, still-active flag;
   /// plus a per-member capped flag for the intra-tenant distribution.
   std::vector<TenantId> share_tenant_;
   std::vector<double> share_weight_;

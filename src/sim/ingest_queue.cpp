@@ -139,24 +139,25 @@ bool IngestService::on_ingest_thread() const {
 
 IngestStats IngestService::stats() const {
   IngestStats out;
-  for (const auto& s : shards_) {
-    out.items += s->items.load(std::memory_order_relaxed);
-    out.batches += s->batches.load(std::memory_order_relaxed);
-    out.ops += s->ops.load(std::memory_order_relaxed);
-    out.clamped += s->clamped.load(std::memory_order_relaxed);
-    out.errors += s->errors.load(std::memory_order_relaxed);
-    out.rejected += s->rejected.load(std::memory_order_relaxed);
-    out.deferred += s->deferred.load(std::memory_order_relaxed);
+  for (int i = 0; i < shards_count_; ++i) {
+    const IngestStats s = shard_stats(i);
+    out.items += s.items;
+    out.batches += s.batches;
+    out.ops += s.ops;
+    out.clamped += s.clamped;
+    out.errors += s.errors;
+    out.rejected += s.rejected;
+    out.deferred += s.deferred;
   }
   return out;
 }
 
-IngestShardStats IngestService::shard_stats(int shard) const {
+IngestStats IngestService::shard_stats(int shard) const {
   if (shard < 0 || shard >= shards_count_) {
     throw ApiError("shard_stats: invalid shard " + std::to_string(shard));
   }
   const Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  IngestShardStats out;
+  IngestStats out;
   out.items = s.items.load(std::memory_order_relaxed);
   out.batches = s.batches.load(std::memory_order_relaxed);
   out.ops = s.ops.load(std::memory_order_relaxed);
@@ -392,46 +393,31 @@ void IngestService::run_shard(Shard& s) {
       s.sleeping.store(false, std::memory_order_relaxed);
       continue;
     }
-    bool progressed = false;
-    {
-      const auto gate = rt_->api_guard();
-      batch.clear();
-      while (batch.size() < cfg_.max_batch) {
-        Item* it = pop(s);
-        if (it == nullptr) break;
-        batch.push_back(it);
-      }
-      if (!batch.empty()) {
-        drain_batch(s, batch);
-        progressed = true;
-      }
-    }
     // Nothing popped despite queued > 0: a helping flusher beat us to the
     // items, or a producer is mid-link. Either resolves imminently.
-    if (!progressed) std::this_thread::yield();
+    if (!drain_some(s, batch)) std::this_thread::yield();
   }
   tl_ingest_service = nullptr;
+}
+
+bool IngestService::drain_some(Shard& s, std::vector<Item*>& batch) {
+  const auto gate = rt_->api_guard();
+  batch.clear();
+  while (batch.size() < cfg_.max_batch) {
+    Item* it = pop(s);
+    if (it == nullptr) break;
+    batch.push_back(it);
+  }
+  if (batch.empty()) return false;
+  drain_batch(s, batch);
+  return true;
 }
 
 void IngestService::help_drain(Shard& s) {
   std::vector<Item*> batch;
   batch.reserve(cfg_.max_batch);
   while (s.queued.load(std::memory_order_acquire) != 0) {
-    bool progressed = false;
-    {
-      const auto gate = rt_->api_guard();
-      batch.clear();
-      while (batch.size() < cfg_.max_batch) {
-        Item* it = pop(s);
-        if (it == nullptr) break;
-        batch.push_back(it);
-      }
-      if (!batch.empty()) {
-        drain_batch(s, batch);
-        progressed = true;
-      }
-    }
-    if (!progressed) std::this_thread::yield();
+    if (!drain_some(s, batch)) std::this_thread::yield();
   }
 }
 

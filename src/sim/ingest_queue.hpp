@@ -65,7 +65,8 @@
 
 namespace psched::sim {
 
-/// Aggregate drain-side counters (monotone; readable while running).
+/// Drain-side counters of one shard, or summed over every shard
+/// (monotone; readable while running).
 struct IngestStats {
   long items = 0;    ///< queue items drained
   long batches = 0;  ///< drain batches committed
@@ -74,17 +75,6 @@ struct IngestStats {
   long errors = 0;   ///< recoverable per-item errors surfaced to tokens
   long rejected = 0;  ///< submissions turned away by admission control
   long deferred = 0;  ///< over-limit fire-and-forget posts (still queued)
-};
-
-/// Per-shard view of the same counters (IngestService::shard_stats()).
-struct IngestShardStats {
-  long items = 0;
-  long batches = 0;
-  long ops = 0;
-  long clamped = 0;
-  long errors = 0;
-  long rejected = 0;
-  long deferred = 0;
 };
 
 class IngestService {
@@ -158,9 +148,10 @@ class IngestService {
 
   /// True on an ingest thread of *this* service (drain-executed closures).
   [[nodiscard]] bool on_ingest_thread() const;
+  /// Counters summed over every shard.
   [[nodiscard]] IngestStats stats() const;
   /// One shard's counters (ApiError on an out-of-range shard index).
-  [[nodiscard]] IngestShardStats shard_stats(int shard) const;
+  [[nodiscard]] IngestStats shard_stats(int shard) const;
 
  private:
   struct Item;
@@ -175,6 +166,9 @@ class IngestService {
   void push(Shard& s, Item* it);
   [[nodiscard]] Item* pop(Shard& s);
   void run_shard(Shard& s);
+  /// Under the api gate, pop up to max_batch items of `s` into `batch`
+  /// and drain them; false if nothing was poppable.
+  bool drain_some(Shard& s, std::vector<Item*>& batch);
   /// Process one popped batch into the engine. Caller holds the api gate.
   void drain_batch(Shard& s, std::vector<Item*>& batch);
   /// Drain `s` to empty on the calling thread (flush points help instead

@@ -185,13 +185,6 @@ struct ArrayInfo {
   /// staging refines this per run; whole-array consumers (prefetch policy
   /// decisions) still branch on the aggregate.
   [[nodiscard]] bool host_sourced() const { return fresh_mask == 0; }
-  /// Lowest-indexed device holding a full current copy (kInvalidDevice if
-  /// none): the deterministic source for whole-array peer transfers.
-  [[nodiscard]] DeviceId lowest_fresh() const {
-    if (fresh_mask == 0) return kInvalidDevice;
-    return static_cast<DeviceId>(std::countr_zero(fresh_mask));
-  }
-
   // --- residency transitions (keep extents and aggregates in sync) --------
   /// A kernel on `d` wrote the array: `d` holds the only current copy of
   /// every page; host and peer copies are stale. Charged pages stay charged.

@@ -175,69 +175,6 @@ std::vector<double> ResourceModel::max_min_fair(
   return alloc;
 }
 
-void ResourceModel::solve_class(OpKind kind,
-                                const std::vector<const Op*>& ops,
-                                std::vector<double>& rates) const {
-  rates.assign(ops.size(), 0);
-  if (ops.empty()) return;
-
-  switch (kind) {
-    case OpKind::Kernel: {
-      // --- kernels: share warp slots, then DRAM bandwidth ---
-      double total_fill = 0;
-      for (const Op* op : ops) {
-        total_fill += (op->sm_demand / spec_->sm_count) * op->occupancy;
-      }
-      const double device_u = utilization(total_fill);
-      bw_demand_.assign(ops.size(), 0);
-      auto& bw_demand = bw_demand_;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const Op* op = ops[i];
-        const double fill = (op->sm_demand / spec_->sm_count) * op->occupancy;
-        const double solo_u = utilization(fill);
-        // Device throughput at the combined fill, split proportionally to
-        // each kernel's fill, relative to the throughput the kernel had
-        // solo.
-        double r = 1.0;
-        if (total_fill > 0 && solo_u > 0) {
-          r = device_u * (fill / total_fill) / solo_u;
-        }
-        r = std::min(r, 1.0);  // a kernel never runs faster than solo
-        rates[i] = r;
-        bw_demand[i] = op->bw_need * r;
-      }
-      max_min_fair_into(bw_demand, spec_->dram_bytes_per_us(), bw_alloc_);
-      const auto& bw_alloc = bw_alloc_;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        double r = rates[i];
-        if (ops[i]->bw_need > 0 && bw_demand[i] > 0) {
-          r = std::min(r, bw_alloc[i] / ops[i]->bw_need);
-        }
-        rates[i] = std::max(r, 1e-9);
-      }
-      return;
-    }
-    case OpKind::CopyH2D:
-    case OpKind::CopyD2H: {
-      // --- PCIe transfers: equal share per direction ---
-      const double share =
-          spec_->pcie_bytes_per_us() / static_cast<double>(ops.size());
-      for (double& r : rates) r = share;
-      return;
-    }
-    case OpKind::Fault: {
-      // --- unified-memory faults: de-rated, contended path ---
-      const auto n = static_cast<double>(ops.size());
-      const double capacity = spec_->fault_bytes_per_us() /
-                              (1.0 + kFaultContentionPenalty * (n - 1.0));
-      for (double& r : rates) r = capacity / n;
-      return;
-    }
-    default:
-      return;  // markers/host spans carry no rate
-  }
-}
-
 void ResourceModel::solve_kernel_class(const std::vector<double>& fill,
                                        const std::vector<double>& solo_u,
                                        const std::vector<double>& bw_need,
@@ -253,8 +190,7 @@ void ResourceModel::solve_kernel_class(const std::vector<double>& fill,
   double bw_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     // Device throughput at the combined fill, split proportionally to each
-    // kernel's fill, relative to the throughput the kernel had solo — the
-    // same expression as solve_class, on inputs cached at class join.
+    // kernel's fill, relative to the throughput the kernel had solo.
     double r = 1.0;
     if (total_fill > 0 && solo_u[i] > 0) {
       r = device_u * (fill[i] / total_fill) / solo_u[i];
@@ -293,35 +229,6 @@ double ResourceModel::class_share(OpKind kind, std::size_t n) const {
     default:
       return 0;  // kernels are not equal-share; markers carry no rate
   }
-}
-
-void ResourceModel::solve_link(double link_bytes_per_us, std::size_t n,
-                               std::vector<double>& rates) {
-  rates.assign(n, 0);
-  if (n == 0) return;
-  const double share = link_bytes_per_us / static_cast<double>(n);
-  for (double& r : rates) r = share;
-}
-
-std::unordered_map<OpId, double> ResourceModel::solve(
-    const std::vector<const Op*>& running) const {
-  std::unordered_map<OpId, double> rates;
-  rates.reserve(running.size());
-  std::vector<const Op*> members;
-  std::vector<double> class_rates;
-  for (OpKind kind : {OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H,
-                      OpKind::Fault}) {
-    members.clear();
-    for (const Op* op : running) {
-      if (op->kind == kind) members.push_back(op);
-    }
-    if (members.empty()) continue;
-    solve_class(kind, members, class_rates);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      rates[members[i]->id] = class_rates[i];
-    }
-  }
-  return rates;
 }
 
 }  // namespace psched::sim

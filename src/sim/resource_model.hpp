@@ -17,7 +17,6 @@
 //     controller becomes the main bottleneck" effect, section V-C).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "sim/device_spec.hpp"
@@ -49,48 +48,30 @@ class ResourceModel {
   [[nodiscard]] KernelDemand kernel_demand(const LaunchConfig& cfg,
                                            const KernelProfile& prof) const;
 
-  /// Solve instantaneous rates for the set of running ops.
-  /// Kernels get a dimensionless rate (progress in solo-us per us);
-  /// transfers get bytes/us. Markers/host ops are ignored.
-  [[nodiscard]] std::unordered_map<OpId, double> solve(
-      const std::vector<const Op*>& running) const;
-
-  /// Incremental entry point: solve one resource class in isolation.
-  /// `kind` selects the class (Kernel, CopyH2D, CopyD2H or Fault), `ops`
-  /// holds every running op of that class, and `rates[i]` receives the rate
-  /// of `ops[i]`. Classes share no resources with each other — kernels
-  /// contend for warp slots and DRAM, each copy direction owns its DMA
-  /// engine, faults own the page-fault path — so a membership change in one
-  /// class never invalidates another class's rates. The model is per-device:
-  /// a multi-GPU engine keeps one ResourceModel per roster entry, and the
-  /// cross-device CopyP2P link classes use solve_link() with the machine's
-  /// link bandwidth instead.
-  void solve_class(OpKind kind, const std::vector<const Op*>& ops,
-                   std::vector<double>& rates) const;
-
-  /// Peer-link class solver: `n` concurrent transfers share a directed
-  /// inter-device link of `link_bytes_per_us` max-min fairly, which for the
-  /// link's one-dimensional capacity degenerates to an equal split
-  /// (bytes/us each) — the same sharing rule as a PCIe direction.
-  static void solve_link(double link_bytes_per_us, std::size_t n,
-                         std::vector<double>& rates);
+  // Each resource class is solved in isolation. Classes share no
+  // resources with each other — kernels contend for warp slots and DRAM,
+  // each copy direction owns its DMA engine, faults own the page-fault
+  // path — so a membership change in one class never invalidates another
+  // class's rates. The model is per-device: a multi-GPU engine keeps one
+  // ResourceModel per roster entry and prices the cross-device CopyP2P
+  // link classes as an equal split of the machine's link bandwidth.
 
   /// Kernel-class solver over the engine's compact per-class demand arrays
   /// (SoA mirror of the member list, maintained incrementally at
   /// join/leave): `fill[i]` is member i's device fill
   /// (sm_demand/sm_count * occupancy), `solo_u[i]` its solo utilization
   /// (utilization(fill[i])), `bw_need[i]` its DRAM appetite at rate 1.
-  /// Bit-identical arithmetic to the Op-pointer solve_class above — the
-  /// inputs are the same expressions evaluated once at class join — but
-  /// the hot re-solve never touches an Op.
+  /// `rates[i]` receives member i's dimensionless rate (progress in
+  /// solo-us per us); the hot re-solve never touches an Op.
   void solve_kernel_class(const std::vector<double>& fill,
                           const std::vector<double>& solo_u,
                           const std::vector<double>& bw_need,
                           std::vector<double>& rates) const;
 
-  /// Per-member rate of the equal-share classes (PCIe directions, the
-  /// contended fault path) at occupancy `n` — the scalar the engine
-  /// assigns to every member without materializing a rates vector.
+  /// Per-member rate (bytes/us) of the equal-share classes (PCIe
+  /// directions, the contended fault path) at occupancy `n` — the scalar
+  /// the engine assigns to every member without materializing a rates
+  /// vector. Zero for kernels and rate-less kinds (markers, host spans).
   [[nodiscard]] double class_share(OpKind kind, std::size_t n) const;
 
   /// Max-min fair ("water-filling") allocation of `capacity` among demands.
@@ -101,9 +82,9 @@ class ResourceModel {
   /// a weight-proportional share but can absorb at most cap[j]; a capped
   /// party's surplus re-fills over the rest instead of going idle.
   /// Writes budget (resized); `active` is caller-provided scratch. The
-  /// engine uses this for tenant budget splits — both the legacy
-  /// per-member path (apply_tenant_shares) and the virtual-service
-  /// group-aggregate path share this exact arithmetic.
+  /// engine's tenant budget splits — the full scan and the
+  /// virtual-service group aggregates — share this exact arithmetic; an
+  /// infinite cap makes it the plain weighted split transfers get.
   static void water_fill_budgets(const std::vector<double>& weight,
                                  const std::vector<double>& cap, double total,
                                  std::vector<double>& budget,
@@ -127,9 +108,9 @@ class ResourceModel {
 
   const DeviceSpec* spec_;
 
-  /// Reusable scratch for solve_class (one re-solve per running-set change
-  /// is the engine's hot path; no per-solve heap traffic). Mutable: the
-  /// model is logically const, scratch is not observable state.
+  /// Reusable scratch for solve_kernel_class (one re-solve per running-set
+  /// change is the engine's hot path; no per-solve heap traffic). Mutable:
+  /// the model is logically const, scratch is not observable state.
   mutable std::vector<double> bw_demand_;
   mutable std::vector<double> bw_alloc_;
   mutable std::vector<std::size_t> mmf_unsat_;

@@ -55,40 +55,49 @@ IntervalSet Timeline::transfer_cover() const {
 }
 
 OverlapMetrics Timeline::overlap_metrics() const {
-  OverlapMetrics m;
-  const IntervalSet kernels = kernel_cover();
-  const IntervalSet transfers = transfer_cover();
-
-  TimeUs kernel_total = 0, kernel_ct = 0, kernel_cc = 0;
-  TimeUs transfer_total = 0, transfer_tc = 0;
-  TimeUs any_total = 0, any_overlap = 0;
-
+  // One sweep over entry boundaries. With K kernels, T transfers and A
+  // counted entries covering time t, an entry's overlap with the union of
+  // the *others* integrates to the four sums
+  //   CT = ∫K·[T≥1]   TC = ∫T·[K≥1]   CC = ∫K·[K≥2]   TOT = ∫A·[A≥2].
+  struct Edge {
+    TimeUs t;
+    int dk, dt, da;  // change of K, T and A at t
+  };
+  std::vector<Edge> edges;
+  TimeUs kernel_total = 0, transfer_total = 0, any_total = 0;
   for (const auto& e : entries_) {
     if (!counts_for_makespan(e)) continue;
     const Interval iv = e.interval();
-    if (e.kind == OpKind::Kernel) {
-      kernel_total += iv.length();
-      kernel_ct += transfers.intersection_measure(iv);
-      // CC: overlap with *other* kernels. Remove this entry's own interval
-      // by building the union of all other kernel intervals.
-      std::vector<Interval> others;
-      for (const auto& o : entries_) {
-        if (&o != &e && o.kind == OpKind::Kernel) others.push_back(o.interval());
-      }
-      kernel_cc += IntervalSet(std::move(others)).intersection_measure(iv);
-    } else if (is_transfer(e.kind)) {
-      transfer_total += iv.length();
-      transfer_tc += kernels.intersection_measure(iv);
-    }
-    // TOT: overlap with the union of all other ops (counted once).
-    std::vector<Interval> others;
-    for (const auto& o : entries_) {
-      if (&o != &e && counts_for_makespan(o)) others.push_back(o.interval());
-    }
+    const int is_k = e.kind == OpKind::Kernel ? 1 : 0;
+    const int is_t = is_transfer(e.kind) ? 1 : 0;
+    if (is_k) kernel_total += iv.length();
+    if (is_t) transfer_total += iv.length();
     any_total += iv.length();
-    any_overlap += IntervalSet(std::move(others)).intersection_measure(iv);
+    if (iv.empty()) continue;
+    edges.push_back({iv.begin, is_k, is_t, 1});
+    edges.push_back({iv.end, -is_k, -is_t, -1});
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.t < b.t; });
+
+  TimeUs kernel_ct = 0, kernel_cc = 0, transfer_tc = 0, any_overlap = 0;
+  int k = 0, t = 0, a = 0;
+  TimeUs prev = 0;
+  for (const Edge& edge : edges) {
+    const TimeUs len = edge.t - prev;
+    if (len > 0) {
+      if (t >= 1) kernel_ct += k * len;
+      if (k >= 1) transfer_tc += t * len;
+      if (k >= 2) kernel_cc += k * len;
+      if (a >= 2) any_overlap += a * len;
+    }
+    k += edge.dk;
+    t += edge.dt;
+    a += edge.da;
+    prev = edge.t;
   }
 
+  OverlapMetrics m;
   m.ct = kernel_total > 0 ? kernel_ct / kernel_total : 0;
   m.tc = transfer_total > 0 ? transfer_tc / transfer_total : 0;
   m.cc = kernel_total > 0 ? kernel_cc / kernel_total : 0;

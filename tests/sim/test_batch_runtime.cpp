@@ -9,6 +9,7 @@
 #include "sim/graph.hpp"
 #include "sim/machine.hpp"
 #include "sim/runtime.hpp"
+#include "sim_test_util.hpp"
 
 namespace psched::sim {
 namespace {
@@ -200,14 +201,7 @@ TEST_F(BatchRuntimeTest, RecordingDoesNotPerturbTheBatch) {
     rt.synchronize_device();
     return rt.timeline().entries();
   };
-  const auto batched = run(false);
-  const auto recorded = run(true);
-  ASSERT_EQ(batched.size(), recorded.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].name, recorded[i].name) << i;
-    EXPECT_EQ(batched[i].start, recorded[i].start) << i;
-    EXPECT_EQ(batched[i].end, recorded[i].end) << i;
-  }
+  test::expect_same_timeline(run(true), run(false));
 }
 
 TEST_F(BatchRuntimeTest, ReplayReissuesRecordedMigrationsStatically) {

@@ -10,6 +10,7 @@
 
 #include "sim/machine.hpp"
 #include "sim/runtime.hpp"
+#include "sim_test_util.hpp"
 
 namespace psched::sim {
 namespace {
@@ -338,14 +339,8 @@ TEST(Eviction, UnderCapacityWorkloadsAreBitIdenticalToUnpagedRuns) {
   const auto huge = run(1u << 30);
   EXPECT_EQ(exact.evicted, 0u);
   EXPECT_EQ(huge.evicted, 0u);
-  EXPECT_EQ(exact.now, huge.now);
-  ASSERT_EQ(exact.entries.size(), huge.entries.size());
-  for (std::size_t i = 0; i < exact.entries.size(); ++i) {
-    EXPECT_EQ(exact.entries[i].name, huge.entries[i].name) << i;
-    EXPECT_EQ(exact.entries[i].kind, huge.entries[i].kind) << i;
-    EXPECT_EQ(exact.entries[i].start, huge.entries[i].start) << i;
-    EXPECT_EQ(exact.entries[i].end, huge.entries[i].end) << i;
-  }
+  test::expect_time_near(exact.now, huge.now, "now");
+  test::expect_same_timeline(exact.entries, huge.entries);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "sim/machine.hpp"
 #include "sim/runtime.hpp"
 #include "sim/tenant.hpp"
+#include "sim_test_util.hpp"
 
 namespace psched::sim {
 namespace {
@@ -54,18 +55,12 @@ Op raw_kernel(GpuRuntime& rt, StreamId stream, const std::string& name,
   return op;
 }
 
-struct Entry {
-  std::string name;
-  TimeUs start;
-  TimeUs end;
-};
-
 /// Kernel entries grouped per stream in timeline order.
-std::map<StreamId, std::vector<Entry>> kernel_projection(GpuRuntime& rt) {
-  std::map<StreamId, std::vector<Entry>> out;
+std::map<StreamId, std::vector<TimelineEntry>> kernel_projection(
+    GpuRuntime& rt) {
+  std::map<StreamId, std::vector<TimelineEntry>> out;
   for (const auto& e : rt.timeline().entries()) {
-    if (e.kind != OpKind::Kernel) continue;
-    out[e.stream].push_back({e.name, e.start, e.end});
+    if (e.kind == OpKind::Kernel) out[e.stream].push_back(e);
   }
   return out;
 }
@@ -166,19 +161,11 @@ TEST(IngestQueueTest, SingleProducerTaskPathBitIdenticalToDirectBatch) {
     queued.synchronize_device();
   }
 
-  const auto& de = direct.timeline().entries();
-  const auto& qe = queued.timeline().entries();
-  ASSERT_EQ(de.size(), qe.size());
-  for (std::size_t i = 0; i < de.size(); ++i) {
-    EXPECT_EQ(qe[i].kind, de[i].kind) << i;
-    EXPECT_EQ(qe[i].name, de[i].name) << i;
-    EXPECT_EQ(qe[i].stream, de[i].stream) << i;
-    EXPECT_DOUBLE_EQ(qe[i].start, de[i].start) << i;
-    EXPECT_DOUBLE_EQ(qe[i].end, de[i].end) << i;
-  }
-  EXPECT_DOUBLE_EQ(queued.timeline().makespan(),
-                   direct.timeline().makespan());
-  EXPECT_DOUBLE_EQ(queued.now(), direct.now());
+  test::expect_same_timeline(queued.timeline().entries(),
+                             direct.timeline().entries());
+  test::expect_time_near(queued.timeline().makespan(),
+                         direct.timeline().makespan(), "makespan");
+  test::expect_time_near(queued.now(), direct.now(), "now");
 }
 
 // Satellite: out-of-order producer host times are clamped against the
@@ -227,16 +214,9 @@ TEST(IngestQueueTest, MonotoneClampDeterministicAcrossShuffledOrders) {
     direct.synchronize_device();
 
     EXPECT_EQ(clamped, expect_clamped) << "seed " << seed;
-    const auto& de = direct.timeline().entries();
-    const auto& qe = queued.timeline().entries();
-    ASSERT_EQ(de.size(), qe.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < de.size(); ++i) {
-      EXPECT_EQ(qe[i].name, de[i].name) << "seed " << seed << " entry " << i;
-      EXPECT_DOUBLE_EQ(qe[i].start, de[i].start)
-          << "seed " << seed << " entry " << i;
-      EXPECT_DOUBLE_EQ(qe[i].end, de[i].end)
-          << "seed " << seed << " entry " << i;
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    test::expect_same_timeline(queued.timeline().entries(),
+                               direct.timeline().entries());
   }
 }
 
@@ -298,17 +278,10 @@ TEST(IngestQueueTest, MultiProducerClampIsInterleavingInvariant) {
     const auto it = con.find(stream);
     ASSERT_NE(it, con.end()) << "stream " << stream;
     const auto& con_entries = it->second;
-    ASSERT_EQ(con_entries.size(), ref_entries.size()) << "stream " << stream;
-    for (std::size_t i = 0; i < ref_entries.size(); ++i) {
-      EXPECT_EQ(con_entries[i].name, ref_entries[i].name)
-          << "stream " << stream << " entry " << i;
-      EXPECT_DOUBLE_EQ(con_entries[i].start, ref_entries[i].start)
-          << "stream " << stream << " entry " << i;
-      EXPECT_DOUBLE_EQ(con_entries[i].end, ref_entries[i].end)
-          << "stream " << stream << " entry " << i;
-    }
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    test::expect_same_timeline(con_entries, ref_entries);
     // All starts sit at/after the sentinel: the clamp really fired.
-    for (const Entry& e : con_entries) EXPECT_GE(e.start, kSentinel);
+    for (const TimelineEntry& e : con_entries) EXPECT_GE(e.start, kSentinel);
   }
 }
 

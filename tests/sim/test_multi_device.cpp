@@ -167,7 +167,7 @@ TEST(MultiDeviceEngine, P2PCopiesSerializePerLinkAndShareBandwidth) {
 }
 
 // --- acceptance scenario (c): solver-work isolation — churn on device 0
-// causes zero solve_class calls for device 1's kernel class ---
+// causes zero re-solves of device 1's kernel class ---
 
 TEST(MultiDeviceEngine, SolverWorkIsolatedPerDevice) {
   Engine eng(two_gpus());

@@ -1,9 +1,8 @@
 // Schedule-time residency planning (ResidencyPlanner) guardrails.
 //
 // Golden guard: with every announced device under capacity, the planner
-// must be a strict no-op — timelines bit-identical
-// (EXPECT_DOUBLE_EQ, no tolerance) to the admission-time eviction path the
-// golden fixtures pin. Policy tests: Belady farthest-next-use victim
+// must be a strict no-op — timelines identical (at the golden tolerance)
+// to the admission-time eviction path the golden fixtures pin. Policy tests: Belady farthest-next-use victim
 // order, the never-evict-nearer-frontier gate, wasted-prefetch
 // accounting, and advisory-frontier mismatch robustness. Determinism: the
 // prefetch schedule must be invariant across shuffled producer timings
@@ -20,6 +19,7 @@
 
 #include "sim/ingest_queue.hpp"
 #include "sim/runtime.hpp"
+#include "sim_test_util.hpp"
 
 namespace psched::sim {
 namespace {
@@ -75,21 +75,11 @@ struct Rig {
   }
 };
 
-/// Bit-identical timeline comparison: same ops, same order, same times.
+/// Same ops in the same order at the same times (golden tolerance).
 void expect_identical_timelines(GpuRuntime& got, GpuRuntime& want) {
-  const auto& ge = got.timeline().entries();
-  const auto& we = want.timeline().entries();
-  ASSERT_EQ(ge.size(), we.size()) << "timeline length diverged";
-  for (std::size_t i = 0; i < we.size(); ++i) {
-    const std::string what = "entry " + std::to_string(i) + " (" +
-                             we[i].name + ")";
-    EXPECT_EQ(ge[i].kind, we[i].kind) << what;
-    EXPECT_EQ(ge[i].stream, we[i].stream) << what;
-    EXPECT_EQ(ge[i].name, we[i].name) << what;
-    EXPECT_DOUBLE_EQ(ge[i].start, we[i].start) << what;
-    EXPECT_DOUBLE_EQ(ge[i].end, we[i].end) << what;
-  }
-  EXPECT_DOUBLE_EQ(got.now(), want.now());
+  test::expect_same_timeline(got.timeline().entries(),
+                             want.timeline().entries());
+  test::expect_time_near(got.now(), want.now(), "now");
 }
 
 std::vector<std::string> evict_op_names(GpuRuntime& rt) {

@@ -199,15 +199,7 @@ TEST(QosGolden, BatchOnlyScheduleBitIdentical) {
     rt.synchronize_device();
     return rt.timeline().entries();
   };
-  const auto plain = run(false);
-  const auto qos = run(true);
-  ASSERT_EQ(plain.size(), qos.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].op, qos[i].op);
-    EXPECT_EQ(plain[i].stream, qos[i].stream);
-    EXPECT_EQ(plain[i].start, qos[i].start);  // bit-identical, no tolerance
-    EXPECT_EQ(plain[i].end, qos[i].end);
-  }
+  test::expect_same_timeline(run(true), run(false));
 }
 
 // ---------------------------------------------------------------------

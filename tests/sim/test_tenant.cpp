@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "../../bench/multi_app_scenario.hpp"
@@ -308,6 +310,23 @@ TEST(TenantTagging, WeightValidation) {
   eng.set_tenant_weight(3, 2.5);
   EXPECT_DOUBLE_EQ(eng.tenant_weight(3), 2.5);
   EXPECT_DOUBLE_EQ(eng.tenant_weight(7), 1.0);  // unset: default weight
+}
+
+TEST(TenantTagging, NonFiniteWeightRejected) {
+  // An infinite weight would turn a shared class's budget split into
+  // inf/inf: both entry points reject it before any state changes.
+  const double inf = std::numeric_limits<double>::infinity();
+  Engine eng(DeviceSpec::test_device());
+  EXPECT_THROW(eng.set_tenant_weight(1, inf), ApiError);
+  EXPECT_THROW(eng.set_tenant_weight(1, std::nan("")), ApiError);
+  EXPECT_DOUBLE_EQ(eng.tenant_weight(1), 1.0);
+
+  GpuRuntime rt(DeviceSpec::test_device());
+  TenantManager mgr(rt);
+  mgr.create_tenant({"a", 1.0});
+  EXPECT_THROW(mgr.create_tenant({"b", inf}), ApiError);
+  EXPECT_EQ(mgr.num_tenants(), 1u);
+  EXPECT_DOUBLE_EQ(rt.engine().tenant_weight(1), 1.0);
 }
 
 // ---------------------------------------------------------------------
