@@ -257,6 +257,12 @@ void Engine::check_enqueueable(const Op& op) const {
                      std::to_string(dev));
     }
   }
+  for (const EventId e : op.waits) check_event_id(e, "enqueue/waits");
+  for (const OpId dep : op.after) {
+    if (dep < 1 || dep >= next_op_id_) {
+      throw ApiError("enqueue: `after` names an op not yet issued");
+    }
+  }
 }
 
 void Engine::check_event_id(EventId event, const char* who) const {
@@ -708,6 +714,14 @@ void Engine::complete_op(Op& op) {
     }
   }
 
+  // Wake the heads gated on this op through `after`.
+  if (!after_waiters_.empty()) {
+    std::erase_if(after_waiters_, [&](const std::pair<OpId, StreamId>& w) {
+      if (w.first != op.id) return false;
+      mark_pending(w.second);
+      return true;
+    });
+  }
   // Complete any event gated on this op (reverse index; re-records against
   // a newer gate are skipped by the gate check).
   for (EventId eid : op.gated_events) {
@@ -821,6 +835,15 @@ void Engine::check_stream_head(StreamId stream) {
       return;
     }
     at = std::max(at, ev.done_at);
+  }
+  for (const OpId dep : op.after) {
+    const OpRecord& dep_rec = records_[static_cast<std::size_t>(dep - 1)];
+    if (dep_rec.slot >= 0) {
+      // Still live: woken when it completes.
+      after_waiters_.emplace_back(dep, stream);
+      return;
+    }
+    at = std::max(at, dep_rec.end);
   }
   if (at > now_ + kWorkEps) {
     push_start(op, at);

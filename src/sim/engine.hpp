@@ -189,6 +189,9 @@ class Engine {
   // --- host-side API (host_time is the caller's current virtual time) ---
   /// Enqueue an op on `op.stream`; returns its id. The op executes on the
   /// stream's device; CopyP2P ops must carry a valid `peer` source device.
+  /// Events in `op.waits` gate its start like a wait_event marker ahead of
+  /// it would, without the marker op; ops in `op.after` gate it directly —
+  /// no event, and no wait for the ops issued after them on their streams.
   OpId enqueue(Op op, TimeUs host_time);
   /// Record `event` on `stream`: the event completes when all work issued
   /// to the stream before this call has completed.
@@ -249,6 +252,9 @@ class Engine {
   [[nodiscard]] TimeUs now() const { return now_; }
   [[nodiscard]] bool stream_idle(StreamId stream) const;
   [[nodiscard]] bool op_done(OpId op) const;
+  [[nodiscard]] StreamId op_stream(OpId op) const {
+    return record_of(op, "op_stream").stream;
+  }
   [[nodiscard]] bool event_done(EventId event) const;
   [[nodiscard]] TimeUs event_done_time(EventId event) const;
   /// Snapshot an op's state (by value: live ops move through a recycled
@@ -634,6 +640,10 @@ class Engine {
   std::vector<char> class_dirty_;
   std::vector<int> dirty_classes_;  ///< worklist of dirty class indices
   std::vector<long> class_solves_;  ///< re-solve passes per class
+  /// Heads waiting on a live op through `Op::after`: (gate op, stream),
+  /// woken and dropped when the gate completes. Only the residency
+  /// planner's page-outs use `after`, so this stays a handful long.
+  std::vector<std::pair<OpId, StreamId>> after_waiters_;
   /// Streams whose head is an explicit copy blocked on the in-flight copy
   /// of the same DMA engine (per-device H2D/D2H, per-link P2P); woken when
   /// that engine frees up. Indexed like the class table (kernel/fault

@@ -138,8 +138,9 @@ void MemoryManager::set_pinned(ArrayInfo& a, DeviceId d, bool pinned) {
 }
 
 bool MemoryManager::eviction_candidate(const ArrayInfo& a, DeviceId d,
-                                       std::span<const ArrayId> protect) {
-  if (a.pinned_on(d) || a.has_pending()) return false;
+                                       std::span<const ArrayId> protect,
+                                       bool behind_last_use) {
+  if (a.pinned_on(d) || (!behind_last_use && a.has_pending())) return false;
   return std::find(protect.begin(), protect.end(), a.id) == protect.end();
 }
 
@@ -209,23 +210,25 @@ void ResidencyPlanner::announce(std::vector<FrontierEntry> entries) {
   frontier_ = std::move(entries);
   pos_ = 0;
   served_until_ = 0;
-  nu_cache_pos_ = kNoNextUse;
+  uses_.clear();
+  for (std::size_t k = 0; k < frontier_.size(); ++k) {
+    for (const ArrayId a : frontier_[k].arrays) {
+      uses_.push_back({a, frontier_[k].device, k});
+    }
+  }
+  std::sort(uses_.begin(), uses_.end());
   // Per-device total demand bound, each (array, device) pair once, plus
   // the device's headroom right now. Freed arrays keep their contribution
   // (the bound only ever over-estimates, which errs toward planning).
   announce_load_.clear();
-  std::vector<std::pair<ArrayId, DeviceId>> seen;
-  for (const FrontierEntry& fe : frontier_) {
-    for (const ArrayId a : fe.arrays) {
-      if (!mm_.valid(a)) continue;
-      seen.emplace_back(a, fe.device);
-    }
-  }
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  for (const auto& [a, d] : seen) {
+  for (std::size_t i = 0; i < uses_.size(); ++i) {
+    const ArrayId a = uses_[i].id;
+    const DeviceId d = uses_[i].device;
+    if (i > 0 && uses_[i - 1].id == a && uses_[i - 1].device == d) continue;
     const auto di = static_cast<std::size_t>(d);
     if (d < 0 || di >= mm_.device_capacity_.size()) continue;
+    const ArrayInfo* info = mm_.find(a);
+    if (info == nullptr) continue;
     auto it =
         std::find_if(announce_load_.begin(), announce_load_.end(),
                      [&](const AnnounceLoad& p) { return p.device == d; });
@@ -233,19 +236,19 @@ void ResidencyPlanner::announce(std::vector<FrontierEntry> entries) {
       const std::size_t cap = mm_.device_capacity_[di];
       const std::size_t used = mm_.device_used_[di];
       announce_load_.push_back(
-          {d, mm_.info(a).bytes, cap > used ? cap - used : 0});
+          {d, info->bytes, cap > used ? cap - used : 0});
     } else {
-      it->load += mm_.info(a).bytes;
+      it->load += info->bytes;
     }
   }
 }
 
 void ResidencyPlanner::clear() {
   frontier_.clear();
+  uses_.clear();
   pos_ = 0;
   served_until_ = 0;
   announce_load_.clear();
-  nu_cache_pos_ = kNoNextUse;
 }
 
 namespace {
@@ -276,78 +279,69 @@ void ResidencyPlanner::on_admitted(std::span<const ArrayId> ids, DeviceId d) {
   ++pos_;
 }
 
-void ResidencyPlanner::ensure_window_cache() const {
-  if (nu_cache_pos_ == pos_) return;
-  // Rebuild the window's next-use table. It depends only on the frontier
-  // contents and pos_, so it stays valid across every residency change
-  // until the schedule advances.
-  nu_cache_.clear();
-  const std::size_t end = std::min(frontier_.size(), pos_ + kDefaultHorizon);
-  for (std::size_t k = pos_; k < end; ++k) {
-    const FrontierEntry& fe = frontier_[k];
-    for (const ArrayId a : fe.arrays) {
-      nu_cache_.push_back({a, fe.device, k});
-    }
-  }
-  std::sort(nu_cache_.begin(), nu_cache_.end(),
-            [](const NextUse& x, const NextUse& y) {
-              if (x.id != y.id) return x.id < y.id;
-              if (x.device != y.device) return x.device < y.device;
-              return x.entry < y.entry;  // earliest use wins the search
-            });
-  nu_cache_pos_ = pos_;
+std::size_t ResidencyPlanner::first_use_from(ArrayId id, DeviceId d,
+                                             std::size_t from) const {
+  const auto it =
+      std::lower_bound(uses_.begin(), uses_.end(), Use{id, d, from});
+  return it != uses_.end() && it->id == id && it->device == d ? it->entry
+                                                               : kNoNextUse;
 }
 
 std::size_t ResidencyPlanner::next_use(ArrayId id, DeviceId d) const {
   if (!active()) return kNoNextUse;
-  ensure_window_cache();
-  const auto it = std::lower_bound(
-      nu_cache_.begin(), nu_cache_.end(), std::pair{id, d},
-      [](const NextUse& x, const std::pair<ArrayId, DeviceId>& key) {
-        if (x.id != key.first) return x.id < key.first;
-        return x.device < key.second;
-      });
-  if (it != nu_cache_.end() && it->id == id && it->device == d) {
-    return it->entry;
-  }
-  return kNoNextUse;
+  const std::size_t k = first_use_from(id, d, pos_);
+  return k < pos_ + kDefaultHorizon ? k : kNoNextUse;
+}
+
+std::size_t ResidencyPlanner::replay_next_use(ArrayId id, DeviceId d) const {
+  if (!active()) return kNoNextUse;
+  const std::size_t later = first_use_from(id, d, pos_ + kDefaultHorizon);
+  if (later != kNoNextUse) return later;
+  const std::size_t first = first_use_from(id, d, 0);
+  return first != kNoNextUse ? first + frontier_.size() : kNoNextUse;
 }
 
 EvictionPlan ResidencyPlanner::build_and_apply_plan(
     DeviceId d, std::size_t shortfall, std::size_t requested,
     std::span<const ArrayId> protect, TenantId requester) {
   return build_plan(d, shortfall, requested, protect, requester, kNoNextUse,
-                    /*nothrow=*/false);
+                    /*behind_last_use=*/false, /*nothrow=*/false);
 }
 
 EvictionPlan ResidencyPlanner::build_plan(
     DeviceId d, std::size_t shortfall, std::size_t requested,
     std::span<const ArrayId> protect, TenantId requester,
-    std::size_t max_next_use, bool nothrow) {
+    std::size_t max_next_use, bool behind_last_use, bool nothrow) {
   MemoryManager& mm = mm_;
   const std::uint32_t bit = 1u << d;
-  // Victim candidates: every resident extent of every live, unpinned,
-  // quiescent array outside the faulting working set. `over_quota` selects
-  // the outermost eviction tier: runs owned by a tenant resident beyond
-  // its soft quota are victimized before anyone else's (the quota's only
-  // enforcement). `next_use` scores the tier inside it when a frontier is
-  // active: runs the upcoming schedule touches *latest* go first
-  // (Belady-style), runs it never touches (kNoNextUse) before all of
-  // those. `fresh` ranks inside that: stale copies (a current copy exists
-  // elsewhere — free to drop) go before fresh ones (may need a
-  // write-back). With no frontier every next_use is kNoNextUse and the
-  // order is the historical quota-biased LRU, byte for byte.
+  // Victim candidates: every resident extent of every live, unpinned
+  // array outside the faulting working set — quiescent ones only, unless
+  // `behind_last_use`. `over_quota` selects the outermost eviction tier:
+  // runs owned by a tenant resident beyond its soft quota are victimized
+  // before anyone else's (the quota's only enforcement). `next_use`
+  // scores the tier inside it when a frontier is active: runs the
+  // upcoming schedule touches *latest* go first (Belady-style), runs it
+  // does not touch inside the window (kNoNextUse) before all of those,
+  // ranked among themselves by `replay_next` (farthest first). `fresh`
+  // ranks inside that: stale copies (a current copy exists elsewhere —
+  // free to drop) go before fresh ones (may need a write-back). With no
+  // frontier every next_use and replay_next is kNoNextUse and the order
+  // is the historical quota-biased LRU, byte for byte.
   using Candidate = EvictCandidate;
   const bool gated = max_next_use != kNoNextUse;
   std::vector<Candidate>& cands = cand_scratch_;
   cands.clear();
   std::size_t evictable = 0;
   for (const auto& [id, a] : mm.arrays_) {
-    if (!MemoryManager::eviction_candidate(a, d, protect)) continue;
+    if (!MemoryManager::eviction_candidate(a, d, protect, behind_last_use)) {
+      continue;
+    }
     const std::size_t nu = next_use(id, d);
     // Never-evict-nearer-frontier gate (prefetch planning only): pages an
     // op at or before `max_next_use` will touch are off limits.
     if (gated && nu <= max_next_use) continue;
+    const std::size_t replay_nu =
+        nu == kNoNextUse ? replay_next_use(id, d) : kNoNextUse;
     const std::uint64_t stamp =
         static_cast<std::size_t>(d) < a.lru_stamp.size()
             ? a.lru_stamp[static_cast<std::size_t>(d)]
@@ -360,6 +354,7 @@ EvictionPlan ResidencyPlanner::build_plan(
       Candidate c;
       c.over_quota = over;
       c.next_use = nu;
+      c.replay_next = replay_nu;
       c.fresh = (e.fresh_mask & bit) != 0;
       // A write-back is needed only when this device holds the *only*
       // current copy of the run.
@@ -391,12 +386,16 @@ EvictionPlan ResidencyPlanner::build_plan(
         "device " + std::to_string(d) + " out of memory");
   }
   // Deterministic victim order: over-quota tenants' runs first, inside
-  // each tier farthest next use first, then stale runs before fresh, then
-  // by last-access stamp, ties by (array id, first page).
+  // each tier farthest next use first (the replay-aware use beyond the
+  // window breaking ties), then stale runs before fresh, then by
+  // last-access stamp, ties by (array id, first page).
   std::sort(cands.begin(), cands.end(),
             [](const Candidate& x, const Candidate& y) {
               if (x.over_quota != y.over_quota) return x.over_quota;
               if (x.next_use != y.next_use) return x.next_use > y.next_use;
+              if (x.replay_next != y.replay_next) {
+                return x.replay_next > y.replay_next;
+              }
               if (x.fresh != y.fresh) return !x.fresh;
               if (x.stamp != y.stamp) return x.stamp < y.stamp;
               if (x.id != y.id) return x.id < y.id;
@@ -445,6 +444,120 @@ EvictionPlan ResidencyPlanner::build_plan(
   return plan;
 }
 
+std::size_t ResidencyPlanner::serve_batch(DeviceId d, std::size_t end,
+                                          TenantId requester,
+                                          std::vector<PrefetchStep>& steps) {
+  // Gather the first kServeEntries entries in [pos_, end) with missing
+  // pages, within the runway budget, then serve them as one batch,
+  // shrinking from the back until the never-evict-nearer rule can be
+  // satisfied (a victim must have a next use farther than EVERY entry
+  // served, so serving less far ahead only loosens the gate). The window
+  // is rescanned from the position every time: residency goes stale fast
+  // under eviction, so a sticky "planned" mark would pin decisions made
+  // before the pressure that invalidates them. Entries already served
+  // come back with nothing missing and are skipped for free. All gather
+  // state lives in member scratch — this runs on the launch hot path.
+  const auto di = static_cast<std::size_t>(d);
+  const std::size_t budget = mm_.device_capacity_[di] * kRunwayPercent / 100;
+  std::size_t runway = 0;  // distinct bytes of the entries walked so far
+  std::size_t stop = end;  // first entry past the runway budget
+  runway_scratch_.clear();
+  serve_entries_.clear();
+  serve_flat_.clear();
+  serve_offsets_.clear();
+  serve_offsets_.push_back(0);
+  for (std::size_t k = pos_;
+       k < end && serve_entries_.size() < kServeEntries; ++k) {
+    const FrontierEntry& fe = frontier_[k];
+    if (fe.device != d) continue;
+    // The entry's working set (deduped, freed ids dropped — the frontier
+    // is advisory) and the bytes it still has to charge.
+    std::vector<ArrayId>& ids = ids_scratch_;
+    ids.clear();
+    std::size_t needed = 0;
+    for (const ArrayId id : fe.arrays) {
+      if (std::find(ids.begin(), ids.end(), id) != ids.end()) continue;
+      const ArrayInfo* a = mm_.find(id);
+      if (a == nullptr) continue;
+      ids.push_back(id);
+      needed += a->bytes - a->resident_bytes_on(d);
+      if (std::find(runway_scratch_.begin(), runway_scratch_.end(), id) ==
+          runway_scratch_.end()) {
+        runway_scratch_.push_back(id);
+        runway += a->bytes;
+      }
+    }
+    // The runway reaches only as far as the budget (the entry being
+    // admitted is always in it).
+    if (k > pos_ && runway > budget) {
+      stop = k;
+      break;
+    }
+    // Fully charged already (admitted, or planned by an earlier serve):
+    // nothing to move for this entry.
+    if (needed == 0) continue;
+    serve_entries_.push_back(k);
+    serve_flat_.insert(serve_flat_.end(), ids.begin(), ids.end());
+    serve_offsets_.push_back(serve_flat_.size());
+  }
+  // Nothing missing up to the window end (or up to the budget).
+  if (serve_entries_.empty()) return stop == end ? kNoNextUse : stop;
+  for (std::size_t m = serve_entries_.size(); m >= 1; --m) {
+    std::vector<ArrayId>& uids = ids_scratch_;
+    uids.clear();
+    std::size_t needed = 0;
+    for (std::size_t i = 0; i < serve_offsets_[m]; ++i) {
+      const ArrayId id = serve_flat_[i];
+      if (std::find(uids.begin(), uids.end(), id) != uids.end()) continue;
+      const ArrayInfo* a = mm_.find(id);
+      if (a == nullptr) continue;
+      uids.push_back(id);
+      needed += a->bytes - a->resident_bytes_on(d);
+    }
+    const std::size_t mark = serve_entries_[m - 1] + 1;
+    if (needed == 0) return mark;
+    const std::size_t used = mm_.device_used_[di];
+    const std::size_t cap = mm_.device_capacity_[di];
+    PrefetchStep step;
+    step.entry = serve_entries_.front();
+    step.device = d;
+    if (used + needed > cap) {
+      const std::size_t shortfall = used + needed - cap;
+      step.evictions = build_plan(
+          d, shortfall, needed, uids, requester,
+          /*max_next_use=*/serve_entries_[m - 1],
+          /*behind_last_use=*/true, /*nothrow=*/true);
+      if (step.evictions.bytes_freed < shortfall) continue;  // shrink
+    }
+    for (const ArrayId id : uids) {
+      // Charged by an earlier batch of this pass: its fetch is not issued
+      // yet (the pages still read stale), and that batch moves it.
+      if (std::any_of(steps.begin(), steps.end(),
+                      [&](const PrefetchStep& st) {
+                        return st.device == d &&
+                               std::find(st.arrays.begin(), st.arrays.end(),
+                                         id) != st.arrays.end();
+                      })) {
+        continue;
+      }
+      ArrayInfo& a = mm_.info(id);
+      const bool uncharged = a.resident_bytes_on(d) < a.bytes;
+      const std::size_t stale = a.stale_bytes_on(d);
+      mm_.charge_pages(a, d);
+      if (stale == 0 && !uncharged) continue;  // resident and current
+      mm_.note_prefetched(a, d, stale);
+      step.arrays.push_back(id);
+      step.stale_bytes.push_back(stale);
+    }
+    steps.push_back(std::move(step));
+    // The runway ends right after the last served entry: the serve's own
+    // victims may be arrays that backed later window entries verified
+    // resident during the gather, so nothing beyond it can be trusted.
+    return mark;
+  }
+  return pos_;  // even the nearest entry is infeasible: retry next pass
+}
+
 std::vector<PrefetchStep> ResidencyPlanner::plan_prefetch(
     TenantId requester) {
   std::vector<PrefetchStep> steps;
@@ -452,9 +565,9 @@ std::vector<PrefetchStep> ResidencyPlanner::plan_prefetch(
   // Per-device pressure verdicts. A device is quiet while it has never
   // evicted and the whole announced frontier fits the headroom it had at
   // announce time: planning must not touch it (under-capacity schedules
-  // stay bit-identical), and proving so costs one comparison per device —
-  // no cache rebuild. A device that will oversubscribe is loud from the
-  // first pass, so prefetch covers even the cold start.
+  // stay bit-identical), and proving so costs one comparison per device.
+  // A device that will oversubscribe is loud from the first pass, so
+  // prefetch covers even the cold start.
   loud_scratch_.clear();
   for (const AnnounceLoad& al : announce_load_) {
     const auto di = static_cast<std::size_t>(al.device);
@@ -463,107 +576,29 @@ std::vector<PrefetchStep> ResidencyPlanner::plan_prefetch(
     }
   }
   if (loud_scratch_.empty()) return steps;
-  // Hysteresis: the last batch's runway still covers the entry being
-  // admitted — nothing to do until the schedule consumes it.
+  // Rolling runway: enough served entries still lie ahead of the one
+  // being admitted — nothing to do until the schedule consumes some.
   if (served_until_ >= pos_ + kServeSlack) return steps;
-  ensure_window_cache();
   const std::size_t end = std::min(frontier_.size(), pos_ + kDefaultHorizon);
-  // Per loud device: gather its missing window entries, then serve the
-  // batch, shrinking from the back until the never-evict-nearer rule can
-  // be satisfied (a victim must have a next use farther than EVERY entry
-  // served, so serving less far ahead only loosens the gate). The whole
-  // window is rescanned every pass: residency goes stale fast under
-  // eviction, so a sticky "planned" mark would pin decisions made before
-  // the pressure that invalidates them. Entries already prefetched come
-  // back with nothing missing and fall through for free. All gather state
-  // lives in member scratch — this pass runs on the launch hot path, and
-  // quiet devices are never touched (bit-identity). The new runway ends
-  // at the first pending entry any device failed to serve (min across
-  // devices; `end` when every device served everything it had pending).
+  // Per loud device: serve batches until its runway reaches the slack,
+  // nothing more can be served (all charged, budget spent, or the gate
+  // stops a batch). The new runway ends at the first entry any device
+  // left unserved (min across devices; `end` when no device has anything
+  // missing in the window).
   std::size_t new_served = end;
   for (const DeviceId d : loud_scratch_) {
     mm_.check_device(d, "plan_prefetch");
-    const auto di = static_cast<std::size_t>(d);
-    serve_entries_.clear();
-    serve_flat_.clear();
-    serve_offsets_.clear();
-    serve_offsets_.push_back(0);
-    for (std::size_t k = pos_; k < end; ++k) {
-      const FrontierEntry& fe = frontier_[k];
-      if (fe.device != d) continue;
-      // The entry's working set (deduped, freed ids dropped — the
-      // frontier is advisory) and the bytes it still has to charge.
-      std::vector<ArrayId>& ids = ids_scratch_;
-      ids.clear();
-      std::size_t needed = 0;
-      for (const ArrayId id : fe.arrays) {
-        if (std::find(ids.begin(), ids.end(), id) != ids.end()) continue;
-        const ArrayInfo* a = mm_.find(id);
-        if (a == nullptr) continue;
-        ids.push_back(id);
-        needed += a->bytes - a->resident_bytes_on(d);
-      }
-      // Fully charged already (admitted, or planned by an earlier pass):
-      // nothing to move for this entry.
-      if (needed == 0) continue;
-      serve_entries_.push_back(k);
-      serve_flat_.insert(serve_flat_.end(), ids.begin(), ids.end());
-      serve_offsets_.push_back(serve_flat_.size());
-    }
-    // Nothing pending for this device: it does not constrain the runway.
-    if (serve_entries_.empty()) continue;
-    std::size_t served_m = 0;
-    for (std::size_t m = serve_entries_.size(); m >= 1; --m) {
-      std::vector<ArrayId>& uids = ids_scratch_;
-      uids.clear();
-      std::size_t needed = 0;
-      for (std::size_t i = 0; i < serve_offsets_[m]; ++i) {
-        const ArrayId id = serve_flat_[i];
-        if (std::find(uids.begin(), uids.end(), id) != uids.end()) continue;
-        const ArrayInfo* a = mm_.find(id);
-        if (a == nullptr) continue;
-        uids.push_back(id);
-        needed += a->bytes - a->resident_bytes_on(d);
-      }
-      if (needed == 0) {
-        served_m = m;
+    std::size_t mark = pos_;
+    for (;;) {
+      const std::size_t next = serve_batch(d, end, requester, steps);
+      if (next == kNoNextUse) {  // everything in the window is charged
+        mark = end;
         break;
       }
-      const std::size_t used = mm_.device_used_[di];
-      const std::size_t cap = mm_.device_capacity_[di];
-      PrefetchStep step;
-      step.entry = serve_entries_.front();
-      step.device = d;
-      if (used + needed > cap) {
-        const std::size_t shortfall = used + needed - cap;
-        step.evictions = build_plan(
-            d, shortfall, needed, uids, requester,
-            /*max_next_use=*/serve_entries_[m - 1], /*nothrow=*/true);
-        if (step.evictions.bytes_freed < shortfall) continue;  // shrink
-      }
-      for (const ArrayId id : uids) {
-        ArrayInfo& a = mm_.info(id);
-        const std::size_t stale = a.stale_bytes_on(d);
-        mm_.charge_pages(a, d);
-        if (stale > 0) {
-          mm_.note_prefetched(a, d, stale);
-          step.arrays.push_back(id);
-          step.stale_bytes.push_back(stale);
-        }
-      }
-      if (!step.arrays.empty() || !step.evictions.empty()) {
-        steps.push_back(std::move(step));
-      }
-      served_m = m;
-      break;
+      if (next <= mark) break;  // infeasible, or the budget is spent
+      mark = next;
+      if (mark >= pos_ + kServeSlack) break;
     }
-    // This device's runway ends right after its last served entry — not at
-    // the window end: the serve's own victims may be arrays that backed
-    // later window entries verified resident during the gather, so nothing
-    // beyond the serve can be trusted. A device that served nothing pins
-    // the mark at pos_ (retry next pass).
-    const std::size_t mark =
-        served_m == 0 ? pos_ : serve_entries_[served_m - 1] + 1;
     new_served = std::min(new_served, mark);
   }
   served_until_ = std::max(new_served, pos_);

@@ -14,10 +14,12 @@
 // device's capacity no longer throws — charge_residency builds an
 // EvictionPlan instead, paging out the least-recently-used victim extents
 // (stale copies before fresh ones, never pages the incoming operation
-// itself needs, never pinned pages, never pages of arrays with in-flight
-// device ops). Page-outs of a device's *only* current copy carry
-// `writeback`: the caller (GpuRuntime) prices them as real D2H ops on the
-// device's DMA class, so eviction traffic contends with foreground copies.
+// itself needs, never pinned pages, and — outside planner prefetch serves,
+// which evict behind the victim's last issued user — never pages of arrays
+// with in-flight device ops). Page-outs of a device's *only* current copy
+// carry `writeback`: the caller (GpuRuntime) prices them as real D2H ops on
+// the device's DMA class, so eviction traffic contends with foreground
+// copies.
 // OutOfMemoryError remains only when the working set of a single operation
 // exceeds the device capacity (or the managed heap bound at alloc).
 //
@@ -31,9 +33,11 @@
 // ResidencyPlanner below. The planner can be fed the upcoming schedule
 // (the "ready frontier" a transaction commit, replay, or graph launch
 // exposes); with a frontier active, victims are scored against the future
-// working set (farthest next use evicted first, Belady-style) instead of
-// LRU-now, and prefetch plans bring the frontier's arrays in early. With
-// no frontier every decision is bit-identical to the historical
+// working set (farthest next use evicted first, Belady-style, with a
+// replay-aware tie-break beyond the lookahead window) instead of LRU-now,
+// and rolling prefetch serves bring the frontier's arrays in a few entries
+// at a time, early enough to overlap the kernels ahead of them. With no
+// frontier every decision is bit-identical to the historical
 // admission-time LRU path.
 #pragma once
 
@@ -45,7 +49,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/device_spec.hpp"
@@ -68,6 +71,41 @@ struct PageExtent {
     return resident_mask == o.resident_mask && fresh_mask == o.fresh_mask &&
            host_fresh == o.host_fresh;
   }
+};
+
+/// A small set of op ids: the in-flight ops touching one array. Usually
+/// zero to three entries, so a flat vector with linear membership beats a
+/// hash set — and, living inside a long-lived ArrayInfo, its buffer is
+/// reused across launches instead of allocating a node per insert. The
+/// surface mirrors the std::unordered_set subset the runtime uses;
+/// iteration order is unspecified (erase swaps the last entry in).
+class OpIdSet {
+ public:
+  using const_iterator = std::vector<OpId>::const_iterator;
+
+  /// Returns false when `id` was already present.
+  bool insert(OpId id) {
+    if (count(id) != 0) return false;
+    ids_.push_back(id);
+    return true;
+  }
+  std::size_t erase(OpId id) {
+    const auto it = std::find(ids_.begin(), ids_.end(), id);
+    if (it == ids_.end()) return 0;
+    *it = ids_.back();
+    ids_.pop_back();
+    return 1;
+  }
+  [[nodiscard]] std::size_t count(OpId id) const {
+    return std::find(ids_.begin(), ids_.end(), id) != ids_.end() ? 1 : 0;
+  }
+  [[nodiscard]] bool empty() const { return ids_.empty(); }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+  [[nodiscard]] const_iterator begin() const { return ids_.begin(); }
+  [[nodiscard]] const_iterator end() const { return ids_.end(); }
+
+ private:
+  std::vector<OpId> ids_;
 };
 
 struct ArrayInfo {
@@ -117,8 +155,8 @@ struct ArrayInfo {
   /// Migrations count as reads: they permit concurrent host reads but not
   /// host writes. Freed arrays are erased from the manager outright (the
   /// eviction scan walks the live map), so there is no tombstone flag.
-  std::unordered_set<OpId> pending_reads;
-  std::unordered_set<OpId> pending_writes;
+  OpIdSet pending_reads;
+  OpIdSet pending_writes;
 
   // --- page geometry -----------------------------------------------------
   /// Bytes covered by pages [first, first+count) (the last page is partial).
@@ -333,7 +371,10 @@ struct FrontierEntry {
 /// onto `device` ahead of frontier entry `entry`. The residency charge and
 /// the eviction plan making room are already applied when the step is
 /// returned; the caller prices the page-outs and issues the transfers
-/// (`stale_bytes[i]` is what arrays[i] still has to move).
+/// (`stale_bytes[i]` is what arrays[i] still has to move; 0 for an array
+/// with no data yet, which materializes in its new frames at first
+/// touch). Victims may still have in-flight users (see plan_prefetch):
+/// the caller gates their page-outs on those users.
 struct PrefetchStep {
   std::size_t entry = 0;
   DeviceId device = kInvalidDevice;
@@ -375,56 +416,84 @@ class ResidencyPlanner {
   /// Victim selection for one admission (moved here from MemoryManager —
   /// the policy half of charge_residency). With an active frontier the
   /// order is future-aware; otherwise it is the historical quota-biased
-  /// LRU order, byte-identical plans included.
+  /// LRU order, byte-identical plans included. Admission victims are
+  /// always quiescent: the faulting op needs its frames now.
   EvictionPlan build_and_apply_plan(DeviceId d, std::size_t shortfall,
                                     std::size_t requested,
                                     std::span<const ArrayId> protect,
                                     TenantId requester);
 
-  /// Walk the frontier up to kDefaultHorizon entries past the current
-  /// position and plan prefetch for the entries with stale pages. All of
-  /// a device's missing entries in the window are served as ONE batch —
-  /// one eviction plan, one PrefetchStep — so the runtime prices one
-  /// coalesced write-back and one fetch per DMA direction instead of an
-  /// op per extent (op count, not bytes, is the host-side cost). Victims
-  /// must have a next use *farther* than every entry served (prefetch
-  /// never evicts pages a nearer-frontier op needs); when the full batch
-  /// is infeasible under that rule the serve set shrinks from the back
-  /// until it fits, possibly to nothing. Serves are hysteretic: after a
-  /// batch lands, passes return immediately until the schedule is within
-  /// kServeSlack entries of the served runway's end — at steady state the
-  /// planner touches the engine once per batch, not once per launch. Only
-  /// engages under memory pressure: a device that has never evicted and
-  /// fits its whole frontier load outright is left to the plain fault
+  /// Rolling lookahead prefetch. Walk the frontier up to kDefaultHorizon
+  /// entries past the current position and serve, per device under
+  /// memory pressure, its entries with stale pages in batches of up to
+  /// kServeEntries — one eviction plan, one PrefetchStep per batch — so
+  /// the runtime prices one coalesced write-back and one fetch per DMA
+  /// direction for each. Passes re-plan while runway remains: a pass
+  /// serves batches until kServeSlack served entries lie ahead of the
+  /// schedule position (as far as the runway budget allows), so paging
+  /// for entry e is planned while the kernels before it are still queued
+  /// and its transfers overlap them.
+  ///
+  /// Evict behind last use: serve victims may be arrays whose users are
+  /// all already issued and still in flight. Such a victim's remaining
+  /// uses lie beyond every served entry (the gate below), so its data is
+  /// only needed by ops already in the engine; the runtime starts its
+  /// page-out behind the last of them. Victims must have a next use
+  /// *farther* than every entry served (prefetch never evicts pages a
+  /// nearer-frontier op needs); when the batch is infeasible under that
+  /// rule it shrinks from the back until it fits, possibly to nothing.
+  /// Only engages under memory pressure: a device that has never evicted
+  /// and fits its whole frontier load outright is left to the plain fault
   /// path, keeping under-capacity schedules bit-identical.
   std::vector<PrefetchStep> plan_prefetch(TenantId requester);
 
  private:
   /// Next-use index of `id` on device `d` within the lookahead window
-  /// [pos_, pos_+kDefaultHorizon), or kNoNextUse. Served from nu_cache_, rebuilt
-  /// lazily whenever the window (pos_) has moved.
+  /// [pos_, pos_+kDefaultHorizon), or kNoNextUse.
   [[nodiscard]] std::size_t next_use(ArrayId id, DeviceId d) const;
+  /// Replay-aware tie-break for arrays with no use inside the window: the
+  /// next use beyond it, else — the announced frontier being a graph or
+  /// recorded list that is typically launched again — the array's first
+  /// use shifted by one frontier length; kNoNextUse when the frontier
+  /// never touches it. Ranks the victims next_use cannot tell apart, so
+  /// the pages the next replay needs first are paged out last.
+  [[nodiscard]] std::size_t replay_next_use(ArrayId id, DeviceId d) const;
   /// Core plan builder shared by admission and prefetch. Victims with
   /// next_use <= `max_next_use` are excluded outright (the
   /// never-evict-nearer-frontier gate); kNoNextUse disables the gate.
-  /// `nothrow` returns an empty plan instead of raising OutOfMemoryError
-  /// when the shortfall cannot be met.
+  /// `behind_last_use` admits victims with in-flight ops (prefetch serves
+  /// only). `nothrow` returns an empty plan instead of raising
+  /// OutOfMemoryError when the shortfall cannot be met.
   EvictionPlan build_plan(DeviceId d, std::size_t shortfall,
                           std::size_t requested,
                           std::span<const ArrayId> protect,
                           TenantId requester, std::size_t max_next_use,
-                          bool nothrow);
+                          bool behind_last_use, bool nothrow);
 
-  /// One next-use fact: `id`'s earliest appearance on `device` within the
-  /// current window. Kept sorted by (id, device) for binary search.
-  struct NextUse {
+  /// Serve the next batch of device `d`'s window [pos_, end) within the
+  /// runway budget (see plan_prefetch), appending its step to `steps`.
+  /// Returns the runway end — one past the last entry served, or the
+  /// first entry past the budget when nothing before it is missing — or
+  /// pos_ when even the nearest missing entry is infeasible, or
+  /// kNoNextUse when nothing in the window is missing.
+  std::size_t serve_batch(DeviceId d, std::size_t end, TenantId requester,
+                          std::vector<PrefetchStep>& steps);
+  /// One use fact: `id` appears on `device` at frontier entry `entry`.
+  /// Built once per announce for the whole frontier, sorted by (id,
+  /// device, entry) so every next-use query is one binary search.
+  struct Use {
     ArrayId id;
     DeviceId device;
     std::size_t entry;
+    [[nodiscard]] bool operator<(const Use& o) const {
+      if (id != o.id) return id < o.id;
+      if (device != o.device) return device < o.device;
+      return entry < o.entry;
+    }
   };
-
-  /// Rebuild nu_cache_ if pos_ moved since the last build.
-  void ensure_window_cache() const;
+  /// First use of (id, d) at or after frontier entry `from`, or kNoNextUse.
+  [[nodiscard]] std::size_t first_use_from(ArrayId id, DeviceId d,
+                                           std::size_t from) const;
 
   /// One evictable resident run, scored for the victim sort (see
   /// build_plan). Lives here only so the candidate buffer can be reused
@@ -432,6 +501,7 @@ class ResidencyPlanner {
   struct EvictCandidate {
     bool over_quota = false;
     std::size_t next_use = kNoNextUse;
+    std::size_t replay_next = kNoNextUse;
     bool fresh = false;
     std::uint64_t stamp = 0;
     ArrayId id = kInvalidArray;
@@ -441,12 +511,27 @@ class ResidencyPlanner {
     bool writeback = false;
   };
 
-  /// Replan once fewer than this many served entries remain ahead of the
-  /// schedule position. 1 = replan exactly when the entry being admitted
-  /// is itself unserved: the pass (which runs before admission) then
-  /// covers it just in time, and every batch is as large as feasibility
-  /// allows — the fewest serves, hence the fewest engine ops.
-  static constexpr std::size_t kServeSlack = 1;
+  /// Most entries with stale pages one serve covers. A serve is one
+  /// write-back and one fetch op, and each op waits for its whole batch:
+  /// fewer entries pipeline finer, more entries issue fewer ops and
+  /// events (host time and memory per replay). One entry per serve
+  /// nearly reaches the compute bound on a replayed chain but takes about
+  /// 40% more timeline entries per round; three keeps the op count near a
+  /// single merged serve's and still overlaps most paging with compute.
+  static constexpr std::size_t kServeEntries = 3;
+  /// Re-plan while fewer than this many served entries remain ahead of
+  /// the schedule position. A page-out can only start once its victim's
+  /// last issued user ends, so the runway must span the write-back plus
+  /// the fetch behind it: as deep as the horizon allows while the next
+  /// batch still fits inside the window.
+  static constexpr std::size_t kServeSlack = kDefaultHorizon - kServeEntries;
+  /// The runway — the distinct arrays of the frontier entries from the
+  /// position through the farthest one served — may hold at most this
+  /// share of the device's capacity. Its pages are off limits as victims:
+  /// a runway spanning the device leaves only the arrays the schedule is
+  /// about to reuse to evict — with five-entry runways of arrays about a
+  /// fifth of the device each, a sync-per-launch replay thrashes.
+  static constexpr std::size_t kRunwayPercent = 90;
 
   /// Per-device frontier pressure facts, computed once at announce.
   struct AnnounceLoad {
@@ -457,6 +542,7 @@ class ResidencyPlanner {
 
   MemoryManager& mm_;
   std::vector<FrontierEntry> frontier_;
+  std::vector<Use> uses_;  ///< every (array, device, entry) of frontier_
   std::size_t pos_ = 0;  ///< next entry the schedule will admit
   /// Frontier index (exclusive) up to which prefetch batches have been
   /// served. Advances only on actual serves — never on gate skips — so a
@@ -465,20 +551,20 @@ class ResidencyPlanner {
   /// While a device has never evicted and its whole announced load fits
   /// the headroom it had at announce time, no planning may touch it —
   /// under-capacity schedules stay bit-identical, and the fast path is
-  /// one comparison per device with no per-pass cache rebuild.
+  /// one comparison per device.
   std::vector<AnnounceLoad> announce_load_;
   std::vector<DeviceId> loud_scratch_;  ///< devices under pressure, per pass
   // Hot-pass scratch: plan_prefetch runs before every launch, so its
   // per-entry buffers must not allocate. serve_* hold the device batch
   // being served: window indices, per-entry ids concatenated, and the
-  // flat-range bound after each entry.
+  // flat-range bound after each entry; runway_scratch_ the arrays the
+  // runway already counts.
   std::vector<ArrayId> ids_scratch_;
+  std::vector<ArrayId> runway_scratch_;
   std::vector<std::size_t> serve_entries_;
   std::vector<ArrayId> serve_flat_;
   std::vector<std::size_t> serve_offsets_;
   std::vector<EvictCandidate> cand_scratch_;  ///< build_plan victim buffer
-  mutable std::vector<NextUse> nu_cache_;
-  mutable std::size_t nu_cache_pos_ = kNoNextUse;  ///< pos_ at build time
 };
 
 class MemoryManager {
@@ -616,10 +702,13 @@ class MemoryManager {
   friend class ResidencyPlanner;  // policy reads the accounting directly
   void check_device(DeviceId d, const char* who) const;
   /// The one victim-eligibility rule (shared by the plan builder and
-  /// evictable_bytes): live, unpinned on `d`, quiescent, and outside the
-  /// protected working set.
+  /// evictable_bytes): live, unpinned on `d`, outside the protected
+  /// working set, and quiescent — unless `behind_last_use`, where
+  /// in-flight users are allowed because the caller gates the page-out
+  /// on them (prefetch serves under an active frontier).
   [[nodiscard]] static bool eviction_candidate(
-      const ArrayInfo& a, DeviceId d, std::span<const ArrayId> protect);
+      const ArrayInfo& a, DeviceId d, std::span<const ArrayId> protect,
+      bool behind_last_use = false);
   /// Grow the per-tenant accounting vectors to cover tenant `t`.
   void ensure_tenant(TenantId t);
   /// Apply one page-out: clear residency/freshness, hand the only-copy

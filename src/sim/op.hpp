@@ -109,6 +109,9 @@ struct Op {
 
   /// Events that must be complete before this op may start.
   std::vector<EventId> waits;
+  /// Issued ops that must complete before this op may start — a direct
+  /// dependency on another stream's op, without an event in between.
+  std::vector<OpId> after;
 
   /// Invoked exactly once when the op completes (functional execution of
   /// kernels, residency bookkeeping, test hooks).

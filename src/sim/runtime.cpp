@@ -93,6 +93,10 @@ GpuRuntime::GpuRuntime(Machine machine, std::size_t page_bytes)
   service_streams_[0].push_back(kDefaultStream);
   prefetch_streams_.assign(static_cast<std::size_t>(engine_.num_devices()),
                            {});
+  writeback_streams_.assign(static_cast<std::size_t>(engine_.num_devices()),
+                            {});
+  frames_event_.assign(static_cast<std::size_t>(engine_.num_devices()),
+                       kInvalidEvent);
 }
 
 GpuRuntime::~GpuRuntime() = default;
@@ -427,9 +431,11 @@ void GpuRuntime::free_array(ArrayId id) {
 
 template <typename Victims>
 void GpuRuntime::issue_writeback(StreamId stream, std::string name,
-                                 double bytes, const Victims& victims) {
+                                 double bytes, const Victims& victims,
+                                 std::vector<EventId> waits,
+                                 std::vector<OpId> after) {
   // A write-back is a real D2H transfer on the caller's stream (the
-  // device's service stream at admission, the prefetch stream for early
+  // device's service stream at admission, its write-back stream for
   // planner page-outs): it rides the (device, CopyD2H) DMA class and
   // contends with foreground copies for the link.
   Op op;
@@ -438,6 +444,8 @@ void GpuRuntime::issue_writeback(StreamId stream, std::string name,
   op.name = std::move(name);
   op.bytes = bytes;
   op.work = op.bytes;
+  op.waits = std::move(waits);
+  op.after = std::move(after);
   // The page-out reads the device copies: register it like any other
   // in-flight read so hazard checks, eviction eligibility, and free all
   // see it (free_array drains runtime-initiated page-outs).
@@ -459,9 +467,11 @@ void GpuRuntime::issue_writeback(StreamId stream, std::string name,
 
 void GpuRuntime::issue_fetch(StreamId stream, OpKind kind, DeviceId src,
                              const std::string& tag, double bytes,
-                             bool prefetch, Submission::BindFn bind) {
+                             bool prefetch, Submission::BindFn bind,
+                             std::vector<EventId> waits) {
   Op op;
   op.stream = stream;
+  op.waits = std::move(waits);
   op.kind = kind;
   op.peer = src;
   op.name = (prefetch                  ? "prefetch:"
@@ -499,7 +509,7 @@ EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
       issue_wait(stream, victim.host_ready_event);
     }
     issue_writeback(stream, "evict:" + victim.name,
-                    static_cast<double>(po.bytes), po.array);
+                    static_cast<double>(po.bytes), po.array, {}, {});
     any = true;
   }
   if (!any) return kInvalidEvent;
@@ -536,17 +546,33 @@ EvictionPlan GpuRuntime::charge_or_stall(std::span<const ArrayId> ids,
 
 void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
                                    DeviceId device, StreamId stream) {
+  const std::size_t used_before = memory_.device_used_bytes(device);
   const EvictionPlan plan = charge_or_stall(ids, device);
   // Keep fault servicing out of any active recording: at replay nothing
   // is admitted, so neither the page-outs nor the gate belong in the
   // static op list.
   const RecordSuspend no_tee(record_);
-  const EventId ev = price_eviction(plan, service_stream(device));
+  // Frames planner page-outs freed are reusable only once they land: an
+  // admission charging new pages waits for the latest of them.
+  EventId& frames = frames_event_[static_cast<std::size_t>(device)];
+  if (event_pending(frames) &&
+      memory_.device_used_bytes(device) + plan.bytes_freed > used_before) {
+    issue_wait(stream, frames);
+  }
+  // Under a frontier an admission takes whole victim runs and may free
+  // more than it needs, so its page-outs join the planner's in-order
+  // write-back stream and become the frames event later charges wait on.
+  const bool planned = memory_.planner().active();
+  const EventId ev = price_eviction(
+      plan, planned ? writeback_stream(device) : service_stream(device));
   // The incoming pages physically land only after the page-outs free their
   // frames: the faulting stream's migrations/kernel wait for the last
   // write-back. Under-capacity admissions take neither branch and leave
   // the op sequence untouched.
-  if (ev != kInvalidEvent) issue_wait(stream, ev);
+  if (ev != kInvalidEvent) {
+    issue_wait(stream, ev);
+    if (planned) frames = ev;
+  }
 }
 
 void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
@@ -679,7 +705,7 @@ void GpuRuntime::note_host_access(ArrayId id, bool for_write) {
     }
     // Non-strict: block until the conflicting ops drain to preserve
     // functional correctness.
-    auto drain = [this](std::unordered_set<OpId>& setref) {
+    auto drain = [this](OpIdSet& setref) {
       while (!setref.empty()) {
         const OpId pending = *setref.begin();
         const TimeUs t = engine_.run_until_op_done(pending);
@@ -764,11 +790,11 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // the annotations to the residency planner as their ready frontier.
   if (record_ != nullptr) record_->note_working_set(dev, admit_scratch_);
   ResidencyPlanner& planner = memory_.planner();
-  // Look ahead BEFORE admission: with the previous kernel synced nothing
-  // is pending, so the planner's eviction gate sees the widest victim set,
-  // and a serve batch can cover this very launch (its pages arrive over
-  // the prefetch stream and admission below finds them charged). No-op
-  // without an active frontier or under capacity (the planner's screens).
+  // Look ahead BEFORE admission, so a serve batch can cover this very
+  // launch when the runway ran dry (its pages arrive over the prefetch
+  // stream and admission below finds them charged); otherwise the pass
+  // tops the runway up for launches further ahead. No-op without an
+  // active frontier or under capacity (the planner's screens).
   if (planner.active()) run_prefetch_pass();
   admit_working_set(admit_scratch_, dev, stream);
   if (planner.active()) {
@@ -811,19 +837,22 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // (the next call's staging decisions must see it even while a batch is
   // open), and a recorded replay re-runs binds, so replayed write-kernels
   // re-invalidate host/peer copies exactly like the original issue did.
-  // The use list is moved through the bind into the completion closure —
-  // one allocation per launch instead of a copy per capture.
-  auto bind = [this, used = spec.arrays, dev,
-               fn = spec.functional](Engine& eng, OpId op_id) mutable {
-    for (const ArrayUse& u : used) {
+  // The use list is shared by the bind and every completion closure it
+  // makes: a recording keeps its own copy of the bind, and each replay
+  // must find the list intact.
+  using SharedUses = std::shared_ptr<const std::vector<ArrayUse>>;
+  auto bind = [this, used = SharedUses(std::make_shared<
+                         const std::vector<ArrayUse>>(spec.arrays)),
+               dev, fn = spec.functional](Engine& eng, OpId op_id) {
+    for (const ArrayUse& u : *used) {
       ArrayInfo& a = memory_.info(u.id);
       (u.write ? a.pending_writes : a.pending_reads).insert(op_id);
       // The kernel materializes the array on `dev`, which now owns the
       // only current copy of every page; host and peer copies are stale.
       if (u.write) a.note_kernel_write(dev);
     }
-    eng.set_on_complete(op_id, [this, used = std::move(used), op_id, fn]() {
-      for (const ArrayUse& u : used) {
+    eng.set_on_complete(op_id, [this, used, op_id, fn]() {
+      for (const ArrayUse& u : *used) {
         if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(op_id);
       }
       if (fn) fn();
@@ -853,17 +882,40 @@ void GpuRuntime::run_prefetch_pass() {
   // Prefetch traffic is transient pressure management, never part of a
   // recorded program (a static replay must not re-run phantom transfers).
   const RecordSuspend no_tee(record_);
-  for (const PrefetchStep& step : steps) {
-    issue_prefetch_step(step, prefetch_stream(step.device));
+  for (const PrefetchStep& step : steps) issue_prefetch_step(step);
+}
+
+void GpuRuntime::add_user_gates(const ArrayInfo& a, StreamId fetch_stream,
+                                std::vector<std::pair<StreamId, OpId>>& gates) {
+  OpId last = kInvalidOp;
+  for (const OpIdSet* set : {&a.pending_reads, &a.pending_writes}) {
+    for (const OpId op : *set) last = std::max(last, op);
+  }
+  for (const OpIdSet* set : {&a.pending_reads, &a.pending_writes}) {
+    for (const OpId op : *set) {
+      const StreamId s = engine_.op_stream(op);
+      // A fetch into the device orders ahead of every later user of the
+      // array there (they wait on its ready event): a later user covers it.
+      if (s == fetch_stream && op != last) continue;
+      auto it = std::find_if(gates.begin(), gates.end(),
+                             [s](const auto& g) { return g.first == s; });
+      if (it == gates.end()) {
+        gates.emplace_back(s, op);
+      } else {
+        it->second = std::max(it->second, op);
+      }
+    }
   }
 }
 
-void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
-                                     StreamId stream) {
-  const DeviceId dev = engine_.stream_device(stream);
-  std::vector<EventId> waits;
-  const auto wait_for = [&](EventId ev) {
-    if (event_pending(ev)) waits.push_back(ev);
+void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
+  const DeviceId dev = step.device;
+  const StreamId fetch_stream = prefetch_stream(dev);
+  const auto wait_for = [this](std::vector<EventId>& waits, EventId ev) {
+    if (event_pending(ev) &&
+        std::find(waits.begin(), waits.end(), ev) == waits.end()) {
+      waits.push_back(ev);
+    }
   };
   // "first+N": the first array's name and how many more share the op.
   const auto tag_of = [this](const std::vector<ArrayId>& ids) {
@@ -871,18 +923,61 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
     if (ids.size() > 1) tag.append("+").append(std::to_string(ids.size() - 1));
     return tag;
   };
-  // One merged CopyD2H for the step's page-outs: same bytes on the same
-  // DMA class as per-victim ops, but a single launch overhead — op count,
-  // not byte count, is the host-side cost this pass must control.
+  // Page-outs. Victims may still have in-flight users (the planner evicts
+  // behind last use), so the frames they free are only reusable once those
+  // users end: per stream, the last user issued gates the page-out (FIFO
+  // covers the earlier ones) as an `after` dependency — no event. Write-
+  // backs merge into one CopyD2H on the device's write-back stream — same
+  // bytes on the same DMA class as per-victim ops, but a single launch
+  // overhead. Dropped victims move nothing, but their users gate the same
+  // op (or, with nothing to write back, a marker on that stream), so the
+  // event closing the stream frees every victim's frames.
   double evict_bytes = 0;
   std::vector<ArrayId> victims;
+  std::vector<EventId> wb_waits;
+  std::vector<std::pair<StreamId, OpId>> gates;
   for (const PageOut& po : step.evictions.page_outs) {
-    if (!po.writeback) continue;  // dropped pages move nothing
+    const ArrayInfo& victim = memory_.info(po.array);
+    add_user_gates(victim, fetch_stream, gates);
+    if (!po.writeback) continue;
     // A prior write-back of this array may still be in flight; its host
     // copy must land before this one overwrites the slot.
-    wait_for(memory_.info(po.array).host_ready_event);
+    wait_for(wb_waits, victim.host_ready_event);
     victims.push_back(po.array);
     evict_bytes += static_cast<double>(po.bytes);
+  }
+  EventId& frames = frames_event_[static_cast<std::size_t>(dev)];
+  if (!victims.empty() || !gates.empty()) {
+    const StreamId wb_stream = writeback_stream(dev);
+    std::vector<OpId> after;
+    for (const auto& [s, op] : gates) {
+      if (s != wb_stream) after.push_back(op);
+    }
+    if (victims.empty()) {
+      Op marker;
+      marker.kind = OpKind::Marker;
+      marker.stream = wb_stream;
+      marker.name = "frames";
+      marker.waits = std::move(wb_waits);
+      marker.after = std::move(after);
+      issue_op(std::move(marker), nullptr);
+    } else {
+      // The victim list rides a shared_ptr into the bind and the
+      // completion closure: one allocation instead of a copy per capture.
+      const SharedIds shared_victims =
+          std::make_shared<std::vector<ArrayId>>(std::move(victims));
+      issue_writeback(wb_stream, "evict:" + tag_of(*shared_victims),
+                      evict_bytes, shared_victims, std::move(wb_waits),
+                      std::move(after));
+    }
+    // One event closes the page-outs: the victims' host copies
+    // materialize, and their frames are free, once it fires.
+    frames = engine_.create_event();
+    issue_record(frames, wb_stream);
+    for (const PageOut& po : step.evictions.page_outs) {
+      if (!po.writeback) continue;
+      if (ArrayInfo* a = memory_.find(po.array)) a->host_ready_event = frames;
+    }
   }
   // Resolve every fetched array's stale runs by source before issuing
   // anything: the fetch binds publish freshness at issue time, so
@@ -890,37 +985,40 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
   double host_bytes = 0;
   std::vector<std::pair<DeviceId, double>> peer_bytes;  // ascending src
   std::vector<ArrayId> movers;
-  for (const ArrayId id : step.arrays) {
-    if (!memory_.valid(id)) continue;
-    const ArrayInfo& a = memory_.info(id);
-    if (!a.needs_transfer_to(dev)) {
-      wait_for(a.ready_event_on(dev));
+  std::vector<EventId> fetch_waits;
+  for (std::size_t i = 0; i < step.arrays.size(); ++i) {
+    ArrayInfo* a = memory_.find(step.arrays[i]);
+    if (a == nullptr) continue;
+    if (step.stale_bytes[i] == 0) {
+      // No data yet: the array materializes in its new frames at first
+      // touch, so its first user waits for them like a fetch would.
+      if (event_pending(frames) && !event_pending(a->ready_event_on(dev))) {
+        a->set_ready_event(dev, frames);
+      }
       continue;
     }
-    const StaleSources used = add_stale_runs(a, dev, host_bytes, peer_bytes);
+    if (!a->needs_transfer_to(dev)) {
+      wait_for(fetch_waits, a->ready_event_on(dev));
+      continue;
+    }
+    const StaleSources used = add_stale_runs(*a, dev, host_bytes, peer_bytes);
     // The host copy may still be materializing from an in-flight eviction
     // write-back, and a source copy may itself still be migrating: order
     // the re-fetch behind both.
-    if (used.host) wait_for(a.host_ready_event);
+    if (used.host) wait_for(fetch_waits, a->host_ready_event);
     for (std::uint32_t m = used.peers; m != 0; m &= m - 1) {
-      wait_for(a.ready_event_on(static_cast<DeviceId>(std::countr_zero(m))));
+      wait_for(fetch_waits,
+               a->ready_event_on(static_cast<DeviceId>(std::countr_zero(m))));
     }
-    if (used.host || used.peers != 0) movers.push_back(id);
+    if (used.host || used.peers != 0) movers.push_back(a->id);
   }
-  if (victims.empty() && movers.empty()) return;
-  std::sort(waits.begin(), waits.end());
-  waits.erase(std::unique(waits.begin(), waits.end()), waits.end());
-  for (const EventId w : waits) issue_wait(stream, w);
-  // The victim and mover lists ride shared_ptrs into the binds and the
-  // completion closures: one allocation each instead of a copy per capture.
-  const SharedIds shared_victims =
-      std::make_shared<std::vector<ArrayId>>(std::move(victims));
-  if (!shared_victims->empty()) {
-    issue_writeback(stream, "evict:" + tag_of(*shared_victims), evict_bytes,
-                    shared_victims);
-  }
+  if (movers.empty()) return;
+  // The fetch needs free frames: this step's page-outs, or — stepping
+  // into frames an earlier step freed — the latest page-outs on the
+  // device (the write-back stream drains in order).
+  wait_for(fetch_waits, frames);
   std::sort(peer_bytes.begin(), peer_bytes.end());
-  const std::string tag = movers.empty() ? std::string() : tag_of(movers);
+  const std::string tag = tag_of(movers);
   // The bind is shared by the host fetch and every peer fetch.
   const SharedIds shared_movers =
       std::make_shared<std::vector<ArrayId>>(std::move(movers));
@@ -937,24 +1035,21 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
       }
     });
   };
-  // The stream's FIFO orders the fetches behind the frame-freeing
-  // write-back above without an event.
+  // The first fetch carries every wait; the stream's FIFO orders the
+  // other sources' fetches behind it.
   if (host_bytes > 0) {
-    issue_fetch(stream, OpKind::CopyH2D, kInvalidDevice, tag, host_bytes,
-                /*prefetch=*/true, bind);
+    issue_fetch(fetch_stream, OpKind::CopyH2D, kInvalidDevice, tag,
+                host_bytes, /*prefetch=*/true, bind, std::move(fetch_waits));
+    fetch_waits.clear();
   }
   for (const auto& [src, bytes] : peer_bytes) {
-    issue_fetch(stream, OpKind::CopyP2P, src, tag, bytes, /*prefetch=*/true,
-                bind);
+    issue_fetch(fetch_stream, OpKind::CopyP2P, src, tag, bytes,
+                /*prefetch=*/true, bind, std::move(fetch_waits));
+    fetch_waits.clear();
   }
-  // ONE event closes the step: recorded after the fetches (and thus after
-  // the write-back on this FIFO stream), it serves both as the victims'
-  // host-copy-ready gate and the fetched arrays' device-ready gate.
+  // One event closes the fetches: the moved arrays' device-ready gate.
   const EventId ev = engine_.create_event();
-  issue_record(ev, stream);
-  for (const ArrayId aid : *shared_victims) {
-    if (ArrayInfo* a = memory_.find(aid)) a->host_ready_event = ev;
-  }
+  issue_record(ev, fetch_stream);
   for (const ArrayId aid : *shared_movers) {
     if (ArrayInfo* a = memory_.find(aid)) a->set_ready_event(dev, ev);
   }

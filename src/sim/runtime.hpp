@@ -30,7 +30,12 @@
 // A device can therefore run working sets beyond its capacity — it
 // thrashes (visible in bytes_evicted / evict_ops and the D2H class solve
 // counters) instead of raising OutOfMemoryError, which remains only for a
-// single op whose working set exceeds the device.
+// single op whose working set exceeds the device. With a frontier announced
+// (graph launches, replays, ingest drains) the residency planner pages
+// ahead of the schedule instead: write-backs on a per-device write-back
+// stream behind the victims' last issued users, fetches on a prefetch
+// stream behind only the frames they need, so paging overlaps compute in
+// both DMA directions.
 //
 // Host accesses (host_read / host_write) perform hazard detection: accessing
 // an array while device ops on it are still pending means the caller failed
@@ -357,8 +362,10 @@ class GpuRuntime {
   EvictionPlan charge_or_stall(std::span<const ArrayId> ids, DeviceId device);
   /// Admit the working set of one operation to `device` in a single
   /// eviction plan, price the plan's write-backs as D2H ops on the
-  /// device's service stream, and make `stream` wait for the page-outs to
-  /// drain before its own ops may start.
+  /// device's service stream (its write-back stream under a frontier),
+  /// and make `stream` wait for the page-outs to drain — and for pending
+  /// planner page-outs when it charges new pages — before its own ops
+  /// may start.
   void admit_working_set(std::span<const ArrayId> ids, DeviceId device,
                          StreamId stream);
   /// Issue the plan's write-backs on `stream`; returns an event completing
@@ -367,28 +374,39 @@ class GpuRuntime {
   EventId price_eviction(const EvictionPlan& plan, StreamId stream);
   /// Issue one write-back: a CopyD2H of `bytes` on `stream`, registered as
   /// an in-flight read of every victim until it completes. `victims` is an
-  /// ArrayId or a shared id list, captured by value.
+  /// ArrayId or a shared id list, captured by value. `waits` (events) and
+  /// `after` (ops) gate its start on the op itself (no wait-marker ops).
   template <typename Victims>
   void issue_writeback(StreamId stream, std::string name, double bytes,
-                       const Victims& victims);
+                       const Victims& victims, std::vector<EventId> waits,
+                       std::vector<OpId> after);
   /// Issue one fetch onto `stream`'s device — from the host (`kind`
   /// CopyH2D or Fault) or from peer `src` (CopyP2P) — named `tag` behind
   /// a kind prefix ("prefetch:" for planner steps), and count its bytes.
+  /// `waits` gate its start on the op itself.
   void issue_fetch(StreamId stream, OpKind kind, DeviceId src,
                    const std::string& tag, double bytes, bool prefetch,
-                   Submission::BindFn bind);
-  /// Issue one planner step with minimal op count: all write-backs merged
-  /// into one CopyD2H, all fetches as one op per distinct source (host or
-  /// fresh peer), and a single closing event serving as both the victims'
-  /// host-ready and the fetched arrays' device-ready gate. The admission
-  /// path keeps its per-victim price_eviction ops — those are part of the
-  /// golden schedules.
-  void issue_prefetch_step(const PrefetchStep& step, StreamId stream);
-  /// Consume the planner's prefetch steps: price each step's early
-  /// page-outs and issue its CopyH2D/CopyP2P fetches on the device's
-  /// prefetch stream (FIFO orders the fetches behind the frees), outside
-  /// any active recording. Called after every launch while a frontier is
-  /// active.
+                   Submission::BindFn bind, std::vector<EventId> waits = {});
+  /// Issue one planner step with minimal op count on two streams, so
+  /// page-outs and fetches use both DMA directions at once: the step's
+  /// write-backs merged into one CopyD2H on the device's write-back
+  /// stream, gated directly on the victims' last issued users (evict
+  /// behind last use) and closed by an event that is both the victims'
+  /// host-ready gate and the device's frames-free signal; then its
+  /// fetches, one op per distinct source (host or fresh peer) on the
+  /// prefetch stream, waiting only for those frames and their sources,
+  /// closed by the fetched arrays' device-ready event. The admission path keeps its
+  /// per-victim price_eviction ops — those are part of the golden
+  /// schedules.
+  void issue_prefetch_step(const PrefetchStep& step);
+  /// Fold `a`'s in-flight ops into `gates`: per stream, the last issued
+  /// one (a page-out of `a` must start behind it). Fetches on
+  /// `fetch_stream` are skipped when a later user covers them.
+  void add_user_gates(const ArrayInfo& a, StreamId fetch_stream,
+                      std::vector<std::pair<StreamId, OpId>>& gates);
+  /// Consume the planner's prefetch steps (issue_prefetch_step each),
+  /// outside any active recording. Called before every launch while a
+  /// frontier is active.
   void run_prefetch_pass();
   /// Residency planning at replay: re-admit each annotated working set
   /// (future-scored against the whole recorded list, early page-outs on
@@ -419,6 +437,12 @@ class GpuRuntime {
   /// prefetch never create it, so stream ids stay bit-identical.
   [[nodiscard]] StreamId prefetch_stream(DeviceId device) {
     return tenant_stream(prefetch_streams_, device);
+  }
+  /// Internal per-(device, tenant) stream planner write-backs ride, apart
+  /// from the prefetch stream so page-outs (D2H) and fetches (H2D) run
+  /// concurrently instead of queueing behind each other. Lazily made.
+  [[nodiscard]] StreamId writeback_stream(DeviceId device) {
+    return tenant_stream(writeback_streams_, device);
   }
   /// The ambient tenant's stream on `device` in `table`, made on first use.
   StreamId tenant_stream(std::vector<std::vector<StreamId>>& table,
@@ -455,6 +479,11 @@ class GpuRuntime {
   MemoryManager memory_;
   std::vector<std::vector<StreamId>> service_streams_;  ///< [device][tenant]
   std::vector<std::vector<StreamId>> prefetch_streams_;  ///< [device][tenant]
+  std::vector<std::vector<StreamId>> writeback_streams_;  ///< [device][tenant]
+  /// Per device: the event closing the latest planner page-outs. Frames
+  /// those paged out are reusable only once it fires; later fetches and
+  /// admissions that charge new pages wait for it while it is pending.
+  std::vector<EventId> frames_event_;
   bool batch_open_ = false;
   long batch_commits_ = 0;
   long batched_ops_ = 0;

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -96,6 +97,12 @@ inline GoldenRun runtime_run(GpuRuntime& rt) {
   return r;
 }
 
+/// Observer a runtime scenario calls after every API call with the arrays
+/// allocated so far (the paging checker's recorder hooks in here). It
+/// only reads state, so a probed run is the same schedule.
+using CallProbe =
+    std::function<void(const GpuRuntime&, const std::vector<ArrayId>&)>;
+
 inline LaunchSpec golden_kernel(std::string name, std::vector<ArrayUse> arrays) {
   LaunchSpec k;
   k.name = std::move(name);
@@ -111,15 +118,19 @@ inline LaunchSpec golden_kernel(std::string name, std::vector<ArrayUse> arrays) 
 /// planner serves (merged `evict:a+N` write-backs and coalesced prefetches
 /// on the prefetch stream) and, in the unannounced third round,
 /// admission-time write-backs on the service stream.
-inline GoldenRun run_oversub_planner_scenario() {
+inline GoldenRun run_oversub_planner_scenario(const CallProbe& probe = {}) {
   constexpr std::size_t kMiB = 1u << 20;
   DeviceSpec spec = DeviceSpec::test_device();
   spec.memory_bytes = 8 * kMiB;
   GpuRuntime rt(spec);
   std::vector<ArrayId> arrays;
+  const auto called = [&] {
+    if (probe) probe(rt, arrays);
+  };
   for (int i = 0; i < 4; ++i) {
     arrays.push_back(rt.alloc(3 * kMiB, std::string(1, static_cast<char>('a' + i))));
     rt.host_write(arrays.back());
+    called();
   }
   std::vector<FrontierEntry> frontier;
   for (int r = 0; r < 2; ++r) {
@@ -131,7 +142,9 @@ inline GoldenRun run_oversub_planner_scenario() {
     if (r == 2) rt.clear_frontier();
     for (const ArrayId a : arrays) {
       rt.launch(kDefaultStream, golden_kernel("touch", {{a, true}}));
+      called();
       rt.synchronize_device();
+      called();
     }
   }
   return runtime_run(rt);
@@ -143,7 +156,7 @@ inline GoldenRun run_oversub_planner_scenario() {
 /// (CopyP2P) and partly from the host behind the in-flight write-back,
 /// prefetches a peer-fresh array, and the host reads results back from
 /// device 1.
-inline GoldenRun run_multi_gpu_staging_scenario() {
+inline GoldenRun run_multi_gpu_staging_scenario(const CallProbe& probe = {}) {
   DeviceSpec spec = DeviceSpec::test_device();
   spec.memory_bytes = 6000;
   GpuRuntime rt(Machine::uniform(spec, 2, /*nvlink=*/true),
@@ -152,17 +165,31 @@ inline GoldenRun run_multi_gpu_staging_scenario() {
   const ArrayId big = rt.alloc(5000, "big");
   const ArrayId one = rt.alloc(2000, "one");
   const ArrayId out = rt.alloc(1000, "out");
+  const std::vector<ArrayId> arrays = {big, one, out};
+  const auto called = [&] {
+    if (probe) probe(rt, arrays);
+  };
   rt.host_write(big);
   rt.host_write(one);
+  called();
   rt.launch(kDefaultStream, golden_kernel("k0", {{big, true}}));
+  called();
   rt.launch(kDefaultStream, golden_kernel("k1", {{one, false}}));
+  called();
   rt.launch(s1, golden_kernel("k2", {{big, false}, {out, true}}));
+  called();
   rt.mem_prefetch_async(one, s1);
+  called();
   rt.synchronize_device();
+  called();
   rt.launch(s1, golden_kernel("k3", {{out, false}, {big, true}}));
+  called();
   rt.synchronize_device();
+  called();
   rt.host_read(big);
+  called();
   rt.host_read(out);
+  called();
   return runtime_run(rt);
 }
 

@@ -239,13 +239,21 @@ TEST_F(BatchRuntimeTest, ReplayedWriteReinvalidatesTheHostCopy) {
   const double d2h_after_first = rt_.bytes_d2h();
   EXPECT_GT(d2h_after_first, 0);
 
-  rt_.replay(rec);  // re-writes `a`
-  rt_.synchronize_device();
-  for (const PageExtent& e : rt_.memory().info(a).extents) {
-    EXPECT_FALSE(e.host_fresh);  // the replayed write left the host stale
+  // Every replay, not just the first, re-runs the recorded bind in full:
+  // the write is tracked while in flight and invalidates the host copy.
+  double d2h_before = d2h_after_first;
+  for (int replay = 1; replay <= 3; ++replay) {
+    SCOPED_TRACE("replay " + std::to_string(replay));
+    rt_.replay(rec);  // re-writes `a`
+    EXPECT_TRUE(rt_.memory().info(a).has_pending());
+    rt_.synchronize_device();
+    for (const PageExtent& e : rt_.memory().info(a).extents) {
+      EXPECT_FALSE(e.host_fresh);  // the replayed write left the host stale
+    }
+    rt_.host_read(a);  // must migrate the replayed result back
+    EXPECT_DOUBLE_EQ(rt_.bytes_d2h() - d2h_before, 10000.0);
+    d2h_before = rt_.bytes_d2h();
   }
-  rt_.host_read(a);  // must migrate the replayed result back
-  EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
 }
 
 TEST_F(BatchRuntimeTest, EvictionServicingIsNotRecorded) {

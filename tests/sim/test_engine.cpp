@@ -107,6 +107,31 @@ TEST_F(EngineTest, EventRecordAndWaitAcrossStreams) {
   EXPECT_DOUBLE_EQ(eng_.event_done_time(ev), 50);
 }
 
+// `Op::after` gates an op on one issued op of another stream — not on
+// that stream's tail — with no event in between.
+TEST_F(EngineTest, AfterWaitsForOneOpNotItsStreamTail) {
+  const StreamId s1 = eng_.create_stream();
+  const StreamId s2 = eng_.create_stream();
+  const OpId a = eng_.enqueue(raw_kernel(s1, 50, 4, 1.0, 0, "a"), 0);
+  const OpId b = eng_.enqueue(raw_kernel(s1, 30, 4, 1.0, 0, "b"), 0);
+  Op gated = raw_copy(s2, OpKind::CopyD2H, 1000, "gated");
+  gated.after = {a};
+  const OpId c = eng_.enqueue(std::move(gated), 0);
+  eng_.run_all();
+  EXPECT_DOUBLE_EQ(eng_.op(c).start_time, 50);  // a's end, not b's (80)
+  EXPECT_DOUBLE_EQ(eng_.op(b).end_time, 80);
+  // Gated on an op that already completed: no delay.
+  Op late = raw_copy(s2, OpKind::CopyD2H, 1000, "late");
+  late.after = {b};
+  const OpId d = eng_.enqueue(std::move(late), eng_.now());
+  eng_.run_all();
+  EXPECT_DOUBLE_EQ(eng_.op(d).start_time, 80);
+  // Only issued ops can gate.
+  Op bad = raw_copy(s2, OpKind::CopyD2H, 1000, "bad");
+  bad.after = {d + 10};
+  EXPECT_THROW(eng_.enqueue(std::move(bad), eng_.now()), ApiError);
+}
+
 TEST_F(EngineTest, EventOnEmptyStreamCompletesImmediately) {
   const EventId ev = eng_.create_event();
   eng_.record_event(ev, kDefaultStream, /*host_time=*/5);

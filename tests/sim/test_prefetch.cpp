@@ -176,10 +176,10 @@ TEST(PrefetchPolicy, NeverEvictsPagesANearerEntryNeeds) {
 // them are wasted work: the page-out must charge them to the wasted-bytes
 // counter (and consumed prefetches must not be charged).
 TEST(PrefetchPolicy, WastedPrefetchBytesAccounted) {
-  Rig rig(4 * kMiB, 4, 2 * kMiB);
+  // Four 2 MiB arrays on a 6 MiB device: the runway budget (nine tenths
+  // of the device) covers the first two entries.
+  Rig rig(6 * kMiB, 4, 2 * kMiB);
   const ArrayId a = rig.arrays[0];
-  const ArrayId c = rig.arrays[2];
-  const ArrayId d = rig.arrays[3];
   // First pass serves a and b together; launching a consumes a's bytes,
   // b's stay prefetched-but-unconsumed.
   rig.rt.announce_frontier(rig.cyclic_frontier(1));
@@ -187,11 +187,11 @@ TEST(PrefetchPolicy, WastedPrefetchBytesAccounted) {
   rig.rt.synchronize_device();
   EXPECT_DOUBLE_EQ(rig.rt.prefetch_bytes(), 4.0 * kMiB);
   EXPECT_EQ(rig.rt.wasted_prefetch_bytes(), 0u);
-  // Drop the frontier and admit two other arrays: the LRU victim is the
-  // untouched b, whose prefetched pages die unconsumed.
+  // Drop the frontier and admit the other two arrays: the LRU victim is
+  // the untouched b, whose prefetched pages die unconsumed.
   rig.rt.clear_frontier();
-  for (const ArrayId id : {c, d}) {
-    rig.rt.launch(kDefaultStream, touch_kernel(id));
+  for (std::size_t i = 2; i < rig.arrays.size(); ++i) {
+    rig.rt.launch(kDefaultStream, touch_kernel(rig.arrays[i]));
     rig.rt.synchronize_device();
   }
   EXPECT_EQ(rig.rt.wasted_prefetch_bytes(), 2 * kMiB);
