@@ -33,6 +33,13 @@ double member_rate_cap(bool kernel_class) {
   return kernel_class ? 1.0 : std::numeric_limits<double>::infinity();
 }
 
+/// Swap-and-pop removal of row `pos` from one member column.
+template <typename T>
+void swap_pop(std::vector<T>& col, std::size_t pos) {
+  col[pos] = col.back();
+  col.pop_back();
+}
+
 }  // namespace
 
 Engine::Engine(DeviceSpec spec) : Engine(Machine::single(std::move(spec))) {}
@@ -46,52 +53,61 @@ Engine::Engine(Machine machine) : machine_(std::move(machine)) {
   for (DeviceId d = 0; d < ndev; ++d) models_.emplace_back(machine_.device(d));
   p2p_base_ = ndev * kSlotsPerDevice;
   num_classes_ = p2p_base_ + ndev * ndev;
-  class_members_.resize(static_cast<std::size_t>(num_classes_));
-  class_fill_.resize(static_cast<std::size_t>(num_classes_));
-  class_solo_u_.resize(static_cast<std::size_t>(num_classes_));
-  class_bw_.resize(static_cast<std::size_t>(num_classes_));
-  class_remaining_.resize(static_cast<std::size_t>(num_classes_));
-  class_work_.resize(static_cast<std::size_t>(num_classes_));
-  class_rate_.resize(static_cast<std::size_t>(num_classes_));
-  class_pred_.resize(static_cast<std::size_t>(num_classes_));
-  class_tenant_.resize(static_cast<std::size_t>(num_classes_));
-  class_since_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_w_.resize(static_cast<std::size_t>(num_classes_));
-  class_venter_.resize(static_cast<std::size_t>(num_classes_));
-  class_solver_.resize(static_cast<std::size_t>(num_classes_));
+  classes_.resize(static_cast<std::size_t>(num_classes_));
   class_next_.assign(static_cast<std::size_t>(num_classes_), kTimeInfinity);
-  class_dirty_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_solves_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_full_scans_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_member_touches_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_solve_time_.assign(static_cast<std::size_t>(num_classes_), 0.0);
-  copy_waiters_.resize(static_cast<std::size_t>(num_classes_));
   streams_.emplace_back();  // default stream 0, device 0
+}
+
+const Engine::ResourceClass& Engine::device_class(DeviceId device,
+                                                  OpKind kind,
+                                                  const char* who) const {
+  if (!machine_.valid_device(device)) {
+    throw ApiError(std::string(who) + ": invalid device");
+  }
+  const int slot = slot_of(kind);
+  if (slot == kClassNone) {
+    throw ApiError(std::string(who) +
+                   ": op kind carries no per-device class");
+  }
+  return classes_[static_cast<std::size_t>(device * kSlotsPerDevice + slot)];
+}
+
+const Engine::ResourceClass& Engine::link_class(DeviceId src, DeviceId dst,
+                                                const char* who) const {
+  if (!machine_.valid_device(src) || !machine_.valid_device(dst)) {
+    throw ApiError(std::string(who) + ": invalid device");
+  }
+  return classes_[static_cast<std::size_t>(p2p_base_ + src * num_devices() +
+                                           dst)];
 }
 
 Engine::SolverClassStats Engine::class_solver_stats(DeviceId device,
                                                     OpKind kind) const {
-  if (!machine_.valid_device(device)) {
-    throw ApiError("class_solver_stats: invalid device");
-  }
-  const int slot = slot_of(kind);
-  if (slot == kClassNone) {
-    throw ApiError("class_solver_stats: op kind carries no per-device class");
-  }
-  const auto cls = static_cast<std::size_t>(device * kSlotsPerDevice + slot);
-  return {class_solves_[cls], class_full_scans_[cls],
-          class_member_touches_[cls], class_solve_time_[cls]};
+  return device_class(device, kind, "class_solver_stats").stats;
 }
 
 Engine::SolverClassStats Engine::link_solver_stats(DeviceId src,
                                                    DeviceId dst) const {
-  if (!machine_.valid_device(src) || !machine_.valid_device(dst)) {
-    throw ApiError("link_solver_stats: invalid device");
+  return link_class(src, dst, "link_solver_stats").stats;
+}
+
+long Engine::class_solve_count(DeviceId device, OpKind kind) const {
+  return device_class(device, kind, "class_solve_count").stats.solves;
+}
+
+long Engine::link_solve_count(DeviceId src, DeviceId dst) const {
+  return link_class(src, dst, "link_solve_count").stats.solves;
+}
+
+Engine::SolverClassStats Engine::solver_totals() const {
+  SolverClassStats sum;
+  for (const ResourceClass& rc : classes_) {
+    sum.solves += rc.stats.solves;
+    sum.full_scans += rc.stats.full_scans;
+    sum.member_touches += rc.stats.member_touches;
+    sum.solve_time_us += rc.stats.solve_time_us;
   }
-  const auto cls =
-      static_cast<std::size_t>(p2p_base_ + src * num_devices() + dst);
-  return {class_solves_[cls], class_full_scans_[cls],
-          class_member_touches_[cls], class_solve_time_[cls]};
+  return sum;
 }
 
 StreamId Engine::create_stream() { return create_stream(kDefaultDevice); }
@@ -140,9 +156,7 @@ void Engine::set_tenant_weight(TenantId t, double weight) {
   // advance re-solves it (dynamic re-weighting — the QoS entry point —
   // must take effect at the call, like every other rate change).
   for (int cls = 0; cls < num_classes_; ++cls) {
-    if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
-      mark_class_dirty(cls);
-    }
+    if (!classes_[static_cast<std::size_t>(cls)].empty()) mark_class_dirty(cls);
   }
 }
 
@@ -205,26 +219,6 @@ const ResourceModel& Engine::model(DeviceId d) const {
   return models_[static_cast<std::size_t>(d)];
 }
 
-long Engine::class_solve_count(DeviceId device, OpKind kind) const {
-  if (!machine_.valid_device(device)) {
-    throw ApiError("class_solve_count: invalid device");
-  }
-  const int slot = slot_of(kind);
-  if (slot == kClassNone) {
-    throw ApiError("class_solve_count: op kind carries no per-device class");
-  }
-  return class_solves_[static_cast<std::size_t>(
-      device * kSlotsPerDevice + slot)];
-}
-
-long Engine::link_solve_count(DeviceId src, DeviceId dst) const {
-  if (!machine_.valid_device(src) || !machine_.valid_device(dst)) {
-    throw ApiError("link_solve_count: invalid device");
-  }
-  return class_solves_[static_cast<std::size_t>(
-      p2p_base_ + src * num_devices() + dst)];
-}
-
 EventId Engine::create_event() {
   events_.emplace_back();
   return static_cast<EventId>(events_.size() - 1);
@@ -236,6 +230,13 @@ const Engine::OpRecord& Engine::record_of(OpId id, const char* who) const {
     throw ApiError(std::string(who) + ": unknown op");
   }
   return records_[static_cast<std::size_t>(id - 1)];
+}
+
+bool Engine::is_running(OpId id) const {
+  const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
+  if (rec.slot < 0) return false;
+  const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+  return op.id == id && op.state == OpState::Running;
 }
 
 Op& Engine::live_op(OpId id) {
@@ -289,8 +290,6 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   op.id = next_op_id_++;
   op.enqueue_time = std::max(host_time, op.enqueue_time);
   op.state = OpState::Queued;
-  op.rate = 0;
-  op.rate_since = 0;
   op.class_pos = -1;
   op.heap_seq = 0;
   op.gated_events.clear();
@@ -509,24 +508,11 @@ Op Engine::op(OpId id) const {
   const OpRecord& rec = record_of(id, "op");
   if (rec.slot >= 0) {
     // Live: snapshot with lazily-accrued fluid progress folded in from the
-    // class progress mirror, so `done` reflects now().
+    // class's progress columns, so `done` and `rate` reflect now().
     Op snap = slab_[static_cast<std::size_t>(rec.slot)];
+    snap.rate = live_rate(snap);
     if (snap.state == OpState::Running && snap.class_pos >= 0) {
-      const auto cls = static_cast<std::size_t>(class_index(snap));
-      const auto pos = static_cast<std::size_t>(snap.class_pos);
-      const double remaining = live_remaining(snap);
-      snap.done = snap.work - remaining;
-      snap.rate = live_rate(snap);
-      snap.rate_since = now_;
-      if (class_solver_[cls].incremental) {
-        snap.pred_end =
-            remaining <= kWorkEps * std::max(1.0, snap.work)
-                ? now_
-                : (snap.rate > 0 ? now_ + remaining / snap.rate
-                                 : kTimeInfinity);
-      } else {
-        snap.pred_end = class_pred_[cls][pos];
-      }
+      snap.done = snap.work - live_remaining(snap);
     }
     return snap;
   }
@@ -549,8 +535,9 @@ void Engine::mark_pending(StreamId stream) {
 }
 
 void Engine::mark_class_dirty(int cls) {
-  if (class_dirty_[static_cast<std::size_t>(cls)]) return;
-  class_dirty_[static_cast<std::size_t>(cls)] = 1;
+  ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+  if (rc.dirty) return;
+  rc.dirty = true;
   dirty_classes_.push_back(cls);
 }
 
@@ -559,58 +546,185 @@ void Engine::wake_event_waiters(EventState& ev) {
   ev.waiters.clear();
 }
 
-const Engine::SolverGroup* Engine::group_of(const ClassSolver& sol,
-                                            TenantId tenant) const {
-  for (const SolverGroup& g : sol.groups) {
+const Engine::SolverGroup* Engine::ClassSolver::group(TenantId tenant) const {
+  for (const SolverGroup& g : groups) {
     if (g.tenant == tenant) return &g;
   }
   return nullptr;
 }
 
-Engine::SolverGroup& Engine::group_of_mut(ClassSolver& sol, TenantId tenant) {
-  for (SolverGroup& g : sol.groups) {
+Engine::SolverGroup& Engine::ClassSolver::group_mut(TenantId tenant) {
+  for (SolverGroup& g : groups) {
     if (g.tenant == tenant) return g;
   }
-  sol.groups.emplace_back();
-  sol.groups.back().tenant = tenant;
-  return sol.groups.back();
+  groups.emplace_back();
+  groups.back().tenant = tenant;
+  return groups.back();
+}
+
+Engine::SolverGroup& Engine::ClassSolver::add(TenantId tenant, bool kernel,
+                                              double fill, double bw,
+                                              double w) {
+  SolverGroup& g = group_mut(tenant);
+  ++g.n;
+  g.w_sum += w;
+  if (kernel) {
+    fill_sum += fill;
+    if (w > 0) {
+      bww_sum += bw * w;
+    } else {
+      ++zero_w;  // off the line: the next solve falls back to a scan
+    }
+  }
+  if (w > 0) {
+    w_max = std::max(w_max, w);
+    w_min = std::min(w_min, w);
+  }
+  return g;
+}
+
+std::int32_t Engine::ResourceClass::join(std::int32_t slot, const Op& op,
+                                         const DeviceSpec& dev, TimeUs now) {
+  const bool kernel = op.kind == OpKind::Kernel;
+  double f = 0;
+  double wi = 1.0;  // equal-share classes: unit weight
+  if (kernel) {
+    // Capture the static demand once: the same expressions the solver
+    // would otherwise evaluate per member per re-solve.
+    f = (op.sm_demand / dev.sm_count) * op.occupancy;
+    const double u = ResourceModel::utilization(f);
+    fill.push_back(f);
+    solo_u.push_back(u);
+    bw.push_back(op.bw_need);
+    // Service weight: the ratio the proportional kernel split preserves
+    // (rate_i = C * fill_i / solo_u_i while no member caps or floors).
+    wi = u > 0 ? f / u : 0.0;
+  }
+  const double rem = op.remaining();
+  // Virtual-service join: stamp the member's entry service (its group's V
+  // projected to now) and push its static finish tag; aggregates update
+  // in O(1).
+  double v_enter = 0;
+  if (solver.incremental) {
+    SolverGroup& g = solver.add(op.tenant, kernel, f, op.bw_need, wi);
+    v_enter = g.v + (now > since ? g.c * (now - since) : 0.0);
+    if (wi > 0) {
+      g.heap.push_back({v_enter + rem / wi, op.id});
+      std::push_heap(g.heap.begin(), g.heap.end(), std::greater<>());
+    }
+  }
+  slots.push_back(slot);
+  remaining.push_back(rem);
+  work.push_back(op.work);
+  rate.push_back(0);
+  pred.push_back(kTimeInfinity);
+  tenant.push_back(op.tenant);
+  w.push_back(wi);
+  venter.push_back(v_enter);
+  return static_cast<std::int32_t>(slots.size() - 1);
+}
+
+std::int32_t Engine::ResourceClass::leave(const Op& op) {
+  const auto pos = static_cast<std::size_t>(op.class_pos);
+  const bool kernel = op.kind == OpKind::Kernel;
+  // Virtual-service leave: O(1) aggregate decrements; the member's
+  // finish-index entry goes stale and is discarded lazily at a front.
+  // Empty groups and classes hard-reset to exact zeros so incremental
+  // aggregates never accumulate float residue across idle spells.
+  if (solver.incremental) {
+    if (kernel) {
+      solver.fill_sum -= fill[pos];
+      if (w[pos] > 0) {
+        solver.bww_sum -= bw[pos] * w[pos];
+      } else {
+        --solver.zero_w;
+      }
+    }
+    SolverGroup& g = solver.group_mut(op.tenant);
+    --g.n;
+    g.w_sum -= w[pos];
+    if (g.n <= 0) {
+      g.n = 0;
+      g.w_sum = 0;
+      g.v = 0;
+      g.c = 0;
+      g.heap.clear();
+    }
+    if (size() == 1) solver.reset_aggregates();
+  }
+  const std::int32_t moved = slots.back();
+  swap_pop(slots, pos);
+  if (kernel) {
+    swap_pop(fill, pos);
+    swap_pop(solo_u, pos);
+    swap_pop(bw, pos);
+  }
+  swap_pop(remaining, pos);
+  swap_pop(work, pos);
+  swap_pop(rate, pos);
+  swap_pop(pred, pos);
+  swap_pop(tenant, pos);
+  swap_pop(w, pos);
+  swap_pop(venter, pos);
+  return moved;
+}
+
+void Engine::ResourceClass::rebuild_groups(bool kernel_class) {
+  solver.reset_aggregates();
+  for (std::size_t i = 0; i < size(); ++i) {
+    solver.add(tenant[i], kernel_class, kernel_class ? fill[i] : 0,
+               kernel_class ? bw[i] : 0, w[i]);
+  }
+}
+
+void Engine::ResourceClass::demote() {
+  // One fold from each member's entry tag, equal to the telescoped
+  // per-solve folds up to rounding. The failed incremental_resolve already
+  // advanced every group's V and `since` to now, and the full scan that
+  // follows folds dt = 0 and re-rates every member, so remainings are all
+  // that needs writing.
+  for (std::size_t i = 0; i < size(); ++i) {
+    const SolverGroup* g = solver.group(tenant[i]);
+    const double v_now = g != nullptr ? g->v : 0.0;
+    remaining[i] = std::max(0.0, remaining[i] - w[i] * (v_now - venter[i]));
+    venter[i] = 0;
+  }
+  solver.incremental = false;
+  solver.reset_aggregates();
 }
 
 double Engine::live_remaining(const Op& op) const {
-  if (op.state == OpState::Running && op.class_pos >= 0) {
-    const auto cls = static_cast<std::size_t>(class_index(op));
-    const auto pos = static_cast<std::size_t>(op.class_pos);
-    const TimeUs since = class_since_[cls];
-    const ClassSolver& sol = class_solver_[cls];
-    if (sol.incremental) {
-      // rem_enter minus the service accrued since the member entered:
-      // w * (V(now) - v_enter), with V projected lazily from the group's
-      // last materialized value.
-      const SolverGroup* g = group_of(sol, op.tenant);
-      if (g == nullptr) return class_remaining_[cls][pos];
-      const double v_now = g->v + (now_ > since ? g->c * (now_ - since) : 0.0);
-      const double served =
-          class_w_[cls][pos] * (v_now - class_venter_[cls][pos]);
-      return std::max(0.0, class_remaining_[cls][pos] - served);
-    }
-    const double r = class_rate_[cls][pos];
-    double rem = class_remaining_[cls][pos];
-    if (r > 0 && now_ > since) rem = std::max(0.0, rem - r * (now_ - since));
-    return rem;
+  if (op.state != OpState::Running || op.class_pos < 0) return op.remaining();
+  const ResourceClass& rc = classes_[static_cast<std::size_t>(class_index(op))];
+  const auto pos = static_cast<std::size_t>(op.class_pos);
+  if (rc.solver.incremental) {
+    // rem_enter minus the service accrued since the member entered:
+    // w * (V(now) - v_enter), with V projected lazily from the group's
+    // last materialized value.
+    const SolverGroup* g = rc.solver.group(op.tenant);
+    if (g == nullptr) return rc.remaining[pos];
+    const double v_now =
+        g->v + (now_ > rc.since ? g->c * (now_ - rc.since) : 0.0);
+    const double served = rc.w[pos] * (v_now - rc.venter[pos]);
+    return std::max(0.0, rc.remaining[pos] - served);
   }
-  return op.remaining();
+  const double r = rc.rate[pos];
+  double rem = rc.remaining[pos];
+  if (r > 0 && now_ > rc.since) {
+    rem = std::max(0.0, rem - r * (now_ - rc.since));
+  }
+  return rem;
 }
 
 double Engine::live_rate(const Op& op) const {
-  if (op.state != OpState::Running || op.class_pos < 0) return op.rate;
-  const auto cls = static_cast<std::size_t>(class_index(op));
+  if (op.state != OpState::Running || op.class_pos < 0) return 0.0;
+  const ResourceClass& rc = classes_[static_cast<std::size_t>(class_index(op))];
   const auto pos = static_cast<std::size_t>(op.class_pos);
-  const ClassSolver& sol = class_solver_[cls];
-  if (sol.incremental) {
-    const SolverGroup* g = group_of(sol, op.tenant);
-    return g == nullptr ? 0.0 : g->c * class_w_[cls][pos];
+  if (rc.solver.incremental) {
+    const SolverGroup* g = rc.solver.group(op.tenant);
+    return g == nullptr ? 0.0 : g->c * rc.w[pos];
   }
-  return class_rate_[cls][pos];
+  return rc.rate[pos];
 }
 
 void Engine::complete_op(Op& op) {
@@ -639,78 +753,13 @@ void Engine::complete_op(Op& op) {
   --running_;
   if (op.class_pos >= 0) {
     const int cls = class_index(op);
-    const auto pos = static_cast<std::size_t>(op.class_pos);
-    auto& members = class_members_[static_cast<std::size_t>(cls)];
-    const std::int32_t last = members.back();
-    members[pos] = last;
-    slab_[static_cast<std::size_t>(last)].class_pos = op.class_pos;
-    members.pop_back();
-    // Virtual-service leave: O(1) aggregate decrements; the member's
-    // finish-index entry goes stale and is discarded lazily at a front.
-    // Empty groups and classes hard-reset to exact zeros so incremental
-    // aggregates never accumulate float residue across idle spells.
-    ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-    if (sol.incremental) {
-      const double w = class_w_[static_cast<std::size_t>(cls)][pos];
-      if (op.kind == OpKind::Kernel) {
-        sol.fill_sum -= class_fill_[static_cast<std::size_t>(cls)][pos];
-        if (w > 0) {
-          sol.bww_sum -= class_bw_[static_cast<std::size_t>(cls)][pos] * w;
-        } else {
-          --sol.zero_w;
-        }
-      }
-      SolverGroup& g = group_of_mut(sol, op.tenant);
-      --g.n;
-      g.w_sum -= w;
-      if (g.n <= 0) {
-        g.n = 0;
-        g.w_sum = 0;
-        g.v = 0;
-        g.c = 0;
-        g.heap.clear();
-      }
-      if (members.empty()) sol.reset_aggregates();
-    }
-    if (op.kind == OpKind::Kernel) {
-      // Keep the SoA demand mirror aligned with the member list.
-      auto& fill = class_fill_[static_cast<std::size_t>(cls)];
-      auto& solo_u = class_solo_u_[static_cast<std::size_t>(cls)];
-      auto& bw = class_bw_[static_cast<std::size_t>(cls)];
-      fill[pos] = fill.back();
-      fill.pop_back();
-      solo_u[pos] = solo_u.back();
-      solo_u.pop_back();
-      bw[pos] = bw.back();
-      bw.pop_back();
-    }
-    auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
-    auto& wrk = class_work_[static_cast<std::size_t>(cls)];
-    auto& rate = class_rate_[static_cast<std::size_t>(cls)];
-    auto& pred = class_pred_[static_cast<std::size_t>(cls)];
-    auto& tnt = class_tenant_[static_cast<std::size_t>(cls)];
-    rem[pos] = rem.back();
-    rem.pop_back();
-    wrk[pos] = wrk.back();
-    wrk.pop_back();
-    rate[pos] = rate.back();
-    rate.pop_back();
-    pred[pos] = pred.back();
-    pred.pop_back();
-    tnt[pos] = tnt.back();
-    tnt.pop_back();
-    auto& wcol = class_w_[static_cast<std::size_t>(cls)];
-    auto& vcol = class_venter_[static_cast<std::size_t>(cls)];
-    wcol[pos] = wcol.back();
-    wcol.pop_back();
-    vcol[pos] = vcol.back();
-    vcol.pop_back();
+    ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+    slab_[static_cast<std::size_t>(rc.leave(op))].class_pos = op.class_pos;
     op.class_pos = -1;
     mark_class_dirty(cls);
     if (is_dma_copy(op.kind)) {
-      auto& waiters = copy_waiters_[static_cast<std::size_t>(cls)];
-      for (StreamId s : waiters) mark_pending(s);
-      waiters.clear();
+      for (StreamId s : rc.copy_waiters) mark_pending(s);
+      rc.copy_waiters.clear();
     }
   }
 
@@ -861,9 +910,9 @@ void Engine::check_stream_head(StreamId stream) {
   // use the page-fault machinery instead and may proceed concurrently; the
   // resource model de-rates them.)
   if (is_dma_copy(op.kind)) {
-    const int cls = class_index(op);
-    if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
-      copy_waiters_[static_cast<std::size_t>(cls)].push_back(stream);
+    ResourceClass& rc = classes_[static_cast<std::size_t>(class_index(op))];
+    if (!rc.empty()) {
+      rc.copy_waiters.push_back(stream);
       return;
     }
   }
@@ -875,62 +924,11 @@ void Engine::check_stream_head(StreamId stream) {
   }
   op.state = OpState::Running;
   op.start_time = now_;
-  op.rate = 0;
-  op.rate_since = now_;
   ++running_;
   const int cls = class_index(op);
   if (cls != kClassNone) {
-    auto& members = class_members_[static_cast<std::size_t>(cls)];
-    op.class_pos = static_cast<std::int32_t>(members.size());
-    members.push_back(rec.slot);
-    double w = 1.0;  // equal-share classes: unit weight
-    if (op.kind == OpKind::Kernel) {
-      // Capture the static demand once: the same expressions the solver
-      // evaluated per member per re-solve, now evaluated at class join.
-      const double fill =
-          (op.sm_demand / machine_.device(op.device).sm_count) * op.occupancy;
-      const double solo_u = ResourceModel::utilization(fill);
-      class_fill_[static_cast<std::size_t>(cls)].push_back(fill);
-      class_solo_u_[static_cast<std::size_t>(cls)].push_back(solo_u);
-      class_bw_[static_cast<std::size_t>(cls)].push_back(op.bw_need);
-      // Service weight: the ratio the proportional kernel split preserves
-      // (rate_i = C * fill_i / solo_u_i while no member caps or floors).
-      w = solo_u > 0 ? fill / solo_u : 0.0;
-    }
-    const double rem = op.remaining();
-    class_remaining_[static_cast<std::size_t>(cls)].push_back(rem);
-    class_work_[static_cast<std::size_t>(cls)].push_back(op.work);
-    class_rate_[static_cast<std::size_t>(cls)].push_back(0);
-    class_pred_[static_cast<std::size_t>(cls)].push_back(kTimeInfinity);
-    class_tenant_[static_cast<std::size_t>(cls)].push_back(op.tenant);
-    class_w_[static_cast<std::size_t>(cls)].push_back(w);
-    // Virtual-service join: O(log n) — stamp the member's entry service
-    // (its group's V projected to now_) and push its static finish tag;
-    // aggregates update in O(1). No other member is touched.
-    ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-    double venter = 0;
-    if (sol.incremental) {
-      SolverGroup& g = group_of_mut(sol, op.tenant);
-      const TimeUs since = class_since_[static_cast<std::size_t>(cls)];
-      venter = g.v + (now_ > since ? g.c * (now_ - since) : 0.0);
-      ++g.n;
-      g.w_sum += w;
-      if (op.kind == OpKind::Kernel) {
-        sol.fill_sum += class_fill_[static_cast<std::size_t>(cls)].back();
-        if (w > 0) {
-          sol.bww_sum += op.bw_need * w;
-        } else {
-          ++sol.zero_w;  // off the line: the next solve falls back to a scan
-        }
-      }
-      if (w > 0) {
-        sol.w_max = std::max(sol.w_max, w);
-        sol.w_min = std::min(sol.w_min, w);
-        g.heap.push_back({venter + rem / w, op.id});
-        std::push_heap(g.heap.begin(), g.heap.end(), std::greater<>());
-      }
-    }
-    class_venter_[static_cast<std::size_t>(cls)].push_back(venter);
+    op.class_pos = classes_[static_cast<std::size_t>(cls)].join(
+        rec.slot, op, machine_.device(op.device), now_);
     mark_class_dirty(cls);
   }
   if (op.remaining() <= kWorkEps) {
@@ -994,19 +992,24 @@ void Engine::recompute_rates() {
   // No callbacks fire inside this loop, so the worklist cannot grow (or be
   // re-entered) while it drains.
   for (const int cls : dirty_classes_) {
-    class_dirty_[static_cast<std::size_t>(cls)] = 0;
+    ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+    rc.dirty = false;
     class_next_[static_cast<std::size_t>(cls)] = kTimeInfinity;
-    auto& members = class_members_[static_cast<std::size_t>(cls)];
-    if (members.empty()) continue;
-    ++solve_count_;
-    ++class_solves_[static_cast<std::size_t>(cls)];
+    if (rc.empty()) continue;
+    ++rc.stats.solves;
     std::chrono::steady_clock::time_point t0;
     if (solve_timing_) t0 = std::chrono::steady_clock::now();
+    const auto add_solve_time = [&] {
+      if (!solve_timing_) return;
+      rc.stats.solve_time_us += std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+    };
 
-    // Rates come from the class's compact demand data — kernels from the
-    // SoA mirror, every transfer class from its member count — and
-    // progress folds and pred_end refreshes run over the dense progress
-    // mirror: the whole re-solve touches no Op at all.
+    // Rates come from the class's compact demand columns — kernels from
+    // fill/solo_u/bw, every transfer class from its member count — and
+    // progress folds and predicted-completion refreshes run over the dense
+    // progress columns: the whole re-solve touches no Op at all.
     const bool kernel_class =
         cls < p2p_base_ && cls % kSlotsPerDevice == kSlotKernel;
     double share = 0;
@@ -1015,130 +1018,99 @@ void Engine::recompute_rates() {
       const DeviceId src = static_cast<DeviceId>(rel / num_devices());
       const DeviceId dst = static_cast<DeviceId>(rel % num_devices());
       share = machine_.p2p_bytes_per_us(src, dst) /
-              static_cast<double>(members.size());
+              static_cast<double>(rc.size());
     } else if (!kernel_class) {
       share = models_[static_cast<std::size_t>(cls / kSlotsPerDevice)]
-                  .class_share(kSlotKind[cls % kSlotsPerDevice],
-                               members.size());
+                  .class_share(kSlotKind[cls % kSlotsPerDevice], rc.size());
     }
 
     // Virtual-service fast path: while the class's rate *ratios* are
     // stable, a membership-count rate change is one slope update per
     // group — no member is folded, rated, or even read. Falls back to the
     // full scan below when the linear regime's validity test fails.
-    if (class_solver_[static_cast<std::size_t>(cls)].incremental) {
+    if (rc.solver.incremental) {
       if (incremental_resolve(cls, kernel_class, share)) {
         long groups = 0;
-        for (const SolverGroup& g :
-             class_solver_[static_cast<std::size_t>(cls)].groups) {
+        for (const SolverGroup& g : rc.solver.groups) {
           if (g.n > 0) ++groups;
         }
         solved_ops_ += std::max<long>(groups, 1);
-        if (solve_timing_) {
-          const double us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-          class_solve_time_[static_cast<std::size_t>(cls)] += us;
-          solve_time_us_ += us;
-        }
+        add_solve_time();
         continue;
       }
-      demote_class(cls);
+      rc.demote();
     }
 
     // Full scan: every member folded and re-rated. Counted separately so
     // the bench can prove scans are rare under churn.
-    ++full_scan_count_;
-    ++class_full_scans_[static_cast<std::size_t>(cls)];
-    solved_ops_ += static_cast<long>(members.size());
-    member_touches_ += static_cast<long>(members.size());
-    class_member_touches_[static_cast<std::size_t>(cls)] +=
-        static_cast<long>(members.size());
+    ++rc.stats.full_scans;
+    solved_ops_ += static_cast<long>(rc.size());
+    rc.stats.member_touches += static_cast<long>(rc.size());
     if (kernel_class) {
       models_[static_cast<std::size_t>(cls / kSlotsPerDevice)]
-          .solve_kernel_class(class_fill_[static_cast<std::size_t>(cls)],
-                              class_solo_u_[static_cast<std::size_t>(cls)],
-                              class_bw_[static_cast<std::size_t>(cls)],
-                              solve_rates_);
+          .solve_kernel_class(rc.fill, rc.solo_u, rc.bw, solve_rates_);
     }
-    // Tenancy: a class whose members span several tenants re-shares its
-    // aggregate bandwidth weight-proportionally across them. The
-    // uniformity scan is O(members), dwarfed by the solve itself, and a
-    // uniform tenant column never leaves the unweighted arithmetic.
-    const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
-    const bool multi_tenant =
-        std::adjacent_find(tenants.begin(), tenants.end(),
-                           std::not_equal_to<>()) != tenants.end();
-    if (multi_tenant) apply_tenant_shares(cls, kernel_class, share);
+    // Tenancy: the scan's one tenant table. A class whose members span
+    // several tenants re-shares its aggregate bandwidth weight-
+    // proportionally across them; a single group never leaves the
+    // unweighted arithmetic. try_promote_class reuses the same groups.
+    rc.rebuild_groups(kernel_class);
+    const bool multi_tenant = rc.solver.groups.size() > 1;
+    if (multi_tenant) apply_tenant_shares(rc, kernel_class, share);
     const bool per_member = kernel_class || multi_tenant;
-    auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
-    const auto& wrk = class_work_[static_cast<std::size_t>(cls)];
-    auto& rate = class_rate_[static_cast<std::size_t>(cls)];
-    auto& pred = class_pred_[static_cast<std::size_t>(cls)];
-    const TimeUs since = class_since_[static_cast<std::size_t>(cls)];
-    const TimeUs dt = now_ - since;
+    const TimeUs dt = now_ - rc.since;
     TimeUs next = kTimeInfinity;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (dt > 0 && rate[i] > 0) {
+    for (std::size_t i = 0; i < rc.size(); ++i) {
+      double& rem = rc.remaining[i];
+      if (dt > 0 && rc.rate[i] > 0) {
         // Progress accrued at the old rate since the last fold.
-        rem[i] = std::max(0.0, rem[i] - rate[i] * dt);
+        rem = std::max(0.0, rem - rc.rate[i] * dt);
       }
       const double r = per_member ? solve_rates_[i] : share;
-      rate[i] = r;
-      if (rem[i] <= kWorkEps * std::max(1.0, wrk[i])) {
-        pred[i] = now_;  // residue below the work epsilon: due now
+      rc.rate[i] = r;
+      TimeUs& pred = rc.pred[i];
+      if (rem <= kWorkEps * std::max(1.0, rc.work[i])) {
+        pred = now_;  // residue below the work epsilon: due now
       } else if (r > 0) {
-        pred[i] = now_ + rem[i] / r;
+        pred = now_ + rem / r;
       } else {
-        pred[i] = kTimeInfinity;  // the stall watchdog is the net
+        pred = kTimeInfinity;  // the stall watchdog is the net
       }
-      next = std::min(next, pred[i]);
+      next = std::min(next, pred);
     }
-    class_since_[static_cast<std::size_t>(cls)] = now_;
+    rc.since = now_;
     class_next_[static_cast<std::size_t>(cls)] = next;
     // Re-enter the virtual-service regime if this scan's rates sit on the
     // linear model (the scan just folded every remaining to now_, so the
     // finish index rebuilds exactly, rebased to V = 0).
     try_promote_class(cls, kernel_class, share);
-    if (solve_timing_) {
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      class_solve_time_[static_cast<std::size_t>(cls)] += us;
-      solve_time_us_ += us;
-    }
+    add_solve_time();
   }
   dirty_classes_.clear();
 }
 
 bool Engine::incremental_resolve(int cls, bool kernel_class, double share) {
-  ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-  const TimeUs since = class_since_[static_cast<std::size_t>(cls)];
-  const TimeUs dt = now_ - since;
+  ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+  ClassSolver& sol = rc.solver;
+  const TimeUs dt = now_ - rc.since;
   // Advance every group's cumulative service to now_ at the slopes in
   // effect since the last solve, then move the fold timestamp: whether the
   // re-price below succeeds or falls back to a scan, V is materialized at
-  // now_ (demote_class relies on this never being applied twice).
+  // now_ (ResourceClass::demote relies on this never being applied twice).
   if (dt > 0) {
     for (SolverGroup& g : sol.groups) {
       if (g.c > 0 && g.n > 0) g.v += g.c * dt;
     }
   }
-  class_since_[static_cast<std::size_t>(cls)] = now_;
-  if (!compute_group_rates(cls, kernel_class, share, sol)) return false;
+  rc.since = now_;
+  if (!compute_group_rates(cls, kernel_class, share)) return false;
   // class_next_: one front-peek per group, converted to wall time. Stale
   // entries (completed ops) are discarded as they surface.
   TimeUs next = kTimeInfinity;
   for (SolverGroup& g : sol.groups) {
     if (g.n <= 0) continue;
     while (!g.heap.empty()) {
-      const FinishEntry& top = g.heap.front();
-      const OpRecord& rec = records_[static_cast<std::size_t>(top.id - 1)];
-      const bool live =
-          rec.slot >= 0 &&
-          slab_[static_cast<std::size_t>(rec.slot)].id == top.id &&
-          slab_[static_cast<std::size_t>(rec.slot)].state == OpState::Running;
-      if (live) break;
+      if (is_running(g.heap.front().id)) break;
       std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
       g.heap.pop_back();
     }
@@ -1153,8 +1125,8 @@ bool Engine::incremental_resolve(int cls, bool kernel_class, double share) {
   return true;
 }
 
-bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
-                                 ClassSolver& sol) {
+bool Engine::compute_group_rates(int cls, bool kernel_class, double share) {
+  ClassSolver& sol = classes_[static_cast<std::size_t>(cls)].solver;
   // Count populated groups; single-group classes take the scalar path.
   std::size_t n_groups = 0;
   SolverGroup* only = nullptr;
@@ -1188,119 +1160,70 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
     return true;
   }
   // Multi-tenant: apply_tenant_shares' bounded water-fill of the class
-  // aggregate over tenants, on group aggregates — budgets from (weight,
-  // rate sum C * W_g, absorbable cap n_g * member cap), then
-  // c_g = budget / W_g. The spread stays linear only if no member caps:
-  // c_g * w_max <= member cap (never binding on an uncapped transfer).
+  // aggregate over tenants, on group aggregates — the rate sum of group g
+  // is C * W_g — then c_g = budget / W_g. The spread stays linear only if
+  // no member caps: c_g * w_max <= member cap (never binding on an
+  // uncapped transfer).
   const double member_cap = member_rate_cap(kernel_class);
-  share_weight_.clear();
-  share_rate_sum_.clear();
-  share_cap_.clear();
-  double total_weight = 0;
   double total_rate = 0;
   for (const SolverGroup& g : sol.groups) {
-    if (g.n <= 0) continue;
-    share_weight_.push_back(tenant_weight(g.tenant));
-    share_rate_sum_.push_back(c_all * g.w_sum);
-    share_cap_.push_back(static_cast<double>(g.n) * member_cap);
-    total_weight += share_weight_.back();
-    total_rate += share_rate_sum_.back();
+    if (g.n > 0) total_rate += c_all * g.w_sum;
   }
-  if (total_weight <= 0 || total_rate <= 0) return false;
-  ResourceModel::water_fill_budgets(share_weight_, share_cap_, total_rate,
-                                    share_budget_, share_active_);
+  if (!tenant_budgets(sol, member_cap, total_rate)) return false;
   std::size_t j = 0;
   for (SolverGroup& g : sol.groups) {
     if (g.n <= 0) continue;
     if (g.w_sum <= 0) return false;
-    g.c = share_budget_[j] / g.w_sum;
+    g.c = share_budget_[j++] / g.w_sum;
     if (g.c * sol.w_max > member_cap) return false;  // a member would cap
-    ++j;
   }
   return true;
 }
 
-void Engine::demote_class(int cls) {
-  // Leave the virtual-service regime: materialize every member's remaining
-  // work at now_ into the plain mirror (one fold from its entry tag, equal
-  // to the telescoped per-solve folds up to rounding). The failed
-  // incremental_resolve already advanced every group's V and the fold
-  // timestamp to now_, and the full scan that follows folds dt = 0 and
-  // re-rates every member, so remainings are all that needs writing.
-  ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-  const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
-  const auto& wcol = class_w_[static_cast<std::size_t>(cls)];
-  auto& vcol = class_venter_[static_cast<std::size_t>(cls)];
-  auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
-  for (std::size_t i = 0; i < rem.size(); ++i) {
-    const SolverGroup* g = group_of(sol, tenants[i]);
-    const double v_now = g != nullptr ? g->v : 0.0;
-    rem[i] = std::max(0.0, rem[i] - wcol[i] * (v_now - vcol[i]));
-    vcol[i] = 0;
+bool Engine::tenant_budgets(const ClassSolver& sol, double member_cap,
+                            double total_rate) {
+  share_weight_.clear();
+  share_cap_.clear();
+  double total_weight = 0;
+  for (const SolverGroup& g : sol.groups) {
+    if (g.n <= 0) continue;
+    share_weight_.push_back(tenant_weight(g.tenant));
+    share_cap_.push_back(static_cast<double>(g.n) * member_cap);
+    total_weight += share_weight_.back();
   }
-  sol.incremental = false;
-  sol.reset_aggregates();
+  if (total_weight <= 0 || total_rate <= 0) return false;
+  ResourceModel::water_fill_budgets(share_weight_, share_cap_, total_rate,
+                                    share_budget_, share_active_);
+  return true;
 }
 
 void Engine::try_promote_class(int cls, bool kernel_class, double share) {
-  // Called right after a full scan: remainings are folded to now_ and
-  // class_rate_ holds the exact full-scan rates. Rebuild the aggregates
-  // and groups exactly, derive the linear-model slopes, and only promote
-  // if every member's scanned rate equals c_g * w_i — one verification
-  // pass that subsumes every cap/floor/saturation/tenancy corner without
+  // Called right after a full scan: remainings are folded to now_, the
+  // rate column holds the exact full-scan rates and the groups are freshly
+  // rebuilt. Derive the linear-model slopes and only promote if every
+  // member's scanned rate equals c_g * w_i — one verification pass that
+  // subsumes every cap/floor/saturation/tenancy corner without
   // duplicating the solver's case analysis.
-  ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-  sol.incremental = false;
-  sol.reset_aggregates();
-  const auto& members = class_members_[static_cast<std::size_t>(cls)];
-  const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
-  const auto& wcol = class_w_[static_cast<std::size_t>(cls)];
-  const auto& fill = class_fill_[static_cast<std::size_t>(cls)];
-  const auto& bw = class_bw_[static_cast<std::size_t>(cls)];
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const double w = wcol[i];
-    SolverGroup& g = group_of_mut(sol, tenants[i]);
-    ++g.n;
-    g.w_sum += w;
-    if (kernel_class) {
-      sol.fill_sum += fill[i];
-      if (w > 0) {
-        sol.bww_sum += bw[i] * w;
-      } else {
-        ++sol.zero_w;
-      }
-    }
-    if (w > 0) {
-      sol.w_max = std::max(sol.w_max, w);
-      sol.w_min = std::min(sol.w_min, w);
-    } else if (!kernel_class) {
-      return;  // equal-share member without weight: never happens, bail
-    }
-  }
-  if (!compute_group_rates(cls, kernel_class, share, sol)) return;
-  // Verification: the scan's rates must sit on the line.
-  const auto& rate = class_rate_[static_cast<std::size_t>(cls)];
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const SolverGroup* g = group_of(sol, tenants[i]);
-    const double want = g->c * wcol[i];
-    if (std::abs(want - rate[i]) > 1e-12 * std::max(1.0, std::abs(rate[i]))) {
-      return;
-    }
+  ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+  ClassSolver& sol = rc.solver;
+  if (!compute_group_rates(cls, kernel_class, share)) return;
+  for (std::size_t i = 0; i < rc.size(); ++i) {
+    const double want = sol.group(rc.tenant[i])->c * rc.w[i];
+    const double got = rc.rate[i];
+    if (std::abs(want - got) > 1e-12 * std::max(1.0, std::abs(got))) return;
   }
   // Promote: rebase service to V = 0 and rebuild each group's finish
   // index from the just-folded remainings.
-  auto& vcol = class_venter_[static_cast<std::size_t>(cls)];
-  const auto& rem = class_remaining_[static_cast<std::size_t>(cls)];
   for (SolverGroup& g : sol.groups) {
     g.v = 0;
     g.heap.clear();
   }
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    vcol[i] = 0;
-    if (wcol[i] <= 0) continue;
-    SolverGroup& g = group_of_mut(sol, tenants[i]);
-    g.heap.push_back({rem[i] / wcol[i],
-                      slab_[static_cast<std::size_t>(members[i])].id});
+  for (std::size_t i = 0; i < rc.size(); ++i) {
+    rc.venter[i] = 0;
+    if (rc.w[i] <= 0) continue;
+    sol.group_mut(rc.tenant[i])
+        .heap.push_back({rc.remaining[i] / rc.w[i],
+                         slab_[static_cast<std::size_t>(rc.slots[i])].id});
   }
   for (SolverGroup& g : sol.groups) {
     std::make_heap(g.heap.begin(), g.heap.end(), std::greater<>());
@@ -1308,65 +1231,45 @@ void Engine::try_promote_class(int cls, bool kernel_class, double share) {
   sol.incremental = true;
 }
 
-void Engine::apply_tenant_shares(int cls, bool kernel_class, double share) {
-  const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
-  const std::size_t n = tenants.size();
+void Engine::apply_tenant_shares(ResourceClass& rc, bool kernel_class,
+                                 double share) {
+  const std::size_t n = rc.size();
   // Equal-share classes materialize their scalar into the rate vector so
   // both class families re-share through the same per-member path; they
   // differ only in the member cap.
   if (!kernel_class) solve_rates_.assign(n, share);
   const double member_cap = member_rate_cap(kernel_class);
 
-  // Distinct-tenant table (linear probe: concurrent tenants are few).
-  share_tenant_.clear();
-  share_weight_.clear();
-  share_rate_sum_.clear();
-  share_cap_.clear();
-  double total_weight = 0;
+  // Weighted water-fill of the aggregate over the scan's tenant groups,
+  // each capped by what its members can absorb. Kernel base rates are
+  // <= 1.0, so the aggregate always fits under the caps: the class total
+  // is conserved, and a high-weight tenant that saturates at solo speed
+  // hands its surplus to the others instead of idling the device.
+  // Uncapped transfers get the plain weighted split.
   double total_rate = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const TenantId t = tenants[i];
-    std::size_t j = 0;
-    while (j < share_tenant_.size() && share_tenant_[j] != t) ++j;
-    if (j == share_tenant_.size()) {
-      share_tenant_.push_back(t);
-      share_weight_.push_back(tenant_weight(t));
-      share_rate_sum_.push_back(0);
-      share_cap_.push_back(0);
-      total_weight += share_weight_.back();
-    }
-    share_rate_sum_[j] += solve_rates_[i];
-    share_cap_[j] += member_cap;
-    total_rate += solve_rates_[i];
-  }
-  if (total_weight <= 0 || total_rate <= 0) return;
-  const std::size_t nt = share_tenant_.size();
-
-  // Weighted water-fill of the aggregate over tenants, each capped by
-  // what its members can absorb. Kernel base rates are <= 1.0, so the
-  // aggregate always fits under the caps: the class total is conserved,
-  // and a high-weight tenant that saturates at solo speed hands its
-  // surplus to the others instead of idling the device. Uncapped
-  // transfers get the plain weighted split. The virtual-service path
-  // runs the same water-fill over group aggregates (compute_group_rates).
-  ResourceModel::water_fill_budgets(share_weight_, share_cap_, total_rate,
-                                    share_budget_, share_active_);
+  for (std::size_t i = 0; i < n; ++i) total_rate += solve_rates_[i];
+  if (!tenant_budgets(rc.solver, member_cap, total_rate)) return;
 
   // Intra-tenant: spread each budget over the tenant's members in
   // proportion to their base-solve rates, member rates capped — a
   // bounded water-fill converging in <= n_t passes (a capped member's
-  // overflow re-spreads over the rest).
+  // overflow re-spreads over the rest). A tenant's members are rewritten
+  // only in its own pass, so each pass starts from base rates.
   share_capped_.assign(n, 0);
-  for (std::size_t j = 0; j < nt; ++j) {
-    const TenantId t = share_tenant_[j];
+  const auto& groups = rc.solver.groups;
+  for (std::size_t j = 0; j < groups.size(); ++j) {
+    const TenantId t = groups[j].tenant;
     double budget = share_budget_[j];
-    double unc_sum = share_rate_sum_[j];
+    double unc_sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rc.tenant[i] == t) unc_sum += solve_rates_[i];
+    }
     for (;;) {
       if (unc_sum <= 0) break;
       const double f = budget / unc_sum;
       bool any = false;
       for (std::size_t i = 0; i < n; ++i) {
-        if (tenants[i] != t || share_capped_[i]) continue;
+        if (rc.tenant[i] != t || share_capped_[i]) continue;
         if (f * solve_rates_[i] >= member_cap) {
           budget -= member_cap;
           unc_sum -= solve_rates_[i];
@@ -1377,7 +1280,7 @@ void Engine::apply_tenant_shares(int cls, bool kernel_class, double share) {
       }
       if (!any) {
         for (std::size_t i = 0; i < n; ++i) {
-          if (tenants[i] == t && !share_capped_[i]) solve_rates_[i] *= f;
+          if (rc.tenant[i] == t && !share_capped_[i]) solve_rates_[i] *= f;
         }
         break;
       }
@@ -1435,25 +1338,18 @@ bool Engine::complete_due_ops() {
   due.clear();
   for (int cls = 0; cls < num_classes_; ++cls) {
     if (class_next_[static_cast<std::size_t>(cls)] > now_ + tol) continue;
-    ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
-    if (sol.incremental) {
+    ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+    if (rc.solver.incremental) {
       // Heap-pop the due front of each group's finish index: an entry is
       // due when its service tag falls under the group's V projected to
       // now_ + tol. Only due (or stale) entries are popped — O(due log n)
       // instead of the full-member scan.
-      const TimeUs since = class_since_[static_cast<std::size_t>(cls)];
-      for (SolverGroup& g : sol.groups) {
+      for (SolverGroup& g : rc.solver.groups) {
         if (g.n <= 0 || g.c <= 0) continue;
-        const double v_due = g.v + g.c * (now_ + tol - since);
+        const double v_due = g.v + g.c * (now_ + tol - rc.since);
         while (!g.heap.empty()) {
           const FinishEntry top = g.heap.front();
-          const OpRecord& rec =
-              records_[static_cast<std::size_t>(top.id - 1)];
-          const bool live =
-              rec.slot >= 0 &&
-              slab_[static_cast<std::size_t>(rec.slot)].id == top.id &&
-              slab_[static_cast<std::size_t>(rec.slot)].state ==
-                  OpState::Running;
+          const bool live = is_running(top.id);
           if (live && top.f > v_due) break;
           std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
           g.heap.pop_back();
@@ -1462,13 +1358,11 @@ bool Engine::complete_due_ops() {
       }
       continue;
     }
-    // The due scan runs over the dense predicted-completion mirror; only
+    // The due scan runs over the dense predicted-completion column; only
     // actually-due members cost an Op touch (for their id).
-    const auto& pred = class_pred_[static_cast<std::size_t>(cls)];
-    const auto& members = class_members_[static_cast<std::size_t>(cls)];
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (pred[i] <= now_ + tol) {
-        due.push_back(slab_[static_cast<std::size_t>(members[i])].id);
+    for (std::size_t i = 0; i < rc.size(); ++i) {
+      if (rc.pred[i] <= now_ + tol) {
+        due.push_back(slab_[static_cast<std::size_t>(rc.slots[i])].id);
       }
     }
   }
@@ -1634,6 +1528,79 @@ TimeUs Engine::run_until_stream_idle(StreamId stream) {
     step(kTimeInfinity);
   }
   return now_;
+}
+
+void Engine::audit() const {
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    const auto fail = [cls](const std::string& what) {
+      throw Error("Engine::audit: class " + std::to_string(cls) + ": " +
+                  what);
+    };
+    const ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+    const std::size_t n = rc.size();
+    const bool kernel_class =
+        cls < p2p_base_ && cls % kSlotsPerDevice == kSlotKernel;
+    const std::size_t demand_rows = kernel_class ? n : 0;
+    if (rc.remaining.size() != n || rc.work.size() != n ||
+        rc.rate.size() != n || rc.pred.size() != n ||
+        rc.tenant.size() != n || rc.w.size() != n || rc.venter.size() != n) {
+      fail("a member column's length differs from the member count");
+    }
+    if (rc.fill.size() != demand_rows || rc.solo_u.size() != demand_rows ||
+        rc.bw.size() != demand_rows) {
+      fail("demand columns must match the member count in kernel classes "
+           "and be empty elsewhere");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string row = "row " + std::to_string(i) + ": ";
+      const std::int32_t slot = rc.slots[i];
+      if (slot < 0 || static_cast<std::size_t>(slot) >= slab_.size()) {
+        fail(row + "slab slot out of range");
+      }
+      const Op& op = slab_[static_cast<std::size_t>(slot)];
+      if (op.state != OpState::Running) fail(row + "op is not running");
+      if (op.class_pos != static_cast<std::int32_t>(i)) {
+        fail(row + "op's class_pos points elsewhere");
+      }
+      if (class_index(op) != cls) fail(row + "op belongs to another class");
+      if (op.tenant != rc.tenant[i]) fail(row + "tenant differs from the op");
+      if (op.work != rc.work[i]) fail(row + "work differs from the op");
+    }
+    const bool dma_class = cls >= p2p_base_ ||
+                           cls % kSlotsPerDevice == kSlotH2D ||
+                           cls % kSlotsPerDevice == kSlotD2H;
+    if (dma_class && n > 1) fail("DMA class holds more than one copy");
+    if (!rc.dirty && !rc.solver.incremental) {
+      TimeUs next = kTimeInfinity;
+      for (const TimeUs t : rc.pred) next = std::min(next, t);
+      if (class_next_[static_cast<std::size_t>(cls)] != next) {
+        fail("clean scan-mode class's next completion is not its pred "
+             "minimum");
+      }
+    }
+    if (rc.solver.incremental) {
+      long grouped = 0;
+      for (const SolverGroup& g : rc.solver.groups) {
+        long members = 0;
+        double w_sum = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (rc.tenant[i] != g.tenant) continue;
+          ++members;
+          w_sum += rc.w[i];
+        }
+        const std::string group = "tenant " + std::to_string(g.tenant) + " ";
+        if (members != g.n) fail(group + "group count differs from its rows");
+        if (std::abs(w_sum - g.w_sum) > 1e-9 * std::max(1.0, std::abs(w_sum))) {
+          fail(group + "group weight sum differs from its rows");
+        }
+        grouped += g.n;
+      }
+      if (grouped != static_cast<long>(n)) fail("rows outside any group");
+    }
+    const bool listed = std::find(dirty_classes_.begin(), dirty_classes_.end(),
+                                  cls) != dirty_classes_.end();
+    if (rc.dirty != listed) fail("dirty flag disagrees with the worklist");
+  }
 }
 
 TimeUs Engine::run_all() {

@@ -19,11 +19,11 @@
 //   * op storage is a contiguous slab with a free list; completed ops retire
 //     to a compact per-id record (start/end/kind/stream) so live memory is
 //     bounded by the number of concurrently in-flight ops;
-//   * each running op carries its predicted completion time, refreshed by
-//     its class's rate re-solve (which iterates the class anyway); the
-//     engine keeps the per-class minimum, so finding the next completion is
-//     a min over the class table and completing it is one scan of the due
-//     class;
+//   * each resource class is one record whose column-major member table
+//     holds every running member's progress and predicted completion,
+//     refreshed by the class's rate re-solve; the engine keeps the
+//     per-class minimum, so finding the next completion is a min over the
+//     class table and completing it is one scan of the due class;
 //   * queued head ops that can only start at a known future time sit in a
 //     second min-heap (periodically compacted — see "start heap" below);
 //     heads blocked on events or a DMA engine register on waiter lists and
@@ -162,7 +162,7 @@ class Engine {
   [[nodiscard]] long tenant_completed_ops(TenantId t) const;
   [[nodiscard]] double tenant_completed_work(TenantId t) const;
   /// Kernel work the tenant's *running* ops have progressed through as of
-  /// now() (solo-us, folded from the class progress mirrors). Added to
+  /// now() (solo-us, folded from the class progress columns). Added to
   /// tenant_completed_work this gives a completion-quantization-free
   /// progress reading at any virtual instant — what the weighted-share
   /// acceptance ratio is measured on. O(live ops): introspection, not a
@@ -277,8 +277,19 @@ class Engine {
   [[nodiscard]] const ResourceModel& model(DeviceId d) const;
 
   // --- solver-work introspection (tests, perf-regression ratchets) ---
+  /// Per-class cumulative solver stats (solve passes, full scans, member
+  /// touches, cumulative solve time). Solve time is only accumulated while
+  /// set_solve_timing(true) — timing costs two clock reads per solve, so
+  /// it is opt-in; counts are always live. The engine-wide getters below
+  /// sum these over every class.
+  struct SolverClassStats {
+    long solves = 0;
+    long full_scans = 0;
+    long member_touches = 0;
+    double solve_time_us = 0;  ///< host time, only while timing enabled
+  };
   /// Number of per-class rate re-solve passes across all classes.
-  [[nodiscard]] long solve_count() const { return solve_count_; }
+  [[nodiscard]] long solve_count() const { return solver_totals().solves; }
   /// Total per-op rate assignments across all re-solves: the actual work
   /// the fluid model performed. Full scans add the class's member count;
   /// incremental (virtual-service) solves add their group count (>= 1).
@@ -286,25 +297,20 @@ class Engine {
   /// Members touched by full-scan re-solves (progress folded + rate
   /// assigned). The virtual-service path exists to keep this flat as
   /// fan-in grows; the bench's solver-scaling gate rides on it.
-  [[nodiscard]] long member_touch_count() const { return member_touches_; }
+  [[nodiscard]] long member_touch_count() const {
+    return solver_totals().member_touches;
+  }
   /// Full-scan re-solve passes (every member folded and re-rated):
   /// solve_count() minus the incremental passes. Rare by design — only
   /// where rate *ratios* change (DRAM-saturation toggles, capped members,
   /// a class's first solve).
-  [[nodiscard]] long full_scan_count() const { return full_scan_count_; }
-  [[nodiscard]] long incremental_solve_count() const {
-    return solve_count_ - full_scan_count_;
+  [[nodiscard]] long full_scan_count() const {
+    return solver_totals().full_scans;
   }
-  /// Per-class cumulative solver stats (solve passes, full scans, member
-  /// touches, cumulative solve time). Solve time is only accumulated while
-  /// set_solve_timing(true) — timing costs two clock reads per solve, so
-  /// it is opt-in; counts are always live.
-  struct SolverClassStats {
-    long solves = 0;
-    long full_scans = 0;
-    long member_touches = 0;
-    double solve_time_us = 0;  ///< host time, only while timing enabled
-  };
+  [[nodiscard]] long incremental_solve_count() const {
+    const SolverClassStats s = solver_totals();
+    return s.solves - s.full_scans;
+  }
   [[nodiscard]] SolverClassStats class_solver_stats(DeviceId device,
                                                     OpKind kind) const;
   [[nodiscard]] SolverClassStats link_solver_stats(DeviceId src,
@@ -314,7 +320,9 @@ class Engine {
   [[nodiscard]] bool solve_timing() const { return solve_timing_; }
   /// Cumulative host time across all re-solves (us; only accumulated
   /// while timing is enabled).
-  [[nodiscard]] double solve_time_us() const { return solve_time_us_; }
+  [[nodiscard]] double solve_time_us() const {
+    return solver_totals().solve_time_us;
+  }
   /// Re-solve passes of one device's class (Kernel / CopyH2D / CopyD2H /
   /// Fault). Membership churn on another device must never bump this.
   [[nodiscard]] long class_solve_count(DeviceId device, OpKind kind) const;
@@ -332,6 +340,17 @@ class Engine {
   [[nodiscard]] long start_heap_compactions() const {
     return start_heap_compactions_;
   }
+
+  /// Check the resource-class bookkeeping against the op slab and the
+  /// dirty worklist; throws Error naming the first violated invariant.
+  /// Per class: every member column holds one row per member (demand
+  /// columns only in kernel classes); row i's op is Running at class_pos
+  /// i of this class with the row's tenant and work; DMA classes (H2D,
+  /// D2H, P2P) hold at most one copy; a clean scan-mode class's next
+  /// completion is its pred minimum; incremental groups' counts and
+  /// weight sums match their rows; `dirty` is set exactly for the
+  /// classes on the worklist. O(members); for tests.
+  void audit() const;
 
  private:
   /// Per-device resource classes rates are solved for independently.
@@ -397,26 +416,29 @@ class Engine {
       return f != o.f ? f > o.f : id > o.id;
     }
   };
-  /// One tenant's share of an incremental-mode class. V advances lazily —
-  /// v is the cumulative virtual service as of class_since_, c its current
-  /// slope (service per wall-us per unit member weight) — so a member's
-  /// remaining work at time t is rem_enter - w * (V(t) - v_enter).
-  /// Single-tenant classes hold exactly one group.
+  /// One tenant's share of a class: its member count and weight sum, and
+  /// in incremental mode its service clock and finish index. V advances
+  /// lazily — v is the cumulative virtual service as of the class's
+  /// `since`, c its current slope (service per wall-us per unit member
+  /// weight) — so a member's remaining work at time t is
+  /// rem_enter - w * (V(t) - v_enter). Single-tenant classes hold exactly
+  /// one group.
   struct SolverGroup {
     TenantId tenant = kDefaultTenant;
-    double v = 0;      ///< cumulative virtual service at class_since_
+    double v = 0;      ///< cumulative virtual service at `since`
     double c = 0;      ///< dV/dt in effect since the last re-solve
     double w_sum = 0;  ///< sum of member weights
     long n = 0;        ///< member count
     std::vector<FinishEntry> heap;  ///< min-heap on finish tags
   };
-  /// Per-class solver mode and the O(1) aggregates the incremental path
-  /// re-prices from. Kernel-only aggregates (fill_sum, bww_sum, weight
-  /// bounds) back the validity test that guards the linear regime: no
-  /// zero-weight member, no member at the 1.0 solo cap or the 1e-9 floor,
-  /// DRAM unsaturated. w_max/w_min are maintained monotonically on join
-  /// (stale-conservative across leaves) and recomputed exactly by every
-  /// full scan.
+  /// Per-class solver mode, the class's tenant table (its groups), and the
+  /// O(1) aggregates the incremental path re-prices from. Kernel-only
+  /// aggregates (fill_sum, bww_sum, weight bounds) back the validity test
+  /// that guards the linear regime: no zero-weight member, no member at
+  /// the 1.0 solo cap or the 1e-9 floor, DRAM unsaturated. w_max/w_min
+  /// are maintained monotonically on join (stale-conservative across
+  /// leaves) and recomputed exactly by every full scan. In scan mode the
+  /// groups are rebuilt by each scan and not maintained in between.
   struct ClassSolver {
     bool incremental = false;
     double fill_sum = 0;  ///< kernels: sum of member device fills
@@ -435,6 +457,62 @@ class Engine {
       zero_w = 0;
       groups.clear();
     }
+    /// Group of `tenant` (nullptr if absent); group_mut appends it.
+    [[nodiscard]] const SolverGroup* group(TenantId tenant) const;
+    [[nodiscard]] SolverGroup& group_mut(TenantId tenant);
+    /// Count one member (weight w; fill and bw read only for kernels)
+    /// into its tenant's group and the aggregates; returns the group.
+    SolverGroup& add(TenantId tenant, bool kernel, double fill, double bw,
+                     double w);
+  };
+  /// One (device, class) solver domain: its running members and the state
+  /// that prices them. The member table is column-major — row i of every
+  /// column describes the op in slab slot slots[i], whose class_pos is i —
+  /// so the re-solve and the due scan are passes over dense arrays and a
+  /// member's Op is touched only at join, completion and queries. join()
+  /// and leave() are the only writers of the row set.
+  struct ResourceClass {
+    std::vector<std::int32_t> slots;
+    /// Kernel classes only (empty elsewhere): device fill, solo
+    /// utilization and DRAM appetite, captured at join. Equal-share
+    /// classes (copies, faults, peer links) need only their size.
+    std::vector<double> fill, solo_u, bw;
+    /// Progress as of `since`, the fold timestamp (one per class: every
+    /// scan folds every member): remaining work, total work (for the
+    /// completion epsilon), current rate and predicted completion.
+    std::vector<double> remaining, work, rate;
+    std::vector<TimeUs> pred;
+    std::vector<TenantId> tenant;
+    /// Virtual-service weight (kernels: fill / solo_u, the ratio the
+    /// proportional split preserves; equal-share classes: 1.0) and the
+    /// group V at which the member entered (meaningful only while the
+    /// class is incremental).
+    std::vector<double> w, venter;
+    TimeUs since = 0;
+    ClassSolver solver;
+    /// Streams whose head is an explicit copy blocked on this class's DMA
+    /// engine (H2D / D2H / peer-link classes); woken when it frees up.
+    std::vector<StreamId> copy_waiters;
+    bool dirty = false;  ///< queued on the engine's dirty_classes_
+    SolverClassStats stats;
+
+    [[nodiscard]] std::size_t size() const { return slots.size(); }
+    [[nodiscard]] bool empty() const { return slots.empty(); }
+    /// Append the row of `op`, which starts now in slab slot `slot` on a
+    /// device `dev`; returns its position. In incremental mode the member
+    /// also joins its group: O(log n), no other member is touched.
+    std::int32_t join(std::int32_t slot, const Op& op, const DeviceSpec& dev,
+                      TimeUs now);
+    /// Swap-and-pop `op`'s row out of every column; returns the slab slot
+    /// of the member moved into its position.
+    std::int32_t leave(const Op& op);
+    /// Rebuild the aggregates and tenant groups exactly from the rows,
+    /// groups in member first-appearance order (scan mode only).
+    void rebuild_groups(bool kernel_class);
+    /// Leave the incremental regime after a failed incremental_resolve:
+    /// materialize every member's remaining work at the groups' current V
+    /// into the plain progress column for the full scan that follows.
+    void demote();
   };
 
   [[nodiscard]] static constexpr int slot_of(OpKind kind) {
@@ -458,6 +536,9 @@ class Engine {
   }
 
   [[nodiscard]] Op& live_op(OpId id);
+  /// Whether op `id` is live and running (finish-index fronts go stale
+  /// when their op completes).
+  [[nodiscard]] bool is_running(OpId id) const;
   [[nodiscard]] const OpRecord& record_of(OpId id, const char* who) const;
 
   /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
@@ -478,8 +559,8 @@ class Engine {
   void mark_class_dirty(int cls);
   /// Wake every stream registered on `ev` (event fired or re-recorded).
   void wake_event_waiters(EventState& ev);
-  /// Remaining work of a live op folded to now() — from the class mirror
-  /// for running classed ops, from the Op itself otherwise.
+  /// Remaining work of a live op folded to now() — from its class row for
+  /// running classed ops, from the Op itself otherwise.
   [[nodiscard]] double live_remaining(const Op& op) const;
   /// Examine `stream`'s head; start it if its start condition holds at
   /// now_, otherwise register it exactly where its wake signal will occur
@@ -495,34 +576,31 @@ class Engine {
   /// member's predicted completion and the class minimum.
   void recompute_rates();
   // --- virtual-service solver internals ---
-  /// Group of `tenant` in an incremental-mode class (nullptr if absent).
-  [[nodiscard]] const SolverGroup* group_of(const ClassSolver& sol,
-                                            TenantId tenant) const;
-  [[nodiscard]] SolverGroup& group_of_mut(ClassSolver& sol, TenantId tenant);
   /// O(groups) re-solve of an incremental-mode dirty class: advance every
   /// group's V to now_, re-derive each group's service slope from the
   /// aggregates, and refresh class_next_ from the finish-index fronts.
-  /// Returns false (leaving V advanced and class_since_ at now_) when the
+  /// Returns false (leaving V advanced and `since` at now_) when the
   /// validity test fails — the caller demotes and falls back to a scan.
   bool incremental_resolve(int cls, bool kernel_class, double share);
   /// Derive per-group service slopes from the class aggregates; the
-  /// validity test of the linear regime. Multi-group classes replicate
-  /// apply_tenant_shares' weighted budget split over group aggregates.
-  bool compute_group_rates(int cls, bool kernel_class, double share,
-                           ClassSolver& sol);
-  /// Leave the incremental regime after a failed incremental_resolve:
-  /// materialize every member's remaining work at now_ into the plain
-  /// progress mirror for the full scan that follows.
-  void demote_class(int cls);
+  /// validity test of the linear regime. Multi-group classes split the
+  /// class aggregate with tenant_budgets, like apply_tenant_shares.
+  bool compute_group_rates(int cls, bool kernel_class, double share);
   /// Attempt to enter the incremental regime right after a full scan (the
-  /// scan just folded remainings to now_ and wrote exact rates): rebuild
-  /// aggregates and groups exactly, verify the scan's rates match the
-  /// linear model c_g * w_i, and rebase every member's finish tag to
-  /// V = 0. Leaves the class in scan mode if any member is off the line.
+  /// scan just folded remainings to now_, wrote exact rates and rebuilt
+  /// the groups): derive the linear-model slopes, verify the scan's rates
+  /// match c_g * w_i, and rebase every member's finish tag to V = 0.
+  /// Leaves the class in scan mode if any member is off the line.
   void try_promote_class(int cls, bool kernel_class, double share);
-  /// Current rate of a live running member (mode-aware: c * w when its
-  /// class is incremental, the rate mirror otherwise).
+  /// Current rate of a live op (mode-aware: c * w when its class is
+  /// incremental, the rate column otherwise; 0 outside any class).
   [[nodiscard]] double live_rate(const Op& op) const;
+  /// Weighted water-fill of `total_rate` over the populated groups of
+  /// `sol` by tenant weight, each group capped at n_g * member_cap (what
+  /// its members can absorb); budgets land in share_budget_ in group
+  /// order. Returns false when there is no weight or no rate to split.
+  bool tenant_budgets(const ClassSolver& sol, double member_cap,
+                      double total_rate);
   /// Weighted per-tenant fair sharing of one class whose members span
   /// several tenants: rewrites solve_rates_ (sized to the class) so each
   /// tenant's aggregate rate is weight-proportional, conserving the
@@ -531,8 +609,20 @@ class Engine {
   /// 1.0 apiece, never faster than solo; transfers: uncapped) and a
   /// capped tenant's surplus flows to the others, then each budget
   /// spreads over the tenant's members in proportion to their base rates
-  /// (again member-capped). Called only on the multi-tenant path.
-  void apply_tenant_shares(int cls, bool kernel_class, double share);
+  /// (again member-capped). Reads the groups the scan just rebuilt;
+  /// called only on the multi-tenant path.
+  void apply_tenant_shares(ResourceClass& rc, bool kernel_class,
+                           double share);
+  /// Sum of every class's solver stats.
+  [[nodiscard]] SolverClassStats solver_totals() const;
+  /// The class of `kind` on `device` / of the directed link src -> dst;
+  /// throws ApiError (prefixed `who`) on an invalid device or a kind that
+  /// carries no per-device class.
+  [[nodiscard]] const ResourceClass& device_class(DeviceId device,
+                                                  OpKind kind,
+                                                  const char* who) const;
+  [[nodiscard]] const ResourceClass& link_class(DeviceId src, DeviceId dst,
+                                                const char* who) const;
   /// Push a start-heap entry for `op` (displacing its previous entry, if
   /// any, into staleness) and compact the heap when stale entries outnumber
   /// live ones.
@@ -597,71 +687,26 @@ class Engine {
   /// directed peer-link classes at p2p_base_ + src*ndev + dst.
   int p2p_base_ = 0;
   int num_classes_ = 0;
-  std::vector<std::vector<std::int32_t>> class_members_;  ///< slab slots
-  /// Compact SoA mirrors of the kernel classes' member demands (indexed
-  /// like class_members_; only kernel-slot classes populate them): device
-  /// fill, solo utilization, DRAM appetite — captured once at class join
-  /// so the hot re-solve iterates three dense double arrays instead of
-  /// chasing Op pointers. Equal-share classes (copies, faults, peer links)
-  /// need only their member count and keep no mirror.
-  std::vector<std::vector<double>> class_fill_;
-  std::vector<std::vector<double>> class_solo_u_;
-  std::vector<std::vector<double>> class_bw_;
-  /// Progress mirrors for every class (same indexing): remaining work as
-  /// of the class's last re-solve, total work (for the completion
-  /// epsilon), current rate, and predicted completion. class_since_[cls]
-  /// is the fold timestamp — a per-class scalar, valid because each
-  /// re-solve folds every member. The hot paths (re-solve, due scan) are
-  /// pure passes over these dense arrays; a member's Op is touched only
-  /// at join, completion, and queries.
-  std::vector<std::vector<double>> class_remaining_;
-  std::vector<std::vector<double>> class_work_;
-  std::vector<std::vector<double>> class_rate_;
-  std::vector<std::vector<TimeUs>> class_pred_;
-  /// Owning tenant of each member (same indexing as class_members_). The
-  /// re-solve scans it to detect multi-tenant classes; a uniform column
-  /// keeps the historical single-tenant arithmetic untouched.
-  std::vector<std::vector<TenantId>> class_tenant_;
-  std::vector<TimeUs> class_since_;
-  /// Virtual-service columns (same indexing as class_members_): each
-  /// member's service weight (kernels: fill / solo_u — the ratio the
-  /// proportional split preserves; equal-share classes: 1.0) and the
-  /// group V at which it entered. Maintained in both solver modes (the
-  /// weight is one division at join); venter is only meaningful while the
-  /// class is incremental.
-  std::vector<std::vector<double>> class_w_;
-  std::vector<std::vector<double>> class_venter_;
-  /// Per-class solver mode + aggregates + groups + finish indices.
-  std::vector<ClassSolver> class_solver_;
-  /// Minimum pred_end over each class's members (infinity when empty);
-  /// valid for clean classes, refreshed by recompute_rates() for dirty
-  /// ones.
+  std::vector<ResourceClass> classes_;
+  /// Minimum predicted completion over each class's members (infinity
+  /// when empty); valid for clean classes, refreshed by recompute_rates()
+  /// for dirty ones. Kept dense beside the records: every step sweeps it.
   std::vector<TimeUs> class_next_;
-  std::vector<char> class_dirty_;
   std::vector<int> dirty_classes_;  ///< worklist of dirty class indices
-  std::vector<long> class_solves_;  ///< re-solve passes per class
   /// Heads waiting on a live op through `Op::after`: (gate op, stream),
   /// woken and dropped when the gate completes. Only the residency
   /// planner's page-outs use `after`, so this stays a handful long.
   std::vector<std::pair<OpId, StreamId>> after_waiters_;
-  /// Streams whose head is an explicit copy blocked on the in-flight copy
-  /// of the same DMA engine (per-device H2D/D2H, per-link P2P); woken when
-  /// that engine frees up. Indexed like the class table (kernel/fault
-  /// slots stay empty).
-  std::vector<std::vector<StreamId>> copy_waiters_;
   long running_ = 0;  ///< running ops across all classes (incl. rate-less)
 
   // --- reusable scratch (avoid per-step allocation) ---
   std::vector<StreamId> batch_;
   std::vector<OpId> due_;
   std::vector<double> solve_rates_;
-  /// Distinct-tenant table of the class being re-solved (weighted path
-  /// only): tenant id, weight, base-rate sum, absorbable cap (member
-  /// count times the member cap), water-filled budget, still-active flag;
-  /// plus a per-member capped flag for the intra-tenant distribution.
-  std::vector<TenantId> share_tenant_;
+  /// tenant_budgets' per-group tables (weight, absorbable cap, water-
+  /// filled budget, still-active flag), plus a per-member capped flag for
+  /// apply_tenant_shares' intra-tenant distribution.
   std::vector<double> share_weight_;
-  std::vector<double> share_rate_sum_;
   std::vector<double> share_cap_;
   std::vector<double> share_budget_;
   std::vector<char> share_active_;
@@ -681,14 +726,7 @@ class Engine {
   std::vector<TimeUs> tenant_deadline_;
   bool qos_active_ = false;
 
-  long solve_count_ = 0;
   long solved_ops_ = 0;
-  long member_touches_ = 0;
-  long full_scan_count_ = 0;
-  std::vector<long> class_full_scans_;      ///< per-class full-scan passes
-  std::vector<long> class_member_touches_;  ///< per-class scan touches
-  std::vector<double> class_solve_time_;    ///< per-class host us (opt-in)
-  double solve_time_us_ = 0;
   bool solve_timing_ = false;
   long completed_count_ = 0;
   long stall_steps_ = 0;

@@ -87,15 +87,9 @@ struct Op {
   TimeUs end_time = -1;
 
   // --- engine scheduling state (managed by Engine; opaque to callers) ---
-  /// Instantaneous fluid-model rate while running (0 until first solve).
+  /// Instantaneous fluid-model rate, filled in by Engine::op() snapshots
+  /// (0 unless running in a resource class).
   double rate = 0;
-  /// Virtual time up to which `done` reflects progress at `rate`; progress
-  /// since then is folded in lazily when the rate changes or on query.
-  TimeUs rate_since = 0;
-  /// Predicted completion time at the current rate (set at each class
-  /// re-solve; infinity while rate-less). The engine's per-class minimum
-  /// over this field replaces a per-op completion heap.
-  TimeUs pred_end = 0;
   /// Position inside the engine's per-resource-class member list (swap-and-
   /// pop removal); -1 while not running or for rate-less kinds.
   std::int32_t class_pos = -1;

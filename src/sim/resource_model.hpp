@@ -57,7 +57,7 @@ class ResourceModel {
   // link classes as an equal split of the machine's link bandwidth.
 
   /// Kernel-class solver over the engine's compact per-class demand arrays
-  /// (SoA mirror of the member list, maintained incrementally at
+  /// (the demand columns of a class's member table, maintained at
   /// join/leave): `fill[i]` is member i's device fill
   /// (sm_demand/sm_count * occupancy), `solo_u[i]` its solo utilization
   /// (utilization(fill[i])), `bw_need[i]` its DRAM appetite at rate 1.

@@ -39,6 +39,17 @@ struct GoldenRun {
   long solved_ops = 0;  ///< Engine::solved_ops() after the run
 };
 
+/// Run `eng` to idle one op completion at a time, auditing it after each
+/// advance. run_until_op_done takes the same steps as run_all, so the
+/// schedule is unchanged.
+inline TimeUs run_all_audited(Engine& eng) {
+  for (OpId id = 1; !eng.all_idle(); ++id) {
+    eng.run_until_op_done(id);
+    eng.audit();
+  }
+  return eng.run_all();
+}
+
 /// Engine-level contention DAG (Fig. 9 pressure at engine scale): the
 /// shared generator from sim/synthetic.hpp — the same shape the
 /// scheduler-overhead microbenchmark times at 10k ops / 32 streams.
@@ -46,7 +57,7 @@ inline GoldenRun run_contention_scenario() {
   Engine eng(DeviceSpec::test_device());
   build_contention_dag(eng, 1000, 16);
   GoldenRun r;
-  r.makespan = eng.run_all();
+  r.makespan = run_all_audited(eng);
   r.entries = eng.timeline().entries();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
@@ -60,7 +71,7 @@ inline GoldenRun run_transfer_churn_scenario() {
   Engine eng(DeviceSpec::test_device());
   build_transfer_churn_dag(eng, 8, 400, 8);
   GoldenRun r;
-  r.makespan = eng.run_all();
+  r.makespan = run_all_audited(eng);
   r.entries = eng.timeline().entries();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
@@ -125,6 +136,7 @@ inline GoldenRun run_oversub_planner_scenario(const CallProbe& probe = {}) {
   GpuRuntime rt(spec);
   std::vector<ArrayId> arrays;
   const auto called = [&] {
+    rt.engine().audit();
     if (probe) probe(rt, arrays);
   };
   for (int i = 0; i < 4; ++i) {
@@ -167,6 +179,7 @@ inline GoldenRun run_multi_gpu_staging_scenario(const CallProbe& probe = {}) {
   const ArrayId out = rt.alloc(1000, "out");
   const std::vector<ArrayId> arrays = {big, one, out};
   const auto called = [&] {
+    rt.engine().audit();
     if (probe) probe(rt, arrays);
   };
   rt.host_write(big);

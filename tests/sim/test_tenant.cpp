@@ -345,7 +345,7 @@ TEST(TenantManagerSurface, HandlesRegisterWeightAndQuota) {
   EXPECT_EQ(rt.memory().tenant_quota(0, 0), std::size_t{1} << 20);
   EXPECT_EQ(rt.memory().tenant_quota(1, 0), MemoryManager::kNoQuota);
   EXPECT_EQ(mgr.num_tenants(), 2u);
-  EXPECT_THROW(mgr.tenant(5), ApiError);
+  EXPECT_THROW((void)mgr.tenant(5), ApiError);
 
   // The handle's streams carry its tenant; allocs carry its ownership.
   const StreamId s = b.create_stream();

@@ -203,6 +203,7 @@ class MidpointChecker : public Stepper {
       const TimeUs mid = mids_[next_++];
       if (mid <= eng.now()) continue;
       eng.advance_to(mid);
+      eng.audit();
       check(eng);
     }
   }

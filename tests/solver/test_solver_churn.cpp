@@ -74,9 +74,11 @@ std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed) {
     if (i % 4 != 3) {
       t += gap(rng);
       d.advance_to(eng, t);
+      eng.audit();
     }
   }
   d.run_all(eng);
+  eng.audit();
   return eng.timeline().entries();
 }
 
@@ -112,6 +114,7 @@ TEST(SolverChurn, WeightChangeRepricesWithoutMemberScan) {
   eng.enqueue(test::raw_kernel(s1, 100.0, 4, 1.0), 0);
   eng.enqueue(test::raw_kernel(s2, 100.0, 4, 1.0), 0);
   eng.advance_to(10.0);  // 5.0 work each at equal weights
+  eng.audit();
 
   const long scans_before = eng.full_scan_count();
   const long touches_before = eng.member_touch_count();
@@ -122,6 +125,7 @@ TEST(SolverChurn, WeightChangeRepricesWithoutMemberScan) {
       << "weight change touched members";
 
   eng.advance_to(20.0);  // [10, 20]: rates 0.75 / 0.25
+  eng.audit();
   EXPECT_NEAR(eng.tenant_inflight_work(1), 12.5, 1e-9);
   EXPECT_NEAR(eng.tenant_inflight_work(2), 7.5, 1e-9);
 }
@@ -138,11 +142,14 @@ std::vector<TimelineEntry> weight_change(Stepper& d) {
     }
   }
   d.advance_to(eng, 15.0);
+  eng.audit();
   eng.set_tenant_weight(1, 4.0);
   d.advance_to(eng, 40.0);
+  eng.audit();
   eng.set_tenant_weight(1, 1.0);
   eng.set_tenant_weight(3, 0.5);
   d.run_all(eng);
+  eng.audit();
   return eng.timeline().entries();
 }
 
@@ -177,6 +184,7 @@ TEST(SolverChurn, PerClassStatsSumToTotals) {
   eng.set_solve_timing(true);
   build_contention_dag(eng, 500, 16);
   eng.run_all();
+  eng.audit();
 
   long scans = 0;
   long touches = 0;
