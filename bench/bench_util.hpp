@@ -2,8 +2,7 @@
 //
 // Every binary prints: what the paper's figure/table reports, the numbers
 // this reproduction measures, and (where the paper states them) the paper's
-// own values for side-by-side comparison. EXPERIMENTS.md records the
-// correspondence run by run.
+// own values for side-by-side comparison.
 #pragma once
 
 #include <cstdio>

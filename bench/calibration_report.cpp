@@ -3,7 +3,7 @@
 // ratios, Fig. 12 hardware-utilization ratios, each printed next to the
 // paper's published value. This is the tool the calibration of the kernel
 // cost descriptors (duty cycles, shared-memory tiles, fault bandwidth)
-// was iterated against; EXPERIMENTS.md snapshots one run of it.
+// was iterated against.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -33,12 +33,15 @@ static const std::map<std::string, double> kFig9 = {
 
 int main() {
   const auto gpus = paper_gpus();
-  printf("%-5s | %22s | %22s | %22s\n", "bench", "960 ours(paper)",
+  printf("Fig7 cells: parallel/serial speedup ours(paper), then the serial\n"
+         "time: our unnormalised total over the benchmark's\n"
+         "default_iterations() (it) against the paper's per-run ms.\n");
+  printf("%-5s %4s | %22s | %22s | %22s\n", "bench", "it", "960 ours(paper)",
          "1660 ours(paper)", "P100 ours(paper)");
   std::vector<double> sp_all;
   for (BenchId id : all_benchmarks()) {
-    printf("%-5s |", name(id));
     const auto bench = make_benchmark(id);
+    printf("%-5s %4d |", name(id), bench->default_iterations());
     const Target& t = kFig7.at(name(id));
     const double tv[3] = {t.v960, t.v1660, t.vp100};
     int gi = 0;
@@ -51,8 +54,6 @@ int main() {
       sp_all.push_back(s);
       const Target& st = kSerialMs.at(name(id));
       const double stv[3] = {st.v960, st.v1660, st.vp100};
-      const int iters = cfg.iterations > 0 ? cfg.iterations : 0;
-      (void)iters;
       printf(" %4.2fx(%4.2fx) %5.0f(%4.0fms) |", s, tv[gi],
              rs.gpu_time_us / 1e3, stv[gi]);
       ++gi;

@@ -30,26 +30,18 @@ sim::LaunchSpec make_launch_spec(const Step& step, bool functional) {
   spec.name = step.label;
   spec.config = step.config;
   spec.profile =
-      def.cost_fn(step.config, rt::ArgsView(&step.values, false));
+      def.cost_fn(step.config, rt::ArgsView(step.values, false));
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (!params[i].is_pointer()) continue;
-    const sim::ArrayId id = step.values[i].as_array().state()->sim_id;
-    const bool write = !params[i].read_only;
-    bool found = false;
-    for (auto& use : spec.arrays) {
-      if (use.id == id) {
-        use.write |= write;
-        found = true;
-      }
-    }
-    if (!found) spec.arrays.push_back({id, write});
+    spec.add_array(step.values[i].as_array().state()->sim_id,
+                   !params[i].read_only);
   }
   if (functional && def.host_fn) {
     auto values = std::make_shared<std::vector<rt::Value>>(step.values);
     auto fn = def.host_fn;
     const auto cfg = step.config;
     spec.functional = [fn, cfg, values]() {
-      fn(cfg, rt::ArgsView(values.get(), true));
+      fn(cfg, rt::ArgsView(*values, true));
     };
   }
   return spec;

@@ -13,9 +13,8 @@
 // keep being tracked.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace psched::rt {
@@ -48,12 +47,17 @@ class BlockSizeTuner {
 
  private:
   struct Cell {
+    long block = 0;
     long trials = 0;
     double best_us_per_item = 0;  ///< best observed (lower is better)
   };
   struct Bucket {
-    std::map<long, Cell> by_block;  ///< candidate block size -> stats
+    int log2_work = 0;
+    std::vector<Cell> cells;  ///< one per block size seen, ascending
+    [[nodiscard]] const Cell* cell(long block) const;
   };
+  /// A kernel's buckets, in first-recorded order.
+  using History = std::vector<Bucket>;
 
   /// Work sizes are bucketed by log2 so tuning generalizes across runs of
   /// similar magnitude without conflating small and large inputs.
@@ -62,7 +66,10 @@ class BlockSizeTuner {
   [[nodiscard]] const Bucket* find(const std::string& kernel,
                                    double work_items) const;
 
-  std::map<std::pair<std::string, int>, Bucket> stats_;
+  /// Keyed by kernel name; a recorded launch looks its history up without
+  /// building a key, and allocates only for a kernel, bucket or block size
+  /// it has not seen before.
+  std::unordered_map<std::string, History> stats_;
 };
 
 }  // namespace psched::rt

@@ -7,9 +7,8 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
-#include <vector>
 
+#include "runtime/small_vector.hpp"
 #include "runtime/value.hpp"
 #include "sim/types.hpp"
 
@@ -33,16 +32,18 @@ class Computation {
   long id = -1;
   Kind kind = Kind::Kernel;
   std::string label;
-  std::vector<Use> uses;
+  /// Links and argument lists live inline up to the arities ordinary
+  /// kernels have (registering one allocates nothing) and spill beyond.
+  SmallVec<Use, 4> uses;
 
-  std::vector<Computation*> parents;
-  std::vector<Computation*> children;
+  SmallVec<Computation*, 4> parents;
+  SmallVec<Computation*, 4> children;
 
   /// The dependency set of section IV-A: arrays through which this
   /// computation can still introduce dependencies. An array is removed when
   /// a later computation *writes* it; an empty set retires the element from
   /// the frontier.
-  std::unordered_set<ArrayState*> dep_set;
+  SmallSet<ArrayState*, 4> dep_set;
 
   State state = State::Created;
   /// Id of the last computation whose dependency inference visited this

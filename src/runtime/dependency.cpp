@@ -18,34 +18,41 @@ void prune_inactive(std::vector<Computation*>& readers) {
 
 }  // namespace
 
-std::vector<Computation*> infer_dependencies(Computation& c,
-                                             bool honor_read_only) {
+std::span<Computation* const> infer_dependencies(Computation& c,
+                                                 bool honor_read_only) {
   // Coalesce duplicate array arguments: one write use dominates any number
   // of read uses of the same array within a single computation.
-  std::vector<std::pair<ArrayState*, bool>> combined;  // (array, writes?)
+  struct ArrayAccess {
+    ArrayState* array = nullptr;
+    bool writes = false;
+  };
+  SmallVec<ArrayAccess, 8> combined;
   for (const Computation::Use& use : c.uses) {
     const bool writes = !use.read_only || !honor_read_only;
     auto it = std::find_if(combined.begin(), combined.end(),
-                           [&](const auto& p) { return p.first == use.array; });
+                           [&](const ArrayAccess& a) {
+                             return a.array == use.array;
+                           });
     if (it == combined.end()) {
-      combined.emplace_back(use.array, writes);
+      combined.push_back({use.array, writes});
     } else {
-      it->second = it->second || writes;
+      it->writes = it->writes || writes;
     }
   }
 
-  std::vector<Computation*> deps;
-  // Duplicate parents (a computation reachable through several arrays) are
-  // filtered with the dep_mark stamp: O(1) per candidate instead of a scan
-  // of the deps collected so far.
+  // Parents are wired as they are found. Duplicates (a computation
+  // reachable through several arrays) are filtered with the dep_mark
+  // stamp: O(1) per candidate instead of a scan of the parents so far.
+  const std::size_t first_parent = c.parents.size();
   auto add_dep = [&](Computation* d) {
     if (d == nullptr || d == &c || !d->is_active()) return;
     if (d->dep_mark == c.id) return;  // already a parent of c
     d->dep_mark = c.id;
-    deps.push_back(d);
+    d->children.push_back(&c);
+    c.parents.push_back(d);
   };
 
-  for (auto& [array, writes] : combined) {
+  for (const auto& [array, writes] : combined) {
     Computation* writer =
         (array->last_writer != nullptr && array->last_writer->is_active())
             ? array->last_writer
@@ -78,13 +85,7 @@ std::vector<Computation*> infer_dependencies(Computation& c,
     // The new computation can introduce dependencies through this argument.
     c.dep_set.insert(array);
   }
-
-  // Wire the DAG links.
-  for (Computation* d : deps) {
-    d->children.push_back(&c);
-    c.parents.push_back(d);
-  }
-  return deps;
+  return std::span<Computation* const>(c.parents).subspan(first_parent);
 }
 
 }  // namespace psched::rt

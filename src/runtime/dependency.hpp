@@ -21,19 +21,22 @@
 // the CPU has already synchronized (State::Finished) never contribute.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "runtime/computation.hpp"
 
 namespace psched::rt {
 
 /// Infer the dependencies of `c` from its `uses`, update the per-array
-/// writer/reader tracking and all dependency sets, and return the parent
-/// computations (deduplicated, excluding `c` itself and inactive elements).
+/// writer/reader tracking and all dependency sets, wire the DAG links, and
+/// return the parent computations it found (deduplicated, excluding `c`
+/// itself and inactive elements) — a view of the tail of `c.parents`,
+/// valid until `c.parents` next changes. Allocates nothing for arities up
+/// to the Computation record's inline capacities.
 ///
 /// With `honor_read_only == false` every use is treated as a write — the
 /// conservative behaviour the paper prescribes for unannotated signatures.
-[[nodiscard]] std::vector<Computation*> infer_dependencies(
+[[nodiscard]] std::span<Computation* const> infer_dependencies(
     Computation& c, bool honor_read_only = true);
 
 }  // namespace psched::rt

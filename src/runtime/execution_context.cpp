@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "runtime/dependency.hpp"
 
@@ -99,19 +98,23 @@ ContextStats Context::stats() const {
 
 Computation& Context::new_computation(Computation::Kind kind,
                                       std::string label) {
-  auto c = std::make_unique<Computation>();
-  c->id = static_cast<long>(comps_.size());
-  c->kind = kind;
-  c->label = std::move(label);
-  comps_.push_back(std::move(c));
+  const std::size_t id = comps_.size();
+  if (id % kComputationChunk == 0) {
+    comp_chunks_.push_back(std::make_unique<Computation[]>(kComputationChunk));
+  }
+  Computation& c = comp_chunks_.back()[id % kComputationChunk];
+  c.id = static_cast<long>(id);
+  c.kind = kind;
+  c.label = std::move(label);
+  comps_.push_back(&c);
   ++stats_.computations;
-  if (opts_.keep_dag) dag_.add_vertex(*comps_.back());
-  return *comps_.back();
+  if (opts_.keep_dag) dag_.add_vertex(c);
+  return c;
 }
 
 void Context::check_args(const std::string& name,
                          const std::vector<ParamSpec>& params,
-                         const std::vector<Value>& values) {
+                         std::span<const Value> values) {
   if (params.size() != values.size()) {
     throw sim::ApiError("invoke '" + name + "': expected " +
                         std::to_string(params.size()) + " arguments, got " +
@@ -124,42 +127,64 @@ void Context::check_args(const std::string& name,
                           std::to_string(i + 1) + " should be " +
                           (want_array ? "an array" : "a scalar"));
     }
-  }
-}
-
-std::vector<Computation::Use> Context::collect_uses(
-    const std::vector<ParamSpec>& params, const std::vector<Value>& values) {
-  std::vector<Computation::Use> uses;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (!params[i].is_pointer()) continue;
-    ArrayState* s = values[i].as_array().state();
+    if (!want_array) continue;
+    const ArrayState* s = values[i].as_array().state();
+    if (s == nullptr) {
+      throw sim::ApiError("invoke '" + name + "': argument " +
+                          std::to_string(i + 1) + " is an empty array");
+    }
     if (s->freed) {
       throw sim::ApiError("invoke: argument uses freed array '" + s->name +
                           "'");
     }
-    uses.push_back({s, params[i].read_only});
   }
-  return uses;
+}
+
+void Context::collect_uses(Computation& c,
+                           const std::vector<ParamSpec>& params,
+                           std::span<const Value> values) {
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!params[i].is_pointer()) continue;
+    c.uses.push_back({values[i].as_array().state(), params[i].read_only});
+  }
+}
+
+sim::LaunchSpec& Context::launch_spec(const Computation& c,
+                                      const sim::LaunchConfig& cfg,
+                                      const sim::KernelProfile& profile,
+                                      std::function<void()> functional) {
+  sim::LaunchSpec& spec = launch_spec_;
+  spec.name = c.label;
+  spec.config = cfg;
+  spec.profile = profile;
+  spec.arrays.clear();
+  for (const Computation::Use& use : c.uses) {
+    spec.add_array(use.array->sim_id, !use.read_only);
+  }
+  spec.functional = std::move(functional);
+  return spec;
 }
 
 void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
-                            std::vector<Value> values) {
+                            std::span<const Value> values) {
   activate();
   check_args(kernel.name(), kernel.signature(), values);
   const KernelDef* def = kernel.def_;
 
   Computation& c = new_computation(Computation::Kind::Kernel, kernel.name());
-  c.uses = collect_uses(kernel.signature(), values);
+  collect_uses(c, kernel.signature(), values);
   ++stats_.kernels;
 
-  const ArgsView cost_view(&values, /*functional=*/false);
-  const sim::KernelProfile profile = def->cost_fn(cfg, cost_view);
+  const sim::KernelProfile profile =
+      def->cost_fn(cfg, ArgsView(values, /*functional=*/false));
 
   std::function<void()> functional;
   if (opts_.functional && def->host_fn) {
-    auto vals = std::make_shared<std::vector<Value>>(std::move(values));
+    // The host implementation runs at completion: keep the arguments.
+    auto vals = std::make_shared<const std::vector<Value>>(values.begin(),
+                                                           values.end());
     auto fn = def->host_fn;
-    functional = [fn, cfg, vals]() { fn(cfg, ArgsView(vals.get(), true)); };
+    functional = [fn, cfg, vals]() { fn(cfg, ArgsView(*vals, true)); };
   }
 
   if (opts_.policy == SchedulePolicy::Serial) {
@@ -187,9 +212,8 @@ void Context::submit_library(const LibraryFunctionDef& def,
   if (def.stream_aware) {
     Computation& c =
         new_computation(Computation::Kind::Library, "lib:" + def.name);
-    c.uses = collect_uses(def.params, values);
-    const ArgsView cost_view(&values, false);
-    const sim::KernelProfile profile = def.cost_fn(cost_view);
+    collect_uses(c, def.params, values);
+    const sim::KernelProfile profile = def.cost_fn(ArgsView(values, false));
     // Library internals choose their own launch geometry; model a
     // device-filling configuration.
     const auto cfg = sim::LaunchConfig::linear(1024, 256);
@@ -197,7 +221,7 @@ void Context::submit_library(const LibraryFunctionDef& def,
     if (opts_.functional && def.host_fn) {
       auto vals = std::make_shared<std::vector<Value>>(std::move(values));
       auto fn = def.host_fn;
-      functional = [fn, vals]() { fn(ArgsView(vals.get(), true)); };
+      functional = [fn, vals]() { fn(ArgsView(*vals, true)); };
     }
     if (opts_.policy == SchedulePolicy::Serial) {
       schedule_serial(c, cfg, profile, std::move(functional));
@@ -209,7 +233,7 @@ void Context::submit_library(const LibraryFunctionDef& def,
 
   // No stream control: run synchronously for correctness (section IV-A).
   synchronize();
-  const ArgsView view(&values, opts_.functional);
+  const ArgsView view(values, opts_.functional);
   for (std::size_t i = 0; i < def.params.size(); ++i) {
     if (!def.params[i].is_pointer()) continue;
     ArrayState* s = values[i].as_array().state();
@@ -223,10 +247,12 @@ void Context::submit_library(const LibraryFunctionDef& def,
 void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                              const sim::KernelProfile& profile,
                              std::function<void()> functional) {
-  // Model the cost of dependency computation and stream selection.
-  gpu_->host_advance(opts_.scheduling_overhead_us);
+  // Model the cost of dependency computation and stream selection. It only
+  // moves the host clock: the runtime calls below advance the engine at
+  // their entry (the one-advance rule, GpuRuntime::note_api_call).
+  gpu_->charge_host(opts_.scheduling_overhead_us);
 
-  const std::vector<Computation*> deps =
+  const std::span<Computation* const> deps =
       infer_dependencies(c, opts_.honor_read_only);
   if (opts_.keep_dag) {
     for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
@@ -239,20 +265,21 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   devices_used_mask_ |= 1u << c.device;
   c.stream = streams_->acquire(c);
 
+  const sim::LaunchSpec& spec =
+      launch_spec(c, cfg, profile, std::move(functional));
+
   // Stage data movement first so transfers may start as early as possible.
   // The runtime resolves each migration's source: host (prefetch / fault
   // path) or a peer device holding the freshest copy (CopyP2P).
   double staged_bytes = 0;
-  std::unordered_set<ArrayState*> seen;
   const bool page_fault = gpu_->spec(c.device).page_fault_um;
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) continue;
-    const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
+  for (const sim::ArrayUse& use : spec.arrays) {
+    const sim::ArrayInfo& info = gpu_->memory().info(use.id);
     if (!info.needs_transfer_to(c.device)) continue;
     staged_bytes += static_cast<double>(info.bytes);
     if (page_fault && info.host_sourced()) {
       if (opts_.prefetch) {
-        gpu_->mem_prefetch_async(use.array->sim_id, c.stream);
+        gpu_->mem_prefetch_async(use.id, c.stream);
         ++stats_.prefetches;
       }
       // else: the launch falls back to on-demand fault migration
@@ -260,7 +287,7 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
       // Pre-Pascal host sources transfer ahead of execution; peer-device
       // sources always move eagerly — there is no fault path between GPUs
       // in this model.
-      gpu_->memcpy_h2d_async(use.array->sim_id, c.stream);
+      gpu_->memcpy_h2d_async(use.id, c.stream);
     }
   }
 
@@ -272,31 +299,15 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
     }
   }
 
-  sim::LaunchSpec spec;
-  spec.name = c.label;
-  spec.config = cfg;
-  spec.profile = profile;
-  seen.clear();
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) {
-      // Coalesce duplicate arguments: a write dominates.
-      for (auto& au : spec.arrays) {
-        if (au.id == use.array->sim_id) au.write |= !use.read_only;
-      }
-      continue;
-    }
-    spec.arrays.push_back({use.array->sim_id, !use.read_only});
-  }
-  spec.functional = std::move(functional);
-
-  c.op = gpu_->launch(c.stream, spec);
+  sim::KernelDemand demand;
+  c.op = gpu_->launch(c.stream, spec, &demand);
+  launch_spec_.functional = nullptr;  // the launch keeps its own copy
   c.event = gpu_->create_event();
   gpu_->record_event(c.event, c.stream);
   c.state = Computation::State::Scheduled;
   active_.push_back(&c);
 
-  c.solo_us =
-      gpu_->engine().model(c.device).kernel_demand(cfg, profile).solo_us;
+  c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
   if (opts_.keep_dag) dag_.annotate_vertex(c);
 }
@@ -310,36 +321,22 @@ void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
   c.stream = sim::kDefaultStream;
   devices_used_mask_ |= 1u;
 
+  const sim::LaunchSpec& spec =
+      launch_spec(c, cfg, profile, std::move(functional));
   double staged_bytes = 0;
-  std::unordered_set<ArrayState*> seen;
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) continue;
-    const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
+  for (const sim::ArrayUse& use : spec.arrays) {
+    const sim::ArrayInfo& info = gpu_->memory().info(use.id);
     if (info.needs_h2d()) staged_bytes += static_cast<double>(info.bytes);
   }
 
-  sim::LaunchSpec spec;
-  spec.name = c.label;
-  spec.config = cfg;
-  spec.profile = profile;
-  seen.clear();
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) {
-      for (auto& au : spec.arrays) {
-        if (au.id == use.array->sim_id) au.write |= !use.read_only;
-      }
-      continue;
-    }
-    spec.arrays.push_back({use.array->sim_id, !use.read_only});
-  }
-  spec.functional = std::move(functional);
-
-  c.op = gpu_->launch(c.stream, spec);
+  sim::KernelDemand demand;
+  c.op = gpu_->launch(c.stream, spec, &demand);
+  launch_spec_.functional = nullptr;  // the launch keeps its own copy
   gpu_->synchronize_stream(c.stream);
   ++stats_.blocking_syncs;
   c.state = Computation::State::Finished;
 
-  c.solo_us = gpu_->engine().model().kernel_demand(cfg, profile).solo_us;
+  c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
   if (opts_.keep_dag) dag_.annotate_vertex(c);
 }
@@ -426,8 +423,8 @@ void Context::on_host_read(ArrayState* array) {
 
   Computation& c =
       new_computation(Computation::Kind::HostRead, "read:" + array->name);
-  c.uses = {{array, /*read_only=*/true}};
-  const std::vector<Computation*> deps =
+  c.uses.push_back({array, /*read_only=*/true});
+  const std::span<Computation* const> deps =
       infer_dependencies(c, /*honor_read_only=*/true);
   if (opts_.keep_dag) {
     for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
@@ -482,8 +479,8 @@ void Context::on_host_write(ArrayState* array) {
 
   Computation& c =
       new_computation(Computation::Kind::HostWrite, "write:" + array->name);
-  c.uses = {{array, /*read_only=*/false}};
-  const std::vector<Computation*> deps =
+  c.uses.push_back({array, /*read_only=*/false});
+  const std::span<Computation* const> deps =
       infer_dependencies(c, /*honor_read_only=*/true);
   if (opts_.keep_dag) {
     for (const Computation* d : deps) dag_.add_edge(d->id, c.id);

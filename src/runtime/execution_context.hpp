@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -134,15 +135,15 @@ class Context {
   [[nodiscard]] const StreamManager& stream_manager() const {
     return *streams_;
   }
-  /// All computations registered so far (stable addresses).
-  [[nodiscard]] const std::vector<std::unique_ptr<Computation>>&
-  computations() const {
+  /// All computations registered so far, in registration (id) order
+  /// (stable addresses).
+  [[nodiscard]] const std::vector<Computation*>& computations() const {
     return comps_;
   }
 
   // --- internal entry points (DeviceArray / ConfiguredKernel / Library) ---
   void submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
-                     std::vector<Value> values);
+                     std::span<const Value> values);
   void submit_library(const LibraryFunctionDef& def, std::vector<Value> values);
   void on_host_read(ArrayState* array);
   void on_host_write(ArrayState* array);
@@ -161,13 +162,22 @@ class Context {
   /// is committed before the observation no matter who is ambient.
   void flush_ingest() { gpu_->flush_ingest(opts_.tenant); }
   Computation& new_computation(Computation::Kind kind, std::string label);
-  /// Validate invocation values against a NIDL signature.
+  /// Validate invocation values against a NIDL signature, freed arrays
+  /// included — before anything is registered, so a rejected call leaves
+  /// no trace in the context or its DAG.
   static void check_args(const std::string& name,
                          const std::vector<ParamSpec>& params,
-                         const std::vector<Value>& values);
-  /// Build the Use list (arrays only) from values + signature.
-  std::vector<Computation::Use> collect_uses(
-      const std::vector<ParamSpec>& params, const std::vector<Value>& values);
+                         std::span<const Value> values);
+  /// Fill `c.uses` (arrays only) from checked values + signature.
+  static void collect_uses(Computation& c,
+                           const std::vector<ParamSpec>& params,
+                           std::span<const Value> values);
+  /// The launch of `c`, in the reused launch_spec_: its array list is
+  /// `c.uses` deduplicated in first-use order (a write use dominates).
+  sim::LaunchSpec& launch_spec(const Computation& c,
+                               const sim::LaunchConfig& cfg,
+                               const sim::KernelProfile& profile,
+                               std::function<void()> functional);
   /// Common path for kernels and stream-aware library calls.
   void schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                       const sim::KernelProfile& profile,
@@ -186,7 +196,12 @@ class Context {
   std::unique_ptr<StreamManager> streams_;
   std::unique_ptr<DevicePlacer> placer_;
   std::uint32_t devices_used_mask_ = 0;
-  std::vector<std::unique_ptr<Computation>> comps_;
+  /// Computation storage: fixed-size chunks, so registering one allocates
+  /// only once per kComputationChunk; comps_ indexes them by id.
+  static constexpr std::size_t kComputationChunk = 128;
+  std::vector<std::unique_ptr<Computation[]>> comp_chunks_;
+  std::vector<Computation*> comps_;
+  sim::LaunchSpec launch_spec_;  ///< reused by every launch (capacity kept)
   std::vector<Computation*> active_;  ///< Scheduled, not yet Finished
   std::vector<std::shared_ptr<ArrayState>> arrays_;
   DagRecorder dag_;

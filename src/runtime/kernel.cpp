@@ -7,11 +7,11 @@
 namespace psched::rt {
 
 const Value& ArgsView::at(std::size_t i) const {
-  if (i >= values_->size()) {
+  if (i >= values_.size()) {
     throw sim::ApiError("ArgsView: argument index " + std::to_string(i) +
                         " out of range");
   }
-  return (*values_)[i];
+  return values_[i];
 }
 
 ArrayState* ArgsView::mutable_state(std::size_t i) const {
@@ -85,8 +85,8 @@ ConfiguredKernel Kernel::autotuned(long work_items) const {
   return configure(sim::LaunchConfig::linear(std::max<long>(blocks, 1), block));
 }
 
-void ConfiguredKernel::launch(std::vector<Value> values) const {
-  kernel_->ctx_->submit_kernel(*kernel_, cfg_, std::move(values));
+void ConfiguredKernel::launch(std::span<const Value> values) const {
+  kernel_->ctx_->submit_kernel(*kernel_, cfg_, values);
 }
 
 }  // namespace psched::rt

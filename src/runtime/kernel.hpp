@@ -8,8 +8,10 @@
 //     K(num_blocks, num_threads)(X, N)
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +27,10 @@ class Context;
 /// implementations and cost functions.
 class ArgsView {
  public:
-  ArgsView(const std::vector<Value>* values, bool functional)
+  ArgsView(std::span<const Value> values, bool functional)
       : values_(values), functional_(functional) {}
 
-  [[nodiscard]] std::size_t size() const { return values_->size(); }
+  [[nodiscard]] std::size_t size() const { return values_.size(); }
   [[nodiscard]] const Value& at(std::size_t i) const;
   [[nodiscard]] bool is_array(std::size_t i) const {
     return at(i).is_array();
@@ -62,7 +64,7 @@ class ArgsView {
  private:
   [[nodiscard]] ArrayState* mutable_state(std::size_t i) const;
 
-  const std::vector<Value>* values_;
+  std::span<const Value> values_;
   bool functional_;
 };
 
@@ -130,13 +132,14 @@ class ConfiguredKernel {
   /// with the scheduler and returns immediately (asynchronously).
   template <typename... Args>
   void operator()(Args&&... args) const {
-    std::vector<Value> values;
-    values.reserve(sizeof...(Args));
-    (values.push_back(make_value(std::forward<Args>(args))), ...);
-    launch(std::move(values));
+    const std::array<Value, sizeof...(Args)> values{
+        make_value(std::forward<Args>(args))...};
+    launch(values);
   }
 
-  void launch(std::vector<Value> values) const;
+  /// Invoke on an argument list (copied only when the context executes
+  /// kernels functionally and must keep it until completion).
+  void launch(std::span<const Value> values) const;
 
   [[nodiscard]] const sim::LaunchConfig& config() const { return cfg_; }
 

@@ -314,8 +314,8 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
   const bool new_head = fifo.empty();
   fifo.push_back(id);
-  // Only a fresh head can change a stream's startability; callers advance
-  // the clock right after, which drains the ready worklist.
+  // Only a fresh head can change a stream's startability; the caller's
+  // next advance drains the ready worklist.
   if (new_head) mark_pending(stream);
   return id;
 }

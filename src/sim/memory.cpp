@@ -1,6 +1,7 @@
 #include "sim/memory.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace psched::sim {
 
@@ -710,7 +711,11 @@ ArrayId MemoryManager::alloc(std::size_t bytes, std::string name,
   used_ += bytes;
   tenant_alloc_[static_cast<std::size_t>(owner)] += bytes;
   const ArrayId id = info.id;
-  arrays_.emplace(id, std::move(info));
+  ArrayInfo& stored = arrays_.emplace(id, std::move(info)).first->second;
+  if (by_id_.size() <= static_cast<std::size_t>(id)) {
+    by_id_.resize(static_cast<std::size_t>(id) + 1, nullptr);
+  }
+  by_id_[static_cast<std::size_t>(id)] = &stored;
   return id;
 }
 
@@ -741,37 +746,32 @@ void MemoryManager::free_array(ArrayId id) {
   }
   // Erase outright: the eviction scan walks the live map on every
   // over-capacity fault, so freed entries must not accumulate there.
+  by_id_[static_cast<std::size_t>(id)] = nullptr;
   arrays_.erase(it);
 }
 
 ArrayInfo& MemoryManager::info(ArrayId id) {
-  auto it = arrays_.find(id);
-  if (it == arrays_.end()) {
-    throw ApiError("info: unknown or freed array " + std::to_string(id));
-  }
-  return it->second;
+  return const_cast<ArrayInfo&>(std::as_const(*this).info(id));
 }
 
 const ArrayInfo& MemoryManager::info(ArrayId id) const {
-  auto it = arrays_.find(id);
-  if (it == arrays_.end()) {
+  const ArrayInfo* a = find(id);
+  if (a == nullptr) {
     throw ApiError("info: unknown or freed array " + std::to_string(id));
   }
-  return it->second;
+  return *a;
 }
 
-bool MemoryManager::valid(ArrayId id) const {
-  return arrays_.find(id) != arrays_.end();
-}
+bool MemoryManager::valid(ArrayId id) const { return find(id) != nullptr; }
 
 ArrayInfo* MemoryManager::find(ArrayId id) {
-  auto it = arrays_.find(id);
-  return it == arrays_.end() ? nullptr : &it->second;
+  return const_cast<ArrayInfo*>(std::as_const(*this).find(id));
 }
 
 const ArrayInfo* MemoryManager::find(ArrayId id) const {
-  auto it = arrays_.find(id);
-  return it == arrays_.end() ? nullptr : &it->second;
+  return id > 0 && static_cast<std::size_t>(id) < by_id_.size()
+             ? by_id_[static_cast<std::size_t>(id)]
+             : nullptr;
 }
 
 std::size_t MemoryManager::num_live_arrays() const { return arrays_.size(); }

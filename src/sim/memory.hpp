@@ -589,6 +589,9 @@ class MemoryManager {
   explicit MemoryManager(const Machine& machine,
                          std::size_t page_bytes = kDefaultPageBytes,
                          std::size_t host_heap_bytes = 0);
+  /// Pinned in place: the planner and the id index point into it.
+  MemoryManager(const MemoryManager&) = delete;
+  MemoryManager& operator=(const MemoryManager&) = delete;
 
   /// Reserve managed (logical) capacity for `owner`. Throws
   /// OutOfMemoryError only when the *host* managed heap is exhausted —
@@ -726,7 +729,12 @@ class MemoryManager {
   std::uint64_t lru_clock_ = 0;
   ResidencyPlanner planner_{*this};
   ArrayId next_id_ = 1;
+  /// Live arrays. Node-based, so ArrayInfo references stay valid across
+  /// alloc; its iteration order is part of the eviction scans' tie-breaks.
   std::unordered_map<ArrayId, ArrayInfo> arrays_;
+  /// Id-indexed view of arrays_ (ids are dense from 1): info()/find() are
+  /// one bounds-checked load. Freed ids hold nullptr.
+  std::vector<ArrayInfo*> by_id_;
   std::vector<std::size_t> device_capacity_;
   std::vector<std::size_t> device_used_;
   std::vector<std::size_t> device_peak_;

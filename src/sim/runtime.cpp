@@ -53,12 +53,6 @@ StaleSources add_stale_runs(const ArrayInfo& a, DeviceId dev,
   return used;
 }
 
-/// Write-back victims are captured by value: one array for an admission
-/// page-out (no allocation), a shared list for a merged planner step.
-using SharedIds = std::shared_ptr<const std::vector<ArrayId>>;
-std::span<const ArrayId> ids_of(const ArrayId& id) { return {&id, 1}; }
-std::span<const ArrayId> ids_of(const SharedIds& ids) { return *ids; }
-
 /// Scope guard nulling an active recording target: eviction servicing is
 /// transient memory-pressure traffic, not part of the program being
 /// recorded — a static replay must not re-execute phantom page-outs.
@@ -186,7 +180,6 @@ OpId GpuRuntime::issue_op(Op op, Submission::BindFn bind) {
   if (record_ != nullptr) record_->enqueue(op, host_now_, bind);
   const OpId id = engine_.enqueue(std::move(op), host_now_);
   if (bind) bind(engine_, id);
-  settle();
   return id;
 }
 
@@ -194,14 +187,85 @@ void GpuRuntime::issue_record(EventId event, StreamId stream) {
   join_batch();
   if (record_ != nullptr) record_->record_event(event, stream, host_now_);
   engine_.record_event(event, stream, host_now_);
-  settle();
 }
 
 void GpuRuntime::issue_wait(StreamId stream, EventId event) {
   join_batch();
   if (record_ != nullptr) record_->wait_event(stream, event, host_now_);
   engine_.wait_event(stream, event, host_now_);
-  settle();
+}
+
+std::uint32_t GpuRuntime::new_record(IssueRecord::Kind kind, DeviceId device) {
+  std::uint32_t slot;
+  if (!free_records_.empty()) {
+    slot = free_records_.back();
+    free_records_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  }
+  IssueRecord& r = records_[slot];
+  r.kind = kind;
+  r.device = device;
+  r.arrays.clear();
+  r.functional = nullptr;
+  r.users = 0;
+  // A recording keeps the bind, and each replay re-binds the record.
+  r.pinned = record_ != nullptr;
+  return slot;
+}
+
+Submission::BindFn GpuRuntime::record_bind(std::uint32_t slot) {
+  return [this, slot](Engine& eng, OpId op) { bind_record(slot, eng, op); };
+}
+
+void GpuRuntime::bind_record(std::uint32_t slot, Engine& eng, OpId op) {
+  IssueRecord& r = records_[slot];
+  for (const ArrayUse& u : r.arrays) {
+    if (r.kind == IssueRecord::Kind::Kernel) {
+      ArrayInfo& a = memory_.info(u.id);
+      (u.write ? a.pending_writes : a.pending_reads).insert(op);
+      // The kernel materializes the array on its device, which now owns
+      // the only current copy of every page; host and peer copies are
+      // stale.
+      if (u.write) a.note_kernel_write(r.device);
+    } else if (ArrayInfo* a = memory_.find(u.id)) {
+      // Fetches and write-backs read their source copy.
+      a->pending_reads.insert(op);
+      // Freshness is issue-time state (later staging decisions branch on
+      // it); living in the bind, a recorded replay re-publishes the copy
+      // exactly like the original issue did.
+      if (r.kind == IssueRecord::Kind::Fetch) a->note_migrated(r.device);
+    }
+  }
+  if (r.kind == IssueRecord::Kind::Writeback) evict_inflight_.insert(op);
+  ++r.users;
+  std::uint32_t bound;
+  if (!free_bound_.empty()) {
+    bound = free_bound_.back();
+    free_bound_.pop_back();
+  } else {
+    bound = static_cast<std::uint32_t>(bound_.size());
+    bound_.emplace_back();
+  }
+  bound_[bound] = {slot, op};
+  eng.set_on_complete(op, [this, bound]() { complete_bound(bound); });
+}
+
+void GpuRuntime::complete_bound(std::uint32_t bound) {
+  const auto [slot, op] = bound_[bound];
+  free_bound_.push_back(bound);
+  IssueRecord& r = records_[slot];
+  for (const ArrayUse& u : r.arrays) {
+    if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(op);
+  }
+  if (r.kind == IssueRecord::Kind::Writeback) evict_inflight_.erase(op);
+  // Release the slot before running host code, which may issue more work
+  // (and grow the table); a pinned record keeps its closure for replays.
+  const bool last = --r.users == 0 && !r.pinned;
+  std::function<void()> fn = last ? std::move(r.functional) : r.functional;
+  if (last) free_records_.push_back(slot);
+  if (fn) fn();
 }
 
 void GpuRuntime::begin_record(Submission& sub) {
@@ -319,6 +383,12 @@ void GpuRuntime::host_advance(TimeUs dt) {
   settle();
 }
 
+void GpuRuntime::charge_host(TimeUs dt) {
+  if (dt < 0) throw ApiError("charge_host: negative time");
+  const auto gate = api_guard();
+  host_now_ += dt;
+}
+
 void GpuRuntime::poll() {
   ingest_flush();
   const auto gate = api_guard();
@@ -429,9 +499,9 @@ void GpuRuntime::free_array(ArrayId id) {
   memory_.free_array(id);
 }
 
-template <typename Victims>
 void GpuRuntime::issue_writeback(StreamId stream, std::string name,
-                                 double bytes, const Victims& victims,
+                                 double bytes,
+                                 std::span<const ArrayId> victims,
                                  std::vector<EventId> waits,
                                  std::vector<OpId> after) {
   // A write-back is a real D2H transfer on the caller's stream (the
@@ -449,18 +519,10 @@ void GpuRuntime::issue_writeback(StreamId stream, std::string name,
   // The page-out reads the device copies: register it like any other
   // in-flight read so hazard checks, eviction eligibility, and free all
   // see it (free_array drains runtime-initiated page-outs).
-  issue_op(std::move(op), [this, victims](Engine& eng, OpId op_id) {
-    for (const ArrayId aid : ids_of(victims)) {
-      if (ArrayInfo* a = memory_.find(aid)) a->pending_reads.insert(op_id);
-    }
-    evict_inflight_.insert(op_id);
-    eng.set_on_complete(op_id, [this, victims, op_id]() {
-      for (const ArrayId aid : ids_of(victims)) {
-        if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-      }
-      evict_inflight_.erase(op_id);
-    });
-  });
+  const std::uint32_t rec =
+      new_record(IssueRecord::Kind::Writeback, kInvalidDevice);
+  for (const ArrayId aid : victims) records_[rec].arrays.push_back({aid});
+  issue_op(std::move(op), record_bind(rec));
   ++evict_ops_;
   bytes_d2h_ += bytes;
 }
@@ -509,7 +571,7 @@ EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
       issue_wait(stream, victim.host_ready_event);
     }
     issue_writeback(stream, "evict:" + victim.name,
-                    static_cast<double>(po.bytes), po.array, {}, {});
+                    static_cast<double>(po.bytes), {&po.array, 1}, {}, {});
     any = true;
   }
   if (!any) return kInvalidEvent;
@@ -592,23 +654,15 @@ void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
   // partial-fresh array (pages evicted earlier) fetches only the stale
   // runs, one op per distinct source.
   double host_bytes = 0;
-  std::vector<std::pair<DeviceId, double>> peer_bytes;  // ascending src
+  std::vector<std::pair<DeviceId, double>>& peer_bytes = source_bytes_;
+  peer_bytes.clear();
   add_stale_runs(a, dev, host_bytes, peer_bytes);
   std::sort(peer_bytes.begin(), peer_bytes.end());
 
-  const ArrayId aid = id;
-  const auto bind = [this, aid, dev](Engine& eng, OpId op_id) {
-    if (!memory_.valid(aid)) return;
-    ArrayInfo& ai = memory_.info(aid);
-    ai.pending_reads.insert(op_id);  // reads the source copy
-    // Freshness is issue-time state (later staging decisions branch on
-    // it); living in the bind, a recorded replay re-publishes the copy
-    // exactly like the original issue did.
-    ai.note_migrated(dev);
-    eng.set_on_complete(op_id, [this, aid, op_id]() {
-      if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-    });
-  };
+  // One fetch record, shared by the host fetch and every peer fetch.
+  const std::uint32_t rec = new_record(IssueRecord::Kind::Fetch, dev);
+  records_[rec].arrays.push_back({id});
+  const Submission::BindFn bind = record_bind(rec);
   if (host_bytes > 0) {
     // The host copy may still be materializing from an in-flight eviction
     // write-back: order the re-fault behind it.
@@ -730,7 +784,8 @@ void GpuRuntime::host_read(ArrayId id) {
   // run's source is the lowest-indexed device holding its newest copy
   // (device 0 rides the default stream, preserving the single-GPU
   // schedule); a uniform array folds into one whole-array D2H as before.
-  std::vector<std::pair<DeviceId, double>> src_bytes;  // ascending src
+  std::vector<std::pair<DeviceId, double>>& src_bytes = source_bytes_;
+  src_bytes.clear();
   for (const PageExtent& e : a.extents) {
     if (e.host_fresh) continue;
     const DeviceId src = e.fresh_mask != 0
@@ -764,9 +819,14 @@ void GpuRuntime::host_write(ArrayId id) {
   a.note_host_write();
 }
 
-OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
+OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec,
+                        KernelDemand* demand) {
   const auto gate = api_guard();
   if (capture_ != nullptr) {
+    if (demand != nullptr) {
+      *demand = engine_.model(engine_.stream_device(stream))
+                    .kernel_demand(spec.config, spec.profile);
+    }
     capture_->on_captured_launch(stream, spec);
     return kInvalidOp;
   }
@@ -816,8 +876,9 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
     stage_to_device(use.id, stream, migration_kind);
   }
 
-  const KernelDemand demand =
+  const KernelDemand kd =
       engine_.model(dev).kernel_demand(spec.config, spec.profile);
+  if (demand != nullptr) *demand = kd;
 
   Op op;
   op.kind = OpKind::Kernel;
@@ -825,10 +886,10 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   op.name = spec.name;
   op.cfg = spec.config;
   op.prof = spec.profile;
-  op.sm_demand = demand.sm_demand;
-  op.occupancy = demand.occupancy;
-  op.bw_need = demand.bw_need;
-  op.work = demand.solo_us;
+  op.sm_demand = kd.sm_demand;
+  op.occupancy = kd.occupancy;
+  op.bw_need = kd.bw_need;
+  op.work = kd.solo_us;
 
   // Per-op tracking (hazard sets, completion bookkeeping, the functional
   // closure) binds once the id is assigned at commit — before the op can
@@ -837,28 +898,12 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // (the next call's staging decisions must see it even while a batch is
   // open), and a recorded replay re-runs binds, so replayed write-kernels
   // re-invalidate host/peer copies exactly like the original issue did.
-  // The use list is shared by the bind and every completion closure it
-  // makes: a recording keeps its own copy of the bind, and each replay
-  // must find the list intact.
-  using SharedUses = std::shared_ptr<const std::vector<ArrayUse>>;
-  auto bind = [this, used = SharedUses(std::make_shared<
-                         const std::vector<ArrayUse>>(spec.arrays)),
-               dev, fn = spec.functional](Engine& eng, OpId op_id) {
-    for (const ArrayUse& u : *used) {
-      ArrayInfo& a = memory_.info(u.id);
-      (u.write ? a.pending_writes : a.pending_reads).insert(op_id);
-      // The kernel materializes the array on `dev`, which now owns the
-      // only current copy of every page; host and peer copies are stale.
-      if (u.write) a.note_kernel_write(dev);
-    }
-    eng.set_on_complete(op_id, [this, used, op_id, fn]() {
-      for (const ArrayUse& u : *used) {
-        if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(op_id);
-      }
-      if (fn) fn();
-    });
-  };
-  const OpId op_id = issue_op(std::move(op), std::move(bind));
+  // Both act on the launch's issue record, which outlives every op bound
+  // to it (a recording pins it for its replays).
+  const std::uint32_t rec = new_record(IssueRecord::Kind::Kernel, dev);
+  records_[rec].arrays.assign(spec.arrays.begin(), spec.arrays.end());
+  records_[rec].functional = spec.functional;
+  const OpId op_id = issue_op(std::move(op), record_bind(rec));
 
   for (const ArrayUse& use : spec.arrays) {
     if (!use.write) continue;
@@ -962,13 +1007,8 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
       marker.after = std::move(after);
       issue_op(std::move(marker), nullptr);
     } else {
-      // The victim list rides a shared_ptr into the bind and the
-      // completion closure: one allocation instead of a copy per capture.
-      const SharedIds shared_victims =
-          std::make_shared<std::vector<ArrayId>>(std::move(victims));
-      issue_writeback(wb_stream, "evict:" + tag_of(*shared_victims),
-                      evict_bytes, shared_victims, std::move(wb_waits),
-                      std::move(after));
+      issue_writeback(wb_stream, "evict:" + tag_of(victims), evict_bytes,
+                      victims, std::move(wb_waits), std::move(after));
     }
     // One event closes the page-outs: the victims' host copies
     // materialize, and their frames are free, once it fires.
@@ -1019,22 +1059,10 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
   wait_for(fetch_waits, frames);
   std::sort(peer_bytes.begin(), peer_bytes.end());
   const std::string tag = tag_of(movers);
-  // The bind is shared by the host fetch and every peer fetch.
-  const SharedIds shared_movers =
-      std::make_shared<std::vector<ArrayId>>(std::move(movers));
-  const auto bind = [this, shared_movers, dev](Engine& eng, OpId op_id) {
-    for (const ArrayId aid : *shared_movers) {
-      ArrayInfo* ai = memory_.find(aid);
-      if (ai == nullptr) continue;
-      ai->pending_reads.insert(op_id);
-      ai->note_migrated(dev);
-    }
-    eng.set_on_complete(op_id, [this, shared_movers, op_id]() {
-      for (const ArrayId aid : *shared_movers) {
-        if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-      }
-    });
-  };
+  // One fetch record, shared by the host fetch and every peer fetch.
+  const std::uint32_t rec = new_record(IssueRecord::Kind::Fetch, dev);
+  for (const ArrayId aid : movers) records_[rec].arrays.push_back({aid});
+  const Submission::BindFn bind = record_bind(rec);
   // The first fetch carries every wait; the stream's FIFO orders the
   // other sources' fetches behind it.
   if (host_bytes > 0) {
@@ -1050,7 +1078,7 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
   // One event closes the fetches: the moved arrays' device-ready gate.
   const EventId ev = engine_.create_event();
   issue_record(ev, fetch_stream);
-  for (const ArrayId aid : *shared_movers) {
+  for (const ArrayId aid : movers) {
     if (ArrayInfo* a = memory_.find(aid)) a->set_ready_event(dev, ev);
   }
 }

@@ -86,6 +86,18 @@ struct LaunchSpec {
   KernelProfile profile;
   std::vector<ArrayUse> arrays;
   std::function<void()> functional;  ///< optional host execution at completion
+
+  /// Add one array argument. Repeats of an array coalesce into its first
+  /// entry, where a write use dominates read uses.
+  void add_array(ArrayId id, bool write) {
+    for (ArrayUse& u : arrays) {
+      if (u.id == id) {
+        u.write = u.write || write;
+        return;
+      }
+    }
+    arrays.push_back({id, write});
+  }
 };
 
 class TaskGraph;      // graph.hpp
@@ -107,8 +119,15 @@ class GpuRuntime {
 
   // --- host clock ---
   [[nodiscard]] TimeUs now() const { return host_now_; }
-  /// Model host-side computation taking `dt` microseconds.
+  /// Model host-side computation taking `dt` microseconds (a public
+  /// entry: brings the engine up to the new host time).
   void host_advance(TimeUs dt);
+  /// Charge `dt` microseconds of host-side bookkeeping that immediately
+  /// precedes the caller's next API call, without an engine advance of its
+  /// own: that call's entry advance covers both (see note_api_call). The
+  /// engine lags the host clock until then, so use host_advance for host
+  /// computation after which state is observed without a runtime call.
+  void charge_host(TimeUs dt);
 
   // --- tenancy (see sim/tenant.hpp for the multi-app handles) ---
   /// The ambient tenant subsequently created streams and allocations are
@@ -183,7 +202,11 @@ class GpuRuntime {
   void host_write(ArrayId id);
 
   // --- kernel launch ---
-  OpId launch(StreamId stream, const LaunchSpec& spec);
+  /// Issue a kernel on `stream`. The launch prices the kernel's demand
+  /// once; callers that need it (the rt layer's solo-time accounting)
+  /// pass `demand` to read it back instead of re-deriving it.
+  OpId launch(StreamId stream, const LaunchSpec& spec,
+              KernelDemand* demand = nullptr);
 
   // --- schedule-time residency planning (see sim/memory.hpp) ---
   /// Announce the upcoming schedule (one entry per future launch, in
@@ -373,13 +396,12 @@ class GpuRuntime {
   /// none).
   EventId price_eviction(const EvictionPlan& plan, StreamId stream);
   /// Issue one write-back: a CopyD2H of `bytes` on `stream`, registered as
-  /// an in-flight read of every victim until it completes. `victims` is an
-  /// ArrayId or a shared id list, captured by value. `waits` (events) and
-  /// `after` (ops) gate its start on the op itself (no wait-marker ops).
-  template <typename Victims>
+  /// an in-flight read of every victim until it completes. `waits`
+  /// (events) and `after` (ops) gate its start on the op itself (no
+  /// wait-marker ops).
   void issue_writeback(StreamId stream, std::string name, double bytes,
-                       const Victims& victims, std::vector<EventId> waits,
-                       std::vector<OpId> after);
+                       std::span<const ArrayId> victims,
+                       std::vector<EventId> waits, std::vector<OpId> after);
   /// Issue one fetch onto `stream`'s device — from the host (`kind`
   /// CopyH2D or Fault) or from peer `src` (CopyP2P) — named `tag` behind
   /// a kind prefix ("prefetch:" for planner steps), and count its bytes.
@@ -451,6 +473,17 @@ class GpuRuntime {
   /// Charge one async API call to the host clock (full per-call overhead,
   /// or the cheaper batched append cost inside an open batch) and bring
   /// the engine up to date in per-call mode.
+  ///
+  /// The one-advance rule: every public entry advances the engine to the
+  /// host clock exactly once. Async entries do it here, at their start;
+  /// the ops, records and waits they then issue (issue_*) all carry the
+  /// same host time and only queue into the engine — the next entry's
+  /// advance drains them at that time, which the engine's grouping
+  /// guarantee makes bit-identical to draining after each. Runtime
+  /// decisions inside an entry read issue-time state (freshness, pending
+  /// events recorded by earlier entries), never completions the trailing
+  /// drain would have produced. charge_host moves the host clock under
+  /// the same rule; blocking and observing entries advance in observe().
   void note_api_call();
   /// Commit the open engine transaction, if any (keeps an explicit batch
   /// open — the next async call reopens lazily); returns its op count.
@@ -459,16 +492,15 @@ class GpuRuntime {
   /// bring the engine up to the host clock, so batch boundaries align with
   /// host observations.
   void observe();
-  /// The bracket around every engine submission. join_batch lazily
-  /// (re)opens the engine transaction inside a batch: the first async call
-  /// after begin_submit or after an implicit flush. settle commits the
-  /// implicit single-op transaction in per-call mode (one trailing drain at
-  /// the unchanged clock); in a batch the drain waits for the commit.
+  /// join_batch lazily (re)opens the engine transaction inside a batch:
+  /// the first async call after begin_submit or after an implicit flush.
+  /// settle is an entry's one engine advance in per-call mode; in a batch
+  /// the engine waits for the commit.
   void join_batch();
   void settle();
-  /// Route one op enqueue through the current transaction: an implicit
-  /// single-op transaction per call, or an ingest into the open batch.
-  /// `bind` runs with the assigned id before the op can start.
+  /// Route one op enqueue through the current transaction: queued at the
+  /// host clock per call, or ingested into the open batch. `bind` runs
+  /// with the assigned id before the op can start.
   OpId issue_op(Op op, Submission::BindFn bind);
   void issue_record(EventId event, StreamId stream);
   void issue_wait(StreamId stream, EventId event);
@@ -513,9 +545,44 @@ class GpuRuntime {
   Submission* record_ = nullptr;
   bool record_owns_batch_ = false;
   std::vector<ArrayId> admit_scratch_;  ///< per-launch working-set ids
+  /// Per-source byte tallies of one staging or host read (ascending src).
+  std::vector<std::pair<DeviceId, double>> source_bytes_;
   /// In-flight eviction write-back ops: runtime-initiated traffic that
   /// free_array drains instead of reporting as a missing user sync.
   std::unordered_set<OpId> evict_inflight_;
+
+  // --- issue records (see docs/engine-internals.md, "Runtime layer") ---
+  /// Host-side state of one issued kernel, fetch or write-back: the
+  /// arrays its bind marks in flight and its completion releases. Binds
+  /// and completion callbacks capture only (runtime, slot) — trivially
+  /// copyable and small enough for std::function's inline buffer — so
+  /// issuing allocates no closure. Slots recycle once their last bound op
+  /// completes; a record teed into a recording is pinned instead, because
+  /// every replay re-runs its bind with fresh op ids.
+  struct IssueRecord {
+    enum class Kind { Kernel, Fetch, Writeback };
+    Kind kind = Kind::Kernel;
+    DeviceId device = kInvalidDevice;  ///< kernel / fetch destination
+    std::vector<ArrayUse> arrays;      ///< capacity kept across reuse
+    std::function<void()> functional;  ///< kernels: host execution
+    int users = 0;                     ///< bound ops not yet completed
+    bool pinned = false;               ///< referenced by a recording
+  };
+  /// One bound op of a record (a record binds once per issue or replay).
+  struct BoundOp {
+    std::uint32_t record = 0;
+    OpId op = kInvalidOp;
+  };
+  /// A fresh record slot of `kind` for `device`, empty array list.
+  std::uint32_t new_record(IssueRecord::Kind kind, DeviceId device);
+  /// The bind of record `slot` (shared by every op issued from it).
+  [[nodiscard]] Submission::BindFn record_bind(std::uint32_t slot);
+  void bind_record(std::uint32_t slot, Engine& eng, OpId op);
+  void complete_bound(std::uint32_t bound);
+  std::vector<IssueRecord> records_;
+  std::vector<std::uint32_t> free_records_;
+  std::vector<BoundOp> bound_;
+  std::vector<std::uint32_t> free_bound_;
 };
 
 }  // namespace psched::sim

@@ -221,8 +221,8 @@ TEST(BenchSuite, Geomean) {
 
 
 // ---------------------------------------------------------------------
-// Paper-shape regressions: pin the qualitative reproduction results of
-// EXPERIMENTS.md so model changes cannot silently break them.
+// Paper-shape regressions: pin the qualitative reproduction results so
+// model changes cannot silently break them.
 // ---------------------------------------------------------------------
 
 TEST(PaperShape, Fig9BsStaysInPaperBand) {

@@ -364,6 +364,42 @@ TEST(Context, ErrorUseAfterFree) {
   EXPECT_THROW((void)x.get(0), sim::ApiError);
 }
 
+TEST(Context, RejectedLaunchRegistersNothing) {
+  // A launch rejected for a freed argument is validated away before the
+  // context registers anything: no orphan computation, DAG vertex or
+  // counter bump survives the ApiError.
+  Fixture f;
+  auto& ctx = *f.ctx;
+  auto x = ctx.array<float>(256, "X");
+  auto y = ctx.array<float>(256, "Y");
+  auto init = ctx.build_kernel("init", "pointer, sint32, float");
+  init(4, 64)(x, 256L, 1.0);
+  ctx.free(x);
+  const ContextStats before = ctx.stats();
+  const std::size_t vertices = ctx.dag().num_vertices();
+  const std::size_t comps = ctx.computations().size();
+
+  EXPECT_THROW(init(4, 64)(x, 256L, 2.0), sim::ApiError);
+  const ContextStats after = ctx.stats();
+  EXPECT_EQ(after.computations, before.computations);
+  EXPECT_EQ(after.kernels, before.kernels);
+  EXPECT_EQ(after.edges, before.edges);
+  EXPECT_EQ(ctx.dag().num_vertices(), vertices);
+  EXPECT_EQ(ctx.computations().size(), comps);
+  EXPECT_EQ(static_cast<std::size_t>(after.computations), comps);
+
+  // The context carries on normally.
+  init(4, 64)(y, 256L, 3.0);
+  EXPECT_EQ(ctx.stats().kernels, before.kernels + 1);
+  EXPECT_EQ(ctx.dag().num_vertices(), vertices + 1);
+  ctx.synchronize();
+  for (const Computation* c : ctx.computations()) {
+    EXPECT_EQ(c->state, Computation::State::Finished);
+  }
+  EXPECT_DOUBLE_EQ(y.get(0), 3.0);
+  EXPECT_EQ(f.gpu->hazard_count(), 0);
+}
+
 TEST(Context, FreeWaitsForInFlightWork) {
   Fixture f;
   auto& ctx = *f.ctx;

@@ -1,6 +1,7 @@
 // Unit tests for the dependency-set semantics of section IV-A / Fig. 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -224,6 +225,49 @@ TEST_F(DependencyTest, ChainUpdatesFrontierIncrementally) {
     }
     prev = &k;
   }
+}
+
+TEST_F(DependencyTest, WideFanInAndFanOutKeepOrderPastInlineCapacity) {
+  // Arities beyond the record's inline capacity: ten readers of one
+  // producer (its children), then a writer depending on all ten (its
+  // parents, in reader registration order), and a kernel over six arrays.
+  ArrayState* x = make_array("X");
+  Computation& producer = make_comp({{x, false}}, "P");
+  (void)infer_dependencies(producer);
+  std::vector<Computation*> readers;
+  for (int i = 0; i < 10; ++i) {
+    Computation& r = make_comp({{x, true}}, "R" + std::to_string(i));
+    const auto deps = infer_dependencies(r);
+    ASSERT_EQ(deps.size(), 1u);
+    EXPECT_EQ(deps[0], &producer);
+    readers.push_back(&r);
+  }
+  ASSERT_EQ(producer.children.size(), 10u);
+  EXPECT_TRUE(std::equal(producer.children.begin(), producer.children.end(),
+                         readers.begin()));
+
+  Computation& writer = make_comp({{x, false}}, "W");
+  const auto deps = infer_dependencies(writer);
+  ASSERT_EQ(deps.size(), 10u);
+  EXPECT_TRUE(std::equal(deps.begin(), deps.end(), readers.begin()));
+  for (const Computation* r : readers) EXPECT_FALSE(r->dep_set.count(x));
+
+  std::vector<Computation::Use> uses;
+  std::vector<ArrayState*> arrays;
+  for (int i = 0; i < 6; ++i) {
+    arrays.push_back(make_array("A" + std::to_string(i)));
+    uses.push_back({arrays.back(), false});
+  }
+  Computation& wide = make_comp(uses, "WIDE");
+  EXPECT_TRUE(infer_dependencies(wide).empty());
+  for (ArrayState* a : arrays) {
+    EXPECT_TRUE(wide.dep_set.count(a));
+    EXPECT_EQ(a->last_writer, &wide);
+  }
+  Computation& next = make_comp({{arrays.back(), false}}, "NEXT");
+  (void)infer_dependencies(next);
+  EXPECT_FALSE(wide.dep_set.count(arrays.back()));
+  EXPECT_TRUE(wide.dep_set.count(arrays.front()));
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(MultiGpu, MinTransferFollowsResidency) {
   auto sum = ctx.build_kernel("sum", "const pointer, pointer, sint32");
   auto out = ctx.array<float>(16, "out");
   sum(1, 32)(b, out, static_cast<long>(kN));
-  const Computation* reducer = ctx.computations().back().get();
+  const Computation* reducer = ctx.computations().back();
   EXPECT_EQ(reducer->device, 1);
   ctx.synchronize();
   EXPECT_DOUBLE_EQ(f.gpu->bytes_p2p(), 0.0);  // nothing crossed the links
