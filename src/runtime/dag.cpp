@@ -55,27 +55,38 @@ double DagRecorder::critical_path_us(double pcie_bytes_per_us) const {
   // forward pass relaxes every edge. Each vertex starts no earlier than
   // the finish floor of all previous epochs: even with unlimited hardware
   // the host cannot issue work past a blocking read.
-  std::vector<double> longest(vertices_.size(), 0);
+  const std::size_t nv = vertices_.size();
+  // Incoming edges grouped by destination with one counting sort, so the
+  // pass is O(V + E) whatever order the edges were recorded in.
+  std::vector<std::size_t> first(nv + 1, 0);
+  for (const auto& [from, to] : edges_) {
+    ++first[static_cast<std::size_t>(to) + 1];
+  }
+  for (std::size_t i = 0; i < nv; ++i) first[i + 1] += first[i];
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  std::vector<std::size_t> preds(edges_.size());
+  for (const auto& [from, to] : edges_) {
+    preds[next[static_cast<std::size_t>(to)]++] =
+        static_cast<std::size_t>(from);
+  }
+
+  std::vector<double> longest(nv, 0);
   double best = 0;
   double epoch_floor = 0;   // max finish over all completed epochs
   double epoch_best = 0;    // max finish inside the current epoch
   long epoch = 0;
-  auto own_cost = [pcie_bytes_per_us](const Vertex& v) {
-    return v.solo_us + (pcie_bytes_per_us > 0
-                            ? v.transfer_bytes / pcie_bytes_per_us
-                            : 0);
-  };
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
+  for (std::size_t i = 0; i < nv; ++i) {
     const Vertex& v = vertices_[i];
     if (v.epoch != epoch) {
       epoch_floor = std::max(epoch_floor, epoch_best);
       epoch = v.epoch;
     }
-    longest[i] = epoch_floor + own_cost(v);
-    for (const auto& [from, to] : edges_) {
-      if (static_cast<std::size_t>(to) != i) continue;
-      longest[i] = std::max(
-          longest[i], longest[static_cast<std::size_t>(from)] + own_cost(v));
+    const double cost = v.solo_us + (pcie_bytes_per_us > 0
+                                         ? v.transfer_bytes / pcie_bytes_per_us
+                                         : 0);
+    longest[i] = epoch_floor + cost;
+    for (std::size_t k = first[i]; k < first[i + 1]; ++k) {
+      longest[i] = std::max(longest[i], longest[preds[k]] + cost);
     }
     epoch_best = std::max(epoch_best, longest[i]);
     best = std::max(best, longest[i]);

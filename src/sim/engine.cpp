@@ -21,9 +21,9 @@ constexpr double kWorkEps = 1e-9;
 /// (now + remaining/rate == now). Work-relative tolerance alone cannot see
 /// this — the test must be in the time domain: sub-picosecond remaining
 /// *time* (scaled with ulp(now) for large clocks) counts as done. A
-/// predicted completion within this tolerance of the clock is due, which is
-/// exactly the seed engine's `effectively_done` test expressed on predicted
-/// times (remaining / rate == predicted_t - now).
+/// finish tag within this much service of its group clock is due, which is
+/// the seed engine's `effectively_done` test expressed on finish times
+/// (remaining / rate == finish_t - now).
 TimeUs completion_tol(TimeUs now) { return std::max(1e-6, 1e-9 * now); }
 
 /// Most rate one class member can absorb in a tenant re-share: a kernel
@@ -31,6 +31,15 @@ TimeUs completion_tol(TimeUs now) { return std::max(1e-6, 1e-9 * now); }
 /// turns the bounded water-fill into a plain weighted split.
 double member_rate_cap(bool kernel_class) {
   return kernel_class ? 1.0 : std::numeric_limits<double>::infinity();
+}
+
+/// A member's finish tag on its group's service clock: v_enter +
+/// rem / sw, or v_enter itself for a residue below the work epsilon (due
+/// at once); infinity for an unserved member (sw = 0), which never
+/// finishes — the stall watchdog is the net.
+double finish_tag(double v_enter, double rem, double work, double sw) {
+  if (rem <= kWorkEps * std::max(1.0, work)) return v_enter;
+  return sw > 0 ? v_enter + rem / sw : kTimeInfinity;
 }
 
 /// Swap-and-pop removal of row `pos` from one member column.
@@ -557,9 +566,26 @@ Engine::SolverGroup& Engine::ClassSolver::group_mut(TenantId tenant) {
   for (SolverGroup& g : groups) {
     if (g.tenant == tenant) return g;
   }
-  groups.emplace_back();
-  groups.back().tenant = tenant;
-  return groups.back();
+  SolverGroup& g = groups.emplace_back();
+  g.tenant = tenant;
+  if (!spare_heaps.empty()) {
+    g.heap = std::move(spare_heaps.back());
+    spare_heaps.pop_back();
+  }
+  return g;
+}
+
+void Engine::ClassSolver::reset_aggregates() {
+  fill_sum = 0;
+  bww_sum = 0;
+  w_max = 0;
+  w_min = kTimeInfinity;
+  zero_w = 0;
+  for (SolverGroup& g : groups) {
+    g.heap.clear();
+    spare_heaps.push_back(std::move(g.heap));
+  }
+  groups.clear();
 }
 
 Engine::SolverGroup& Engine::ClassSolver::add(TenantId tenant, bool kernel,
@@ -601,57 +627,53 @@ std::int32_t Engine::ResourceClass::join(std::int32_t slot, const Op& op,
     wi = u > 0 ? f / u : 0.0;
   }
   const double rem = op.remaining();
-  // Virtual-service join: stamp the member's entry service (its group's V
-  // projected to now) and push its static finish tag; aggregates update
-  // in O(1).
-  double v_enter = 0;
-  if (solver.incremental) {
-    SolverGroup& g = solver.add(op.tenant, kernel, f, op.bw_need, wi);
-    v_enter = g.v + (now > since ? g.c * (now - since) : 0.0);
-    if (wi > 0) {
-      g.heap.push_back({v_enter + rem / wi, op.id});
-      std::push_heap(g.heap.begin(), g.heap.end(), std::greater<>());
-    }
+  // Stamp the member's entry service (its group's V projected to now);
+  // aggregates update in O(1). A virtual-service class prices the member
+  // at once and pushes its static finish tag; in scan mode it waits,
+  // unserved, for the scan its join dirtied.
+  SolverGroup& g = solver.add(op.tenant, kernel, f, op.bw_need, wi);
+  const double v_enter = g.v + (now > since ? g.c * (now - since) : 0.0);
+  const double s = solver.incremental ? wi : 0.0;
+  if (s > 0) {
+    g.heap.push_back({finish_tag(v_enter, rem, op.work, s), op.id});
+    std::push_heap(g.heap.begin(), g.heap.end(), std::greater<>());
   }
   slots.push_back(slot);
   remaining.push_back(rem);
   work.push_back(op.work);
-  rate.push_back(0);
-  pred.push_back(kTimeInfinity);
+  sw.push_back(s);
+  venter.push_back(v_enter);
   tenant.push_back(op.tenant);
   w.push_back(wi);
-  venter.push_back(v_enter);
   return static_cast<std::int32_t>(slots.size() - 1);
 }
 
 std::int32_t Engine::ResourceClass::leave(const Op& op) {
   const auto pos = static_cast<std::size_t>(op.class_pos);
   const bool kernel = op.kind == OpKind::Kernel;
-  // Virtual-service leave: O(1) aggregate decrements; the member's
-  // finish-index entry goes stale and is discarded lazily at a front.
-  // Empty groups and classes hard-reset to exact zeros so incremental
-  // aggregates never accumulate float residue across idle spells.
-  if (solver.incremental) {
-    if (kernel) {
-      solver.fill_sum -= fill[pos];
-      if (w[pos] > 0) {
-        solver.bww_sum -= bw[pos] * w[pos];
-      } else {
-        --solver.zero_w;
-      }
+  // O(1) aggregate decrements; the member's finish-index entry goes stale
+  // and is discarded lazily at a front. Empty groups and classes
+  // hard-reset to exact zeros so aggregates never accumulate float
+  // residue across idle spells.
+  if (kernel) {
+    solver.fill_sum -= fill[pos];
+    if (w[pos] > 0) {
+      solver.bww_sum -= bw[pos] * w[pos];
+    } else {
+      --solver.zero_w;
     }
-    SolverGroup& g = solver.group_mut(op.tenant);
-    --g.n;
-    g.w_sum -= w[pos];
-    if (g.n <= 0) {
-      g.n = 0;
-      g.w_sum = 0;
-      g.v = 0;
-      g.c = 0;
-      g.heap.clear();
-    }
-    if (size() == 1) solver.reset_aggregates();
   }
+  SolverGroup& g = solver.group_mut(op.tenant);
+  --g.n;
+  g.w_sum -= w[pos];
+  if (g.n <= 0) {
+    g.n = 0;
+    g.w_sum = 0;
+    g.v = 0;
+    g.c = 0;
+    g.heap.clear();
+  }
+  if (size() == 1) solver.reset_aggregates();
   const std::int32_t moved = slots.back();
   swap_pop(slots, pos);
   if (kernel) {
@@ -661,11 +683,10 @@ std::int32_t Engine::ResourceClass::leave(const Op& op) {
   }
   swap_pop(remaining, pos);
   swap_pop(work, pos);
-  swap_pop(rate, pos);
-  swap_pop(pred, pos);
+  swap_pop(sw, pos);
+  swap_pop(venter, pos);
   swap_pop(tenant, pos);
   swap_pop(w, pos);
-  swap_pop(venter, pos);
   return moved;
 }
 
@@ -677,54 +698,28 @@ void Engine::ResourceClass::rebuild_groups(bool kernel_class) {
   }
 }
 
-void Engine::ResourceClass::demote() {
-  // One fold from each member's entry tag, equal to the telescoped
-  // per-solve folds up to rounding. The failed incremental_resolve already
-  // advanced every group's V and `since` to now, and the full scan that
-  // follows folds dt = 0 and re-rates every member, so remainings are all
-  // that needs writing.
-  for (std::size_t i = 0; i < size(); ++i) {
-    const SolverGroup* g = solver.group(tenant[i]);
-    const double v_now = g != nullptr ? g->v : 0.0;
-    remaining[i] = std::max(0.0, remaining[i] - w[i] * (v_now - venter[i]));
-    venter[i] = 0;
-  }
-  solver.incremental = false;
-  solver.reset_aggregates();
+double Engine::ResourceClass::remaining_at(std::size_t i, TimeUs t) const {
+  // rem_enter minus the service accrued since the member entered:
+  // sw * (V(t) - v_enter), with V projected lazily from the group's last
+  // materialized value.
+  const SolverGroup* g = solver.group(tenant[i]);
+  if (g == nullptr) return remaining[i];
+  const double v_now = g->v + (t > since ? g->c * (t - since) : 0.0);
+  return std::max(0.0, remaining[i] - sw[i] * (v_now - venter[i]));
 }
 
 double Engine::live_remaining(const Op& op) const {
   if (op.state != OpState::Running || op.class_pos < 0) return op.remaining();
-  const ResourceClass& rc = classes_[static_cast<std::size_t>(class_index(op))];
-  const auto pos = static_cast<std::size_t>(op.class_pos);
-  if (rc.solver.incremental) {
-    // rem_enter minus the service accrued since the member entered:
-    // w * (V(now) - v_enter), with V projected lazily from the group's
-    // last materialized value.
-    const SolverGroup* g = rc.solver.group(op.tenant);
-    if (g == nullptr) return rc.remaining[pos];
-    const double v_now =
-        g->v + (now_ > rc.since ? g->c * (now_ - rc.since) : 0.0);
-    const double served = rc.w[pos] * (v_now - rc.venter[pos]);
-    return std::max(0.0, rc.remaining[pos] - served);
-  }
-  const double r = rc.rate[pos];
-  double rem = rc.remaining[pos];
-  if (r > 0 && now_ > rc.since) {
-    rem = std::max(0.0, rem - r * (now_ - rc.since));
-  }
-  return rem;
+  return classes_[static_cast<std::size_t>(class_index(op))].remaining_at(
+      static_cast<std::size_t>(op.class_pos), now_);
 }
 
 double Engine::live_rate(const Op& op) const {
   if (op.state != OpState::Running || op.class_pos < 0) return 0.0;
   const ResourceClass& rc = classes_[static_cast<std::size_t>(class_index(op))];
-  const auto pos = static_cast<std::size_t>(op.class_pos);
-  if (rc.solver.incremental) {
-    const SolverGroup* g = rc.solver.group(op.tenant);
-    return g == nullptr ? 0.0 : g->c * rc.w[pos];
-  }
-  return rc.rate[pos];
+  const SolverGroup* g = rc.solver.group(op.tenant);
+  return g == nullptr ? 0.0
+                      : g->c * rc.sw[static_cast<std::size_t>(op.class_pos)];
 }
 
 void Engine::complete_op(Op& op) {
@@ -814,31 +809,43 @@ void Engine::complete_op(Op& op) {
   // After on_complete: the callback may have enqueued fresh work, in which
   // case the observer's idle record is stale — observers revalidate.
   if (stream_drained && !stream_idle_observers_.empty()) {
-    // Dispatch against a full snapshot (local: dispatch itself may recur
-    // through a re-entrant callback): an observer may (un)register
-    // observers, which can reallocate or overwrite the member vector —
-    // the snapshot's copied std::functions keep the executing callback
-    // alive. An observer removed mid-dispatch is skipped; one added
-    // mid-dispatch first sees the next drain.
-    const auto snapshot = stream_idle_observers_;
-    for (const auto& [token, fn] : snapshot) {
-      const bool alive = std::any_of(
-          stream_idle_observers_.begin(), stream_idle_observers_.end(),
-          [token](const auto& o) { return o.first == token; });
-      if (alive) fn(stream);
+    // Dispatch by index over the observers registered now: one added
+    // mid-dispatch lands past `n` and first sees the next drain; one
+    // removed mid-dispatch has its token cleared and is skipped. Entries
+    // stay in place until the outermost dispatch ends (also when a
+    // callback throws), so the executing callback stays alive.
+    struct Dispatch {
+      Engine& eng;
+      explicit Dispatch(Engine& e) : eng(e) { ++eng.observer_dispatch_depth_; }
+      ~Dispatch() {
+        if (--eng.observer_dispatch_depth_ == 0) {
+          std::erase_if(eng.stream_idle_observers_,
+                        [](const IdleObserver& o) { return o.token == 0; });
+        }
+      }
+    } dispatch(*this);
+    const std::size_t n = stream_idle_observers_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      IdleObserver& o = stream_idle_observers_[i];
+      if (o.token != 0) o.fn(stream);
     }
   }
 }
 
 int Engine::add_stream_idle_observer(std::function<void(StreamId)> fn) {
   const int token = next_observer_token_++;
-  stream_idle_observers_.emplace_back(token, std::move(fn));
+  stream_idle_observers_.push_back({token, std::move(fn)});
   return token;
 }
 
 void Engine::remove_stream_idle_observer(int token) {
-  std::erase_if(stream_idle_observers_,
-                [token](const auto& o) { return o.first == token; });
+  for (IdleObserver& o : stream_idle_observers_) {
+    if (o.token == token) o.token = 0;
+  }
+  if (observer_dispatch_depth_ == 0) {
+    std::erase_if(stream_idle_observers_,
+                  [](const IdleObserver& o) { return o.token == 0; });
+  }
 }
 
 void Engine::push_start(Op& op, TimeUs at) {
@@ -999,17 +1006,11 @@ void Engine::recompute_rates() {
     ++rc.stats.solves;
     std::chrono::steady_clock::time_point t0;
     if (solve_timing_) t0 = std::chrono::steady_clock::now();
-    const auto add_solve_time = [&] {
-      if (!solve_timing_) return;
-      rc.stats.solve_time_us += std::chrono::duration<double, std::micro>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-    };
 
     // Rates come from the class's compact demand columns — kernels from
     // fill/solo_u/bw, every transfer class from its member count — and
-    // progress folds and predicted-completion refreshes run over the dense
-    // progress columns: the whole re-solve touches no Op at all.
+    // progress folds and the finish index run over the dense progress
+    // columns: the whole re-solve touches no Op beyond reading member ids.
     const bool kernel_class =
         cls < p2p_base_ && cls % kSlotsPerDevice == kSlotKernel;
     double share = 0;
@@ -1028,63 +1029,51 @@ void Engine::recompute_rates() {
     // stable, a membership-count rate change is one slope update per
     // group — no member is folded, rated, or even read. Falls back to the
     // full scan below when the linear regime's validity test fails.
-    if (rc.solver.incremental) {
-      if (incremental_resolve(cls, kernel_class, share)) {
-        long groups = 0;
-        for (const SolverGroup& g : rc.solver.groups) {
-          if (g.n > 0) ++groups;
-        }
-        solved_ops_ += std::max<long>(groups, 1);
-        add_solve_time();
-        continue;
+    if (rc.solver.incremental &&
+        incremental_resolve(cls, kernel_class, share)) {
+      long groups = 0;
+      for (const SolverGroup& g : rc.solver.groups) {
+        if (g.n > 0) ++groups;
       }
-      rc.demote();
-    }
-
-    // Full scan: every member folded and re-rated. Counted separately so
-    // the bench can prove scans are rare under churn.
-    ++rc.stats.full_scans;
-    solved_ops_ += static_cast<long>(rc.size());
-    rc.stats.member_touches += static_cast<long>(rc.size());
-    if (kernel_class) {
-      models_[static_cast<std::size_t>(cls / kSlotsPerDevice)]
-          .solve_kernel_class(rc.fill, rc.solo_u, rc.bw, solve_rates_);
-    }
-    // Tenancy: the scan's one tenant table. A class whose members span
-    // several tenants re-shares its aggregate bandwidth weight-
-    // proportionally across them; a single group never leaves the
-    // unweighted arithmetic. try_promote_class reuses the same groups.
-    rc.rebuild_groups(kernel_class);
-    const bool multi_tenant = rc.solver.groups.size() > 1;
-    if (multi_tenant) apply_tenant_shares(rc, kernel_class, share);
-    const bool per_member = kernel_class || multi_tenant;
-    const TimeUs dt = now_ - rc.since;
-    TimeUs next = kTimeInfinity;
-    for (std::size_t i = 0; i < rc.size(); ++i) {
-      double& rem = rc.remaining[i];
-      if (dt > 0 && rc.rate[i] > 0) {
-        // Progress accrued at the old rate since the last fold.
-        rem = std::max(0.0, rem - rc.rate[i] * dt);
+      solved_ops_ += std::max<long>(groups, 1);
+    } else {
+      // Full scan: every member folded and re-rated. Counted separately
+      // so the bench can prove scans are rare under churn.
+      ++rc.stats.full_scans;
+      solved_ops_ += static_cast<long>(rc.size());
+      rc.stats.member_touches += static_cast<long>(rc.size());
+      // Progress accrued on the group clocks since the last solve.
+      for (std::size_t i = 0; i < rc.size(); ++i) {
+        rc.remaining[i] = rc.remaining_at(i, now_);
       }
-      const double r = per_member ? solve_rates_[i] : share;
-      rc.rate[i] = r;
-      TimeUs& pred = rc.pred[i];
-      if (rem <= kWorkEps * std::max(1.0, rc.work[i])) {
-        pred = now_;  // residue below the work epsilon: due now
-      } else if (r > 0) {
-        pred = now_ + rem / r;
-      } else {
-        pred = kTimeInfinity;  // the stall watchdog is the net
+      rc.since = now_;
+      if (kernel_class) {
+        models_[static_cast<std::size_t>(cls / kSlotsPerDevice)]
+            .solve_kernel_class(rc.fill, rc.solo_u, rc.bw, solve_rates_);
       }
-      next = std::min(next, pred);
+      // Tenancy: the scan's one tenant table. A class whose members span
+      // several tenants re-shares its aggregate bandwidth weight-
+      // proportionally across them; a single group never leaves the
+      // unweighted arithmetic. try_promote_class reuses the same groups.
+      rc.rebuild_groups(kernel_class);
+      const bool multi_tenant = rc.solver.groups.size() > 1;
+      if (multi_tenant) apply_tenant_shares(rc, kernel_class, share);
+      const bool per_member = kernel_class || multi_tenant;
+      for (std::size_t i = 0; i < rc.size(); ++i) {
+        rc.sw[i] = per_member ? solve_rates_[i] : share;
+      }
+      // Stay a scan-mode class (slope 1, sw = the scanned rate) or enter
+      // the virtual-service regime if the rates sit on its linear model;
+      // either way the finish index rebuilds exactly from the folded rows.
+      try_promote_class(cls, kernel_class, share);
+      rebuild_finish_index(rc);
     }
-    rc.since = now_;
-    class_next_[static_cast<std::size_t>(cls)] = next;
-    // Re-enter the virtual-service regime if this scan's rates sit on the
-    // linear model (the scan just folded every remaining to now_, so the
-    // finish index rebuilds exactly, rebased to V = 0).
-    try_promote_class(cls, kernel_class, share);
-    add_solve_time();
+    class_next_[static_cast<std::size_t>(cls)] = next_finish(rc);
+    if (solve_timing_) {
+      rc.stats.solve_time_us += std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+    }
   }
   dirty_classes_.clear();
 }
@@ -1096,18 +1085,21 @@ bool Engine::incremental_resolve(int cls, bool kernel_class, double share) {
   // Advance every group's cumulative service to now_ at the slopes in
   // effect since the last solve, then move the fold timestamp: whether the
   // re-price below succeeds or falls back to a scan, V is materialized at
-  // now_ (ResourceClass::demote relies on this never being applied twice).
+  // now_ (the scan's fold relies on this never being applied twice).
   if (dt > 0) {
     for (SolverGroup& g : sol.groups) {
       if (g.c > 0 && g.n > 0) g.v += g.c * dt;
     }
   }
   rc.since = now_;
-  if (!compute_group_rates(cls, kernel_class, share)) return false;
-  // class_next_: one front-peek per group, converted to wall time. Stale
-  // entries (completed ops) are discarded as they surface.
+  return compute_group_rates(cls, kernel_class, share);
+}
+
+TimeUs Engine::next_finish(ResourceClass& rc) {
+  // One front-peek per group, converted to wall time. Stale entries
+  // (completed ops) are discarded as they surface.
   TimeUs next = kTimeInfinity;
-  for (SolverGroup& g : sol.groups) {
+  for (SolverGroup& g : rc.solver.groups) {
     if (g.n <= 0) continue;
     while (!g.heap.empty()) {
       if (is_running(g.heap.front().id)) break;
@@ -1115,14 +1107,12 @@ bool Engine::incremental_resolve(int cls, bool kernel_class, double share) {
       g.heap.pop_back();
     }
     if (g.heap.empty() || g.c <= 0) continue;
-    // Clamped at now_: a front whose tag V already passed (within the
+    // Clamped at `since`: a front whose tag V already passed (within the
     // completion tolerance) is due immediately, never in the past.
-    const TimeUs wall =
-        now_ + std::max(0.0, g.heap.front().f - g.v) / g.c;
-    next = std::min(next, wall);
+    next = std::min(next,
+                    rc.since + std::max(0.0, g.heap.front().f - g.v) / g.c);
   }
-  class_next_[static_cast<std::size_t>(cls)] = next;
-  return true;
+  return next;
 }
 
 bool Engine::compute_group_rates(int cls, bool kernel_class, double share) {
@@ -1198,37 +1188,42 @@ bool Engine::tenant_budgets(const ClassSolver& sol, double member_cap,
 }
 
 void Engine::try_promote_class(int cls, bool kernel_class, double share) {
-  // Called right after a full scan: remainings are folded to now_, the
-  // rate column holds the exact full-scan rates and the groups are freshly
-  // rebuilt. Derive the linear-model slopes and only promote if every
-  // member's scanned rate equals c_g * w_i — one verification pass that
-  // subsumes every cap/floor/saturation/tenancy corner without
-  // duplicating the solver's case analysis.
+  // Called right after a full scan: remainings are folded to now_, sw
+  // holds the exact full-scan rates and the groups are freshly rebuilt.
+  // Derive the linear-model slopes and only promote if every member's
+  // scanned rate equals c_g * w_i — one verification pass that subsumes
+  // every cap/floor/saturation/tenancy corner without duplicating the
+  // solver's case analysis.
   ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
   ClassSolver& sol = rc.solver;
+  sol.incremental = false;
   if (!compute_group_rates(cls, kernel_class, share)) return;
   for (std::size_t i = 0; i < rc.size(); ++i) {
     const double want = sol.group(rc.tenant[i])->c * rc.w[i];
-    const double got = rc.rate[i];
+    const double got = rc.sw[i];
     if (std::abs(want - got) > 1e-12 * std::max(1.0, std::abs(got))) return;
   }
-  // Promote: rebase service to V = 0 and rebuild each group's finish
-  // index from the just-folded remainings.
+  rc.sw = rc.w;
+  sol.incremental = true;
+}
+
+void Engine::rebuild_finish_index(ResourceClass& rc) {
+  ClassSolver& sol = rc.solver;
   for (SolverGroup& g : sol.groups) {
     g.v = 0;
+    if (!sol.incremental) g.c = 1;
     g.heap.clear();
   }
   for (std::size_t i = 0; i < rc.size(); ++i) {
     rc.venter[i] = 0;
-    if (rc.w[i] <= 0) continue;
+    const double f = finish_tag(0, rc.remaining[i], rc.work[i], rc.sw[i]);
+    if (f == kTimeInfinity) continue;
     sol.group_mut(rc.tenant[i])
-        .heap.push_back({rc.remaining[i] / rc.w[i],
-                         slab_[static_cast<std::size_t>(rc.slots[i])].id});
+        .heap.push_back({f, slab_[static_cast<std::size_t>(rc.slots[i])].id});
   }
   for (SolverGroup& g : sol.groups) {
     std::make_heap(g.heap.begin(), g.heap.end(), std::greater<>());
   }
-  sol.incremental = true;
 }
 
 void Engine::apply_tenant_shares(ResourceClass& rc, bool kernel_class,
@@ -1250,40 +1245,25 @@ void Engine::apply_tenant_shares(ResourceClass& rc, bool kernel_class,
   for (std::size_t i = 0; i < n; ++i) total_rate += solve_rates_[i];
   if (!tenant_budgets(rc.solver, member_cap, total_rate)) return;
 
-  // Intra-tenant: spread each budget over the tenant's members in
-  // proportion to their base-solve rates, member rates capped — a
-  // bounded water-fill converging in <= n_t passes (a capped member's
-  // overflow re-spreads over the rest). A tenant's members are rewritten
-  // only in its own pass, so each pass starts from base rates.
-  share_capped_.assign(n, 0);
+  // Intra-tenant: the same water-fill spreads each budget over the
+  // tenant's members, weighted by their base-solve rates and each capped
+  // at the member cap (a capped member's overflow re-spreads over the
+  // rest). A tenant's members are rewritten only in its own pass, so each
+  // pass reads base rates.
   const auto& groups = rc.solver.groups;
   for (std::size_t j = 0; j < groups.size(); ++j) {
     const TenantId t = groups[j].tenant;
-    double budget = share_budget_[j];
-    double unc_sum = 0;
+    share_weight_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (rc.tenant[i] == t) unc_sum += solve_rates_[i];
+      if (rc.tenant[i] == t) share_weight_.push_back(solve_rates_[i]);
     }
-    for (;;) {
-      if (unc_sum <= 0) break;
-      const double f = budget / unc_sum;
-      bool any = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (rc.tenant[i] != t || share_capped_[i]) continue;
-        if (f * solve_rates_[i] >= member_cap) {
-          budget -= member_cap;
-          unc_sum -= solve_rates_[i];
-          solve_rates_[i] = member_cap;
-          share_capped_[i] = 1;
-          any = true;
-        }
-      }
-      if (!any) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rc.tenant[i] == t && !share_capped_[i]) solve_rates_[i] *= f;
-        }
-        break;
-      }
+    share_cap_.assign(share_weight_.size(), member_cap);
+    ResourceModel::water_fill_budgets(share_weight_, share_cap_,
+                                      share_budget_[j], share_spread_,
+                                      share_active_);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rc.tenant[i] == t) solve_rates_[i] = share_spread_[k++];
     }
   }
 }
@@ -1339,30 +1319,20 @@ bool Engine::complete_due_ops() {
   for (int cls = 0; cls < num_classes_; ++cls) {
     if (class_next_[static_cast<std::size_t>(cls)] > now_ + tol) continue;
     ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
-    if (rc.solver.incremental) {
-      // Heap-pop the due front of each group's finish index: an entry is
-      // due when its service tag falls under the group's V projected to
-      // now_ + tol. Only due (or stale) entries are popped — O(due log n)
-      // instead of the full-member scan.
-      for (SolverGroup& g : rc.solver.groups) {
-        if (g.n <= 0 || g.c <= 0) continue;
-        const double v_due = g.v + g.c * (now_ + tol - rc.since);
-        while (!g.heap.empty()) {
-          const FinishEntry top = g.heap.front();
-          const bool live = is_running(top.id);
-          if (live && top.f > v_due) break;
-          std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
-          g.heap.pop_back();
-          if (live) due.push_back(top.id);
-        }
-      }
-      continue;
-    }
-    // The due scan runs over the dense predicted-completion column; only
-    // actually-due members cost an Op touch (for their id).
-    for (std::size_t i = 0; i < rc.size(); ++i) {
-      if (rc.pred[i] <= now_ + tol) {
-        due.push_back(slab_[static_cast<std::size_t>(rc.slots[i])].id);
+    // Heap-pop the due front of each group's finish index: an entry is
+    // due when its service tag falls under the group's V projected to
+    // now_ + tol. Only due (or stale) entries are popped — O(due log n),
+    // no member scan.
+    for (SolverGroup& g : rc.solver.groups) {
+      if (g.n <= 0 || g.c <= 0) continue;
+      const double v_due = g.v + g.c * (now_ + tol - rc.since);
+      while (!g.heap.empty()) {
+        const FinishEntry top = g.heap.front();
+        const bool live = is_running(top.id);
+        if (live && top.f > v_due) break;
+        std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
+        g.heap.pop_back();
+        if (live) due.push_back(top.id);
       }
     }
   }
@@ -1542,8 +1512,8 @@ void Engine::audit() const {
         cls < p2p_base_ && cls % kSlotsPerDevice == kSlotKernel;
     const std::size_t demand_rows = kernel_class ? n : 0;
     if (rc.remaining.size() != n || rc.work.size() != n ||
-        rc.rate.size() != n || rc.pred.size() != n ||
-        rc.tenant.size() != n || rc.w.size() != n || rc.venter.size() != n) {
+        rc.sw.size() != n || rc.venter.size() != n ||
+        rc.tenant.size() != n || rc.w.size() != n) {
       fail("a member column's length differs from the member count");
     }
     if (rc.fill.size() != demand_rows || rc.solo_u.size() != demand_rows ||
@@ -1570,32 +1540,35 @@ void Engine::audit() const {
                            cls % kSlotsPerDevice == kSlotH2D ||
                            cls % kSlotsPerDevice == kSlotD2H;
     if (dma_class && n > 1) fail("DMA class holds more than one copy");
-    if (!rc.dirty && !rc.solver.incremental) {
-      TimeUs next = kTimeInfinity;
-      for (const TimeUs t : rc.pred) next = std::min(next, t);
-      if (class_next_[static_cast<std::size_t>(cls)] != next) {
-        fail("clean scan-mode class's next completion is not its pred "
-             "minimum");
+    // Per group: count and weight sum against the rows, and the least
+    // finish tag the rows carry — the tags join and rebuild_finish_index
+    // push, recomputed from the rows rather than read off the heap.
+    long grouped = 0;
+    TimeUs next = kTimeInfinity;
+    for (const SolverGroup& g : rc.solver.groups) {
+      long members = 0;
+      double w_sum = 0;
+      double f_min = kTimeInfinity;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rc.tenant[i] != g.tenant) continue;
+        ++members;
+        w_sum += rc.w[i];
+        f_min = std::min(f_min, finish_tag(rc.venter[i], rc.remaining[i],
+                                           rc.work[i], rc.sw[i]));
+      }
+      const std::string group = "tenant " + std::to_string(g.tenant) + " ";
+      if (members != g.n) fail(group + "group count differs from its rows");
+      if (std::abs(w_sum - g.w_sum) > 1e-9 * std::max(1.0, std::abs(w_sum))) {
+        fail(group + "group weight sum differs from its rows");
+      }
+      grouped += g.n;
+      if (g.n > 0 && g.c > 0 && f_min < kTimeInfinity) {
+        next = std::min(next, rc.since + std::max(0.0, f_min - g.v) / g.c);
       }
     }
-    if (rc.solver.incremental) {
-      long grouped = 0;
-      for (const SolverGroup& g : rc.solver.groups) {
-        long members = 0;
-        double w_sum = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rc.tenant[i] != g.tenant) continue;
-          ++members;
-          w_sum += rc.w[i];
-        }
-        const std::string group = "tenant " + std::to_string(g.tenant) + " ";
-        if (members != g.n) fail(group + "group count differs from its rows");
-        if (std::abs(w_sum - g.w_sum) > 1e-9 * std::max(1.0, std::abs(w_sum))) {
-          fail(group + "group weight sum differs from its rows");
-        }
-        grouped += g.n;
-      }
-      if (grouped != static_cast<long>(n)) fail("rows outside any group");
+    if (grouped != static_cast<long>(n)) fail("rows outside any group");
+    if (!rc.dirty && class_next_[static_cast<std::size_t>(cls)] != next) {
+      fail("clean class's next completion is not its least finish tag's");
     }
     const bool listed = std::find(dirty_classes_.begin(), dirty_classes_.end(),
                                   cls) != dirty_classes_.end();

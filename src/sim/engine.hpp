@@ -20,10 +20,10 @@
 //     to a compact per-id record (start/end/kind/stream) so live memory is
 //     bounded by the number of concurrently in-flight ops;
 //   * each resource class is one record whose column-major member table
-//     holds every running member's progress and predicted completion,
-//     refreshed by the class's rate re-solve; the engine keeps the
-//     per-class minimum, so finding the next completion is a min over the
-//     class table and completing it is one scan of the due class;
+//     holds every running member's progress on its tenant group's
+//     service clock, with a finish-tag heap per group; the engine keeps
+//     the per-class next completion, so finding it is a min over the
+//     class table and completing it pops the due heap fronts;
 //   * queued head ops that can only start at a known future time sit in a
 //     second min-heap (periodically compacted — see "start heap" below);
 //     heads blocked on events or a DMA engine register on waiter lists and
@@ -346,9 +346,10 @@ class Engine {
   /// Per class: every member column holds one row per member (demand
   /// columns only in kernel classes); row i's op is Running at class_pos
   /// i of this class with the row's tenant and work; DMA classes (H2D,
-  /// D2H, P2P) hold at most one copy; a clean scan-mode class's next
-  /// completion is its pred minimum; incremental groups' counts and
-  /// weight sums match their rows; `dirty` is set exactly for the
+  /// D2H, P2P) hold at most one copy; group counts and weight sums match
+  /// their rows; a clean class's next completion is
+  /// since + max(0, F_min - V) / c over its populated groups, with F_min
+  /// the least finish tag its rows carry; `dirty` is set exactly for the
   /// classes on the worklist. O(members); for tests.
   void audit() const;
 
@@ -416,13 +417,14 @@ class Engine {
       return f != o.f ? f > o.f : id > o.id;
     }
   };
-  /// One tenant's share of a class: its member count and weight sum, and
-  /// in incremental mode its service clock and finish index. V advances
-  /// lazily — v is the cumulative virtual service as of the class's
-  /// `since`, c its current slope (service per wall-us per unit member
-  /// weight) — so a member's remaining work at time t is
-  /// rem_enter - w * (V(t) - v_enter). Single-tenant classes hold exactly
-  /// one group.
+  /// One tenant's share of a class: its member count and weight sum, its
+  /// service clock and its finish index. V advances lazily — v is the
+  /// cumulative service as of the class's `since`, c its current slope
+  /// (service per wall-us per unit of service weight) — so a member with
+  /// service weight sw has remaining work rem_enter - sw * (V(t) - v_enter)
+  /// at time t. Scan-mode groups run at c = 1 with each member's scanned
+  /// rate as sw; virtual-service groups at the derived c_g with sw = w.
+  /// Single-tenant classes hold exactly one group.
   struct SolverGroup {
     TenantId tenant = kDefaultTenant;
     double v = 0;      ///< cumulative virtual service at `since`
@@ -435,10 +437,10 @@ class Engine {
   /// O(1) aggregates the incremental path re-prices from. Kernel-only
   /// aggregates (fill_sum, bww_sum, weight bounds) back the validity test
   /// that guards the linear regime: no zero-weight member, no member at
-  /// the 1.0 solo cap or the 1e-9 floor, DRAM unsaturated. w_max/w_min
-  /// are maintained monotonically on join (stale-conservative across
-  /// leaves) and recomputed exactly by every full scan. In scan mode the
-  /// groups are rebuilt by each scan and not maintained in between.
+  /// the 1.0 solo cap or the 1e-9 floor, DRAM unsaturated. Join and leave
+  /// maintain them in both modes, w_max/w_min only monotonically on join
+  /// (stale-conservative across leaves); every full scan rebuilds them
+  /// exactly.
   struct ClassSolver {
     bool incremental = false;
     double fill_sum = 0;  ///< kernels: sum of member device fills
@@ -447,16 +449,12 @@ class Engine {
     double w_min = kTimeInfinity;
     long zero_w = 0;  ///< members with no usable weight (forces scans)
     std::vector<SolverGroup> groups;
+    /// Finish-heap storage of dropped groups, handed to the next group
+    /// appended, so emptying a class frees nothing.
+    std::vector<std::vector<FinishEntry>> spare_heaps;
 
     /// Exact zeros for an empty (or about to be rebuilt) class.
-    void reset_aggregates() {
-      fill_sum = 0;
-      bww_sum = 0;
-      w_max = 0;
-      w_min = kTimeInfinity;
-      zero_w = 0;
-      groups.clear();
-    }
+    void reset_aggregates();
     /// Group of `tenant` (nullptr if absent); group_mut appends it.
     [[nodiscard]] const SolverGroup* group(TenantId tenant) const;
     [[nodiscard]] SolverGroup& group_mut(TenantId tenant);
@@ -468,26 +466,25 @@ class Engine {
   /// One (device, class) solver domain: its running members and the state
   /// that prices them. The member table is column-major — row i of every
   /// column describes the op in slab slot slots[i], whose class_pos is i —
-  /// so the re-solve and the due scan are passes over dense arrays and a
-  /// member's Op is touched only at join, completion and queries. join()
-  /// and leave() are the only writers of the row set.
+  /// so the re-solve is a pass over dense arrays and a member's Op is
+  /// touched only at join, completion and queries. join() and leave() are
+  /// the only writers of the row set.
   struct ResourceClass {
     std::vector<std::int32_t> slots;
     /// Kernel classes only (empty elsewhere): device fill, solo
     /// utilization and DRAM appetite, captured at join. Equal-share
     /// classes (copies, faults, peer links) need only their size.
     std::vector<double> fill, solo_u, bw;
-    /// Progress as of `since`, the fold timestamp (one per class: every
-    /// scan folds every member): remaining work, total work (for the
-    /// completion epsilon), current rate and predicted completion.
-    std::vector<double> remaining, work, rate;
-    std::vector<TimeUs> pred;
+    /// Progress on the member's group clock: remaining work at entry,
+    /// total work (for the completion epsilon), service weight sw (rate =
+    /// group c * sw; 0 until a solve prices the member) and the group V
+    /// at entry. Every full scan folds each member to now, moves `since`
+    /// there and re-enters all of them at V = 0.
+    std::vector<double> remaining, work, sw, venter;
     std::vector<TenantId> tenant;
     /// Virtual-service weight (kernels: fill / solo_u, the ratio the
-    /// proportional split preserves; equal-share classes: 1.0) and the
-    /// group V at which the member entered (meaningful only while the
-    /// class is incremental).
-    std::vector<double> w, venter;
+    /// proportional split preserves; equal-share classes: 1.0).
+    std::vector<double> w;
     TimeUs since = 0;
     ClassSolver solver;
     /// Streams whose head is an explicit copy blocked on this class's DMA
@@ -499,20 +496,19 @@ class Engine {
     [[nodiscard]] std::size_t size() const { return slots.size(); }
     [[nodiscard]] bool empty() const { return slots.empty(); }
     /// Append the row of `op`, which starts now in slab slot `slot` on a
-    /// device `dev`; returns its position. In incremental mode the member
-    /// also joins its group: O(log n), no other member is touched.
+    /// device `dev`, and count it into its group; returns its position. In
+    /// incremental mode the member is priced at once (sw = w, finish tag
+    /// pushed): O(log n), no other member is touched.
     std::int32_t join(std::int32_t slot, const Op& op, const DeviceSpec& dev,
                       TimeUs now);
-    /// Swap-and-pop `op`'s row out of every column; returns the slab slot
-    /// of the member moved into its position.
+    /// Swap-and-pop `op`'s row out of every column and its group; returns
+    /// the slab slot of the member moved into its position.
     std::int32_t leave(const Op& op);
     /// Rebuild the aggregates and tenant groups exactly from the rows,
-    /// groups in member first-appearance order (scan mode only).
+    /// groups in member first-appearance order.
     void rebuild_groups(bool kernel_class);
-    /// Leave the incremental regime after a failed incremental_resolve:
-    /// materialize every member's remaining work at the groups' current V
-    /// into the plain progress column for the full scan that follows.
-    void demote();
+    /// Row i's remaining work at time t (t >= since).
+    [[nodiscard]] double remaining_at(std::size_t i, TimeUs t) const;
   };
 
   [[nodiscard]] static constexpr int slot_of(OpKind kind) {
@@ -572,28 +568,32 @@ class Engine {
   /// (which decides copy-engine handover among same-instant candidates).
   void drain_ready();
   void complete_op(Op& op);
-  /// Re-solve rates for every dirty resource class, refreshing each
-  /// member's predicted completion and the class minimum.
+  /// Re-solve rates for every dirty resource class, refreshing its next
+  /// completion.
   void recompute_rates();
   // --- virtual-service solver internals ---
   /// O(groups) re-solve of an incremental-mode dirty class: advance every
-  /// group's V to now_, re-derive each group's service slope from the
-  /// aggregates, and refresh class_next_ from the finish-index fronts.
-  /// Returns false (leaving V advanced and `since` at now_) when the
-  /// validity test fails — the caller demotes and falls back to a scan.
+  /// group's V to now_ and re-derive each group's service slope from the
+  /// aggregates. Returns false (leaving V advanced and `since` at now_)
+  /// when the validity test fails — the caller falls back to a full scan.
   bool incremental_resolve(int cls, bool kernel_class, double share);
   /// Derive per-group service slopes from the class aggregates; the
   /// validity test of the linear regime. Multi-group classes split the
   /// class aggregate with tenant_budgets, like apply_tenant_shares.
   bool compute_group_rates(int cls, bool kernel_class, double share);
-  /// Attempt to enter the incremental regime right after a full scan (the
-  /// scan just folded remainings to now_, wrote exact rates and rebuilt
-  /// the groups): derive the linear-model slopes, verify the scan's rates
-  /// match c_g * w_i, and rebase every member's finish tag to V = 0.
-  /// Leaves the class in scan mode if any member is off the line.
+  /// Pick the mode right after a full scan (the scan just folded
+  /// remainings to now_, wrote its exact rates into sw and rebuilt the
+  /// groups): derive the linear-model slopes and enter the incremental
+  /// regime (sw = w) only if every scanned rate equals c_g * w_i.
   void try_promote_class(int cls, bool kernel_class, double share);
-  /// Current rate of a live op (mode-aware: c * w when its class is
-  /// incremental, the rate column otherwise; 0 outside any class).
+  /// Rebase every group of a freshly scanned class to V = 0 (scan mode:
+  /// slope 1) and rebuild its finish heaps from the folded rows.
+  void rebuild_finish_index(ResourceClass& rc);
+  /// Earliest finish over the class's group heap fronts in wall time,
+  /// discarding fronts whose op has completed. Both modes, every solve.
+  [[nodiscard]] TimeUs next_finish(ResourceClass& rc);
+  /// Current rate of a live op: its group's slope times its service
+  /// weight (0 outside any class).
   [[nodiscard]] double live_rate(const Op& op) const;
   /// Weighted water-fill of `total_rate` over the populated groups of
   /// `sol` by tenant weight, each group capped at n_g * member_cap (what
@@ -604,13 +604,13 @@ class Engine {
   /// Weighted per-tenant fair sharing of one class whose members span
   /// several tenants: rewrites solve_rates_ (sized to the class) so each
   /// tenant's aggregate rate is weight-proportional, conserving the
-  /// class's aggregate. One bounded water-fill for both class families:
+  /// class's aggregate. Both steps are ResourceModel::water_fill_budgets:
   /// tenants are capped by what their members can absorb (kernels: rate
   /// 1.0 apiece, never faster than solo; transfers: uncapped) and a
   /// capped tenant's surplus flows to the others, then each budget
-  /// spreads over the tenant's members in proportion to their base rates
-  /// (again member-capped). Reads the groups the scan just rebuilt;
-  /// called only on the multi-tenant path.
+  /// spreads over the tenant's members weighted by their base rates,
+  /// each capped at the member cap. Reads the groups the scan just
+  /// rebuilt; called only on the multi-tenant path.
   void apply_tenant_shares(ResourceClass& rc, bool kernel_class,
                            double share);
   /// Sum of every class's solver stats.
@@ -633,10 +633,10 @@ class Engine {
   /// Earliest valid future head start (start heap top), discarding stale
   /// entries.
   [[nodiscard]] TimeUs earliest_queued_candidate();
-  /// Earliest predicted completion across the class minima.
+  /// Earliest completion across the per-class next finishes.
   [[nodiscard]] TimeUs earliest_completion() const;
-  /// Complete every op whose predicted completion is due at now_ (within
-  /// the clock-scaled tolerance), in op-id order: one scan per due class.
+  /// Complete every op whose finish tag is due at now_ (within the
+  /// clock-scaled tolerance), in op-id order: heap pops per due class.
   bool complete_due_ops();
   /// Move start-heap entries that became due at now_ onto the worklist.
   void release_due_starts();
@@ -651,9 +651,17 @@ class Engine {
   Machine machine_;
   std::vector<ResourceModel> models_;  ///< one per roster device
   Timeline timeline_;
-  std::vector<std::pair<int, std::function<void(StreamId)>>>
-      stream_idle_observers_;
+  /// Stream-idle observers in registration order. A deque, so adding one
+  /// mid-dispatch moves no other; removal during a dispatch only clears
+  /// the token (0) and the outermost dispatch erases the entry after it
+  /// returns, so an executing callback stays alive.
+  struct IdleObserver {
+    int token = 0;
+    std::function<void(StreamId)> fn;
+  };
+  std::deque<IdleObserver> stream_idle_observers_;
   int next_observer_token_ = 1;
+  int observer_dispatch_depth_ = 0;
 
   TimeUs now_ = 0;
   OpId next_op_id_ = 1;
@@ -688,9 +696,9 @@ class Engine {
   int p2p_base_ = 0;
   int num_classes_ = 0;
   std::vector<ResourceClass> classes_;
-  /// Minimum predicted completion over each class's members (infinity
-  /// when empty); valid for clean classes, refreshed by recompute_rates()
-  /// for dirty ones. Kept dense beside the records: every step sweeps it.
+  /// Earliest finish over each class's members (infinity when empty);
+  /// valid for clean classes, refreshed by recompute_rates() for dirty
+  /// ones. Kept dense beside the records: every step sweeps it.
   std::vector<TimeUs> class_next_;
   std::vector<int> dirty_classes_;  ///< worklist of dirty class indices
   /// Heads waiting on a live op through `Op::after`: (gate op, stream),
@@ -703,14 +711,15 @@ class Engine {
   std::vector<StreamId> batch_;
   std::vector<OpId> due_;
   std::vector<double> solve_rates_;
-  /// tenant_budgets' per-group tables (weight, absorbable cap, water-
-  /// filled budget, still-active flag), plus a per-member capped flag for
-  /// apply_tenant_shares' intra-tenant distribution.
+  /// water_fill_budgets' tables (weight, absorbable cap, still-active
+  /// flag): per group in tenant_budgets, whose budgets land in
+  /// share_budget_, then per member in apply_tenant_shares' spread, whose
+  /// rates land in share_spread_.
   std::vector<double> share_weight_;
   std::vector<double> share_cap_;
   std::vector<double> share_budget_;
+  std::vector<double> share_spread_;
   std::vector<char> share_active_;
-  std::vector<char> share_capped_;
 
   // --- tenancy ---
   std::vector<double> tenant_weights_;     ///< indexed by TenantId; 1.0 gap

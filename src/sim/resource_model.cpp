@@ -73,51 +73,6 @@ KernelDemand ResourceModel::kernel_demand(const LaunchConfig& cfg,
   return d;
 }
 
-namespace {
-
-/// Water-filling core; all storage is caller-provided so the hot path can
-/// reuse scratch across solves.
-void water_fill(const std::vector<double>& demands, double capacity,
-                std::vector<double>& alloc, std::vector<std::size_t>& unsat,
-                std::vector<std::size_t>& next) {
-  alloc.assign(demands.size(), 0);
-  unsat.clear();
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (demands[i] > 0) unsat.push_back(i);
-  }
-  double remaining = capacity;
-  while (!unsat.empty() && remaining > 1e-12) {
-    const double share = remaining / static_cast<double>(unsat.size());
-    bool any_satisfied = false;
-    next.clear();
-    for (std::size_t i : unsat) {
-      const double want = demands[i] - alloc[i];
-      if (want <= share + 1e-15) {
-        alloc[i] = demands[i];
-        remaining -= want;
-        any_satisfied = true;
-      } else {
-        next.push_back(i);
-      }
-    }
-    if (!any_satisfied) {
-      // Everyone wants more than the equal share: split equally and stop.
-      for (std::size_t i : next) alloc[i] += share;
-      remaining = 0;
-      next.clear();
-    }
-    unsat.swap(next);
-  }
-}
-
-}  // namespace
-
-void ResourceModel::max_min_fair_into(const std::vector<double>& demands,
-                                      double capacity,
-                                      std::vector<double>& alloc) const {
-  water_fill(demands, capacity, alloc, mmf_unsat_, mmf_next_);
-}
-
 double ResourceModel::weight_for_share(double share, double other_weight_sum) {
   if (!(share > 0)) return 0;
   if (share >= 1.0) return std::numeric_limits<double>::infinity();
@@ -166,15 +121,6 @@ void ResourceModel::water_fill_budgets(const std::vector<double>& weight,
   }
 }
 
-std::vector<double> ResourceModel::max_min_fair(
-    const std::vector<double>& demands, double capacity) {
-  // Convenience entry point (public API, cold paths): own allocations.
-  std::vector<double> alloc;
-  std::vector<std::size_t> unsat, next;
-  water_fill(demands, capacity, alloc, unsat, next);
-  return alloc;
-}
-
 void ResourceModel::solve_kernel_class(const std::vector<double>& fill,
                                        const std::vector<double>& solo_u,
                                        const std::vector<double>& bw_need,
@@ -202,8 +148,12 @@ void ResourceModel::solve_kernel_class(const std::vector<double>& fill,
   }
   // DRAM unsaturated (the common case): max-min fair hands every kernel
   // its full demand and the bandwidth cap never binds — skip the fill.
+  // Saturated: max-min fair is the water-fill at unit weights, each
+  // kernel capped at its demand.
   if (bw_total <= spec_->dram_bytes_per_us()) return;
-  max_min_fair_into(bw_demand, spec_->dram_bytes_per_us(), bw_alloc_);
+  bw_unit_.assign(n, 1.0);
+  water_fill_budgets(bw_unit_, bw_demand, spec_->dram_bytes_per_us(),
+                     bw_alloc_, bw_active_);
   const auto& bw_alloc = bw_alloc_;
   for (std::size_t i = 0; i < n; ++i) {
     double r = rates[i];

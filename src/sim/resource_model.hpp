@@ -11,7 +11,7 @@
 //     section V-C), while kernels that already saturate the device neither
 //     gain nor lose from co-scheduling.
 //   * Transfers progress in bytes: PCIe bandwidth is shared per direction
-//     (max-min fair, which degenerates to an equal split); unified-memory
+//     (an equal split); unified-memory
 //     fault migrations use a de-rated fault path whose efficiency degrades
 //     with the number of concurrently faulting ops (the paper's "page fault
 //     controller becomes the main bottleneck" effect, section V-C).
@@ -74,17 +74,16 @@ class ResourceModel {
   /// vector. Zero for kernels and rate-less kinds (markers, host spans).
   [[nodiscard]] double class_share(OpKind kind, std::size_t n) const;
 
-  /// Max-min fair ("water-filling") allocation of `capacity` among demands.
-  [[nodiscard]] static std::vector<double> max_min_fair(
-      const std::vector<double>& demands, double capacity);
-
-  /// Bounded weighted water-fill of `total` across parties: party j wants
-  /// a weight-proportional share but can absorb at most cap[j]; a capped
-  /// party's surplus re-fills over the rest instead of going idle.
-  /// Writes budget (resized); `active` is caller-provided scratch. The
-  /// engine's tenant budget splits — the full scan and the
-  /// virtual-service group aggregates — share this exact arithmetic; an
-  /// infinite cap makes it the plain weighted split transfers get.
+  /// Bounded weighted water-fill of `total` across parties — the model's
+  /// one water-fill: party j wants a weight-proportional share but can
+  /// absorb at most cap[j]; a capped party's surplus re-fills over the
+  /// rest instead of going idle. Writes budget (resized); `active` is
+  /// caller-provided scratch. Unit weights with caps = demands make it
+  /// max-min fair (the kernel class's DRAM split); the engine's tenant
+  /// budgets (group weight, n_g x member cap) and each budget's spread
+  /// over the tenant's members (base rates as weights, member cap) run
+  /// the same arithmetic. An infinite cap makes it the plain weighted
+  /// split transfers get.
   static void water_fill_budgets(const std::vector<double>& weight,
                                  const std::vector<double>& cap, double total,
                                  std::vector<double>& budget,
@@ -101,11 +100,6 @@ class ResourceModel {
   [[nodiscard]] const DeviceSpec& spec() const { return *spec_; }
 
  private:
-  /// Allocation-free max_min_fair used by the per-solve hot path: fills
-  /// `alloc` (resized to demands.size()) using the solver scratch below.
-  void max_min_fair_into(const std::vector<double>& demands, double capacity,
-                         std::vector<double>& alloc) const;
-
   const DeviceSpec* spec_;
 
   /// Reusable scratch for solve_kernel_class (one re-solve per running-set
@@ -113,8 +107,8 @@ class ResourceModel {
   /// the model is logically const, scratch is not observable state.
   mutable std::vector<double> bw_demand_;
   mutable std::vector<double> bw_alloc_;
-  mutable std::vector<std::size_t> mmf_unsat_;
-  mutable std::vector<std::size_t> mmf_next_;
+  mutable std::vector<double> bw_unit_;
+  mutable std::vector<char> bw_active_;
 
   /// Latency-hiding shape parameter: u(w) = (1+c) * w / (w + c), u(1) = 1.
   static constexpr double kLatencyHiding = 0.18;

@@ -116,6 +116,30 @@ TEST(Dag, EdgesAcrossEpochsStillRelax) {
   EXPECT_DOUBLE_EQ(dag.critical_path_us(0), 105);
 }
 
+TEST(Dag, WideFanInAcrossEpochsIgnoresEdgeOrder) {
+  // Epoch 0: one 20us head. Epoch 1: a 10us root fans out to 64 leaves
+  // whose costs are a permutation of 1..64us, and all 64 fan back in to a
+  // 7us sink, which also depends on the head. Edges are recorded sink
+  // fan-in first (descending leaf ids), then the fan-out, then the
+  // cross-epoch edge. By hand: root = 20 + 10 = 30, the 64us leaf
+  // finishes at 94, sink = 94 + 7 = 101.
+  constexpr long kLeaves = 64;
+  DagRecorder dag;
+  dag.add_vertex(make_comp(0, "head", 20));
+  dag.host_barrier();
+  dag.add_vertex(make_comp(1, "root", 10));
+  for (long i = 0; i < kLeaves; ++i) {
+    const double cost = static_cast<double>((i * 37) % kLeaves + 1);
+    dag.add_vertex(make_comp(2 + i, "leaf", cost));
+  }
+  const long sink = 2 + kLeaves;
+  dag.add_vertex(make_comp(sink, "sink", 7));
+  for (long i = kLeaves - 1; i >= 0; --i) dag.add_edge(2 + i, sink);
+  for (long i = 0; i < kLeaves; ++i) dag.add_edge(1, 2 + i);
+  dag.add_edge(0, sink);
+  EXPECT_DOUBLE_EQ(dag.critical_path_us(0), 101);
+}
+
 TEST(Dag, BarrierWithNoLaterWorkIsHarmless) {
   DagRecorder dag;
   dag.add_vertex(make_comp(0, "only", 7));

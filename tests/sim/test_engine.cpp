@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -463,25 +464,30 @@ TEST_F(EngineTest, StreamIdleObserversFireOnDrain) {
   eng_.remove_stream_idle_observer(t2);
 }
 
-TEST_F(EngineTest, StreamIdleObserverMayUnregisterItselfMidDispatch) {
-  // An observer that removes itself during its own callback must not make
-  // a later observer miss the drain (nor invalidate the running closure).
-  int first_calls = 0;
-  int second_calls = 0;
-  int t1 = 0;
-  t1 = eng_.add_stream_idle_observer([&](StreamId) {
-    ++first_calls;
-    eng_.remove_stream_idle_observer(t1);
+TEST_F(EngineTest, StreamIdleObserversMayChangeMidDispatch) {
+  // Mid-dispatch, observer A removes itself and the later observer B,
+  // registers C, then reads its own captured state. B is skipped, D (after
+  // B) still sees every drain, C first sees the next drain, and A's
+  // closure stays alive while it runs (a use after free here trips the
+  // sanitizer gate).
+  std::vector<std::string> log;
+  int ta = 0;
+  int tb = 0;
+  const std::string tag(64, 'a');  // a heap-allocated capture
+  ta = eng_.add_stream_idle_observer([&, tag](StreamId) {
+    eng_.remove_stream_idle_observer(ta);
+    eng_.remove_stream_idle_observer(tb);
+    eng_.add_stream_idle_observer([&](StreamId) { log.push_back("c"); });
+    log.push_back(tag.substr(0, 1));
   });
-  const int t2 =
-      eng_.add_stream_idle_observer([&](StreamId) { ++second_calls; });
+  tb = eng_.add_stream_idle_observer([&](StreamId) { log.push_back("b"); });
+  eng_.add_stream_idle_observer([&](StreamId) { log.push_back("d"); });
   eng_.enqueue(raw_kernel(0, 10, 4, 1.0), 0);
   eng_.run_all();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "d"}));
   eng_.enqueue(raw_kernel(0, 10, 4, 1.0), eng_.now());
   eng_.run_all();
-  EXPECT_EQ(first_calls, 1);   // unregistered after the first drain
-  EXPECT_EQ(second_calls, 2);  // saw both drains
-  eng_.remove_stream_idle_observer(t2);
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "d", "d", "c"}));
 }
 
 TEST_F(EngineTest, SolverCountersAdvance) {

@@ -128,22 +128,33 @@ TEST_F(ResourceModelTest, SoloTimeHasFloor) {
   EXPECT_GE(d.solo_us, 0.5);
 }
 
+/// Max-min fair allocation of `capacity` among `demands`: the water-fill
+/// at unit weights with every party capped at its demand.
+std::vector<double> max_min_fair(const std::vector<double>& demands,
+                                 double capacity) {
+  std::vector<double> alloc;
+  std::vector<char> active;
+  ResourceModel::water_fill_budgets(std::vector<double>(demands.size(), 1.0),
+                                    demands, capacity, alloc, active);
+  return alloc;
+}
+
 TEST_F(ResourceModelTest, MaxMinFairUnderSubscribed) {
-  const auto a = ResourceModel::max_min_fair({10, 20, 30}, 100);
+  const auto a = max_min_fair({10, 20, 30}, 100);
   EXPECT_DOUBLE_EQ(a[0], 10);
   EXPECT_DOUBLE_EQ(a[1], 20);
   EXPECT_DOUBLE_EQ(a[2], 30);
 }
 
 TEST_F(ResourceModelTest, MaxMinFairOverSubscribed) {
-  const auto a = ResourceModel::max_min_fair({60, 60}, 100);
+  const auto a = max_min_fair({60, 60}, 100);
   EXPECT_DOUBLE_EQ(a[0], 50);
   EXPECT_DOUBLE_EQ(a[1], 50);
 }
 
 TEST_F(ResourceModelTest, MaxMinFairMixed) {
   // Small demand fully served; the rest split what remains.
-  const auto a = ResourceModel::max_min_fair({10, 100, 100}, 100);
+  const auto a = max_min_fair({10, 100, 100}, 100);
   EXPECT_DOUBLE_EQ(a[0], 10);
   EXPECT_DOUBLE_EQ(a[1], 45);
   EXPECT_DOUBLE_EQ(a[2], 45);
@@ -151,7 +162,7 @@ TEST_F(ResourceModelTest, MaxMinFairMixed) {
 
 TEST_F(ResourceModelTest, MaxMinFairConservation) {
   const std::vector<double> demands = {5, 17, 3, 88, 41};
-  const auto a = ResourceModel::max_min_fair(demands, 60);
+  const auto a = max_min_fair(demands, 60);
   const double total = std::accumulate(a.begin(), a.end(), 0.0);
   EXPECT_LE(total, 60 + 1e-9);
   for (std::size_t i = 0; i < demands.size(); ++i) {

@@ -8,7 +8,9 @@
 // bookkeeping (lazy V advance, finish-heap epochs, group aggregate
 // joins/leaves) has to agree with folding every member on every change.
 // At the midpoint of every inter-event interval each running op's rate
-// must equal the oracle's to 1e-9 relative.
+// must equal the oracle's to 1e-9 relative. A second input, a DRAM-bound
+// kernel mix, keeps every kernel class in the scan regime through the
+// same churn.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -29,15 +31,28 @@ using test::expect_rates_match_reference;
 
 constexpr int kChurnOps = 400;
 
+/// The generator's inputs. Mixed: kernels, transfers and faults. DramBound:
+/// kernels only, each wanting 1.5-3x its device's DRAM bandwidth alone, so
+/// every kernel class (four tenants, eight streams on each device) fails
+/// the virtual-service validity test at every solve and stays in scan
+/// mode across every join and leave.
+enum class ChurnMix { Mixed, DramBound };
+
 /// One seeded churn run: every random draw comes from the same
 /// deterministic sequence however the clock is driven.
-std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed) {
+std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed,
+                                     ChurnMix mix = ChurnMix::Mixed) {
   std::mt19937 rng(seed);
+  // DramBound gives each tenant two streams per device, so a tenant's
+  // budget spreads over several members of one class.
+  const int per_device = mix == ChurnMix::DramBound ? 2 : 1;
   std::vector<StreamId> streams;
   for (TenantId t = 1; t <= 4; ++t) {
     eng.set_tenant_weight(t, 1.0 + 0.5 * t);
     for (DeviceId dev = 0; dev < 2; ++dev) {
-      streams.push_back(eng.create_stream(dev, t));
+      for (int k = 0; k < per_device; ++k) {
+        streams.push_back(eng.create_stream(dev, t));
+      }
     }
   }
 
@@ -46,28 +61,36 @@ std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed) {
   std::uniform_real_distribution<double> work(1.0, 12.0);
   std::uniform_real_distribution<double> occ(0.25, 1.0);
   std::uniform_real_distribution<double> gap(0.0, 3.0);
+  std::uniform_real_distribution<double> dram_share(1.5, 3.0);
 
   TimeUs t = 0;
   for (int i = 0; i < kChurnOps; ++i) {
     const StreamId s = streams[pick(rng)];
-    switch (kind(rng)) {
-      case 0:
-      case 1:
-        eng.enqueue(test::raw_copy(s, OpKind::CopyH2D, 1e4 * work(rng)), t);
-        break;
-      case 2:
-        eng.enqueue(test::raw_copy(s, OpKind::CopyD2H, 1e4 * work(rng)), t);
-        break;
-      case 3:
-        eng.enqueue(test::raw_copy(s, OpKind::Fault, 5e3 * work(rng)), t);
-        break;
-      default:
-        // Mixed fills: some saturate the device, some cap at solo speed.
-        eng.enqueue(
-            test::raw_kernel(s, work(rng), kind(rng) < 7 ? 4.0 : 1.0,
-                             occ(rng)),
-            t);
-        break;
+    if (mix == ChurnMix::DramBound) {
+      const double dram = eng.spec(eng.stream_device(s)).dram_bytes_per_us();
+      eng.enqueue(test::raw_kernel(s, work(rng), kind(rng) < 7 ? 4.0 : 1.0,
+                                   occ(rng), dram * dram_share(rng)),
+                  t);
+    } else {
+      switch (kind(rng)) {
+        case 0:
+        case 1:
+          eng.enqueue(test::raw_copy(s, OpKind::CopyH2D, 1e4 * work(rng)), t);
+          break;
+        case 2:
+          eng.enqueue(test::raw_copy(s, OpKind::CopyD2H, 1e4 * work(rng)), t);
+          break;
+        case 3:
+          eng.enqueue(test::raw_copy(s, OpKind::Fault, 5e3 * work(rng)), t);
+          break;
+        default:
+          // Mixed fills: some saturate the device, some cap at solo speed.
+          eng.enqueue(
+              test::raw_kernel(s, work(rng), kind(rng) < 7 ? 4.0 : 1.0,
+                               occ(rng)),
+              t);
+          break;
+      }
     }
     // Advance between enqueues so joins hit classes mid-epoch; every few
     // steps stay put so transactions of same-instant joins occur too.
@@ -100,6 +123,28 @@ TEST(SolverChurn, RandomJoinLeaveRatesMatchReference) {
   }
 }
 
+TEST(SolverChurn, DramBoundScanModeRatesMatchReference) {
+  for (const unsigned seed : kChurnSeeds) {
+    const std::string name = "dram-bound churn seed " + std::to_string(seed);
+    expect_rates_match_reference(
+        [seed](Stepper& d) {
+          Engine eng(churn_machine());
+          return run_churn(d, eng, seed, ChurnMix::DramBound);
+        },
+        name);
+    // The regime under test really is the scan: no kernel-class solve
+    // ever took the virtual-service path.
+    Stepper plain;
+    Engine eng(churn_machine());
+    run_churn(plain, eng, seed, ChurnMix::DramBound);
+    for (DeviceId dev = 0; dev < eng.num_devices(); ++dev) {
+      const auto stats = eng.class_solver_stats(dev, OpKind::Kernel);
+      EXPECT_GT(stats.solves, 0) << name;
+      EXPECT_EQ(stats.full_scans, stats.solves) << name << " device " << dev;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Mid-flight set_tenant_weight: re-pricing must be immediate AND stay on
 // the group-aggregate path — the weight change re-splits tenant budgets
@@ -128,6 +173,37 @@ TEST(SolverChurn, WeightChangeRepricesWithoutMemberScan) {
   eng.audit();
   EXPECT_NEAR(eng.tenant_inflight_work(1), 12.5, 1e-9);
   EXPECT_NEAR(eng.tenant_inflight_work(2), 7.5, 1e-9);
+}
+
+// Water-fill under many tenants: {8, 32} tenants at alternating 2:1
+// weights saturate one kernel class, four streams apiece, so every
+// completion re-splits the tenant budgets. The re-split works on group
+// aggregates: the first admission costs one full scan and the drain tail
+// a handful more as the solo cap trips, and member touches stay near zero
+// (one full scan and 0.005 touches/op when the bound was set).
+TEST(SolverChurn, TenantWaterfillStaysOnGroupAggregates) {
+  constexpr int kStreamsPerTenant = 4;
+  constexpr int kOpsPerStream = 200;
+  constexpr long kMaxFullScans = 64;
+  constexpr double kMaxTouchesPerOp = 1.0;
+  for (const int n_tenants : {8, 32}) {
+    Engine eng(DeviceSpec::test_device());
+    for (TenantId t = 1; t <= n_tenants; ++t) {
+      eng.set_tenant_weight(t, t % 2 == 0 ? 2.0 : 1.0);
+      for (int s = 0; s < kStreamsPerTenant; ++s) {
+        const StreamId st = eng.create_stream(kDefaultDevice, t);
+        for (int i = 0; i < kOpsPerStream; ++i) {
+          eng.enqueue(test::raw_kernel(st, 5.0, 4.0, 1.0), 0);
+        }
+      }
+    }
+    eng.run_all();
+    const double ops = n_tenants * kStreamsPerTenant * kOpsPerStream;
+    EXPECT_LE(eng.full_scan_count(), kMaxFullScans) << n_tenants << " tenants";
+    EXPECT_LE(static_cast<double>(eng.member_touch_count()) / ops,
+              kMaxTouchesPerOp)
+        << n_tenants << " tenants";
+  }
 }
 
 std::vector<TimelineEntry> weight_change(Stepper& d) {

@@ -11,6 +11,7 @@
 // re-weight, and batched ingest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -101,6 +102,21 @@ TEST(SolverEquivalence, MemberTouchesPerOpStayBounded) {
   const double per_op = static_cast<double>(eng.member_touch_count()) /
                         static_cast<double>(eng.timeline().entries().size());
   EXPECT_LE(per_op, 2 * kMeasuredPerOp);
+}
+
+// Fan-in scaling: on the 10k-op contention DAG, member touches per op at
+// 128 streams stay within 8x the 8-stream value (or 0.5 while that is
+// near zero) — re-solves are O(changed members), not O(members).
+TEST(SolverEquivalence, MemberTouchesFlatAsFanInGrows) {
+  constexpr int kOps = 10000;
+  const auto touches_per_op = [](int streams) {
+    Engine eng(DeviceSpec::test_device());
+    build_contention_dag(eng, kOps, streams);
+    eng.run_all();
+    return static_cast<double>(eng.member_touch_count()) / kOps;
+  };
+  const double low = touches_per_op(8);
+  EXPECT_LE(touches_per_op(128), std::max(8 * low, 0.5));
 }
 
 }  // namespace
