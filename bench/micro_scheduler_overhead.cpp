@@ -164,9 +164,9 @@ struct EngineCoreMetrics {
   double makespan_us = 0;
 };
 
-/// n_devices == 1 runs the PR-1 acceptance scenario (build_contention_dag
-/// on the single-device engine ctor); larger rosters run the multi-GPU
-/// variant of the same DAG spread across an NVLinked uniform machine.
+/// The contention DAG (build_contention_dag) on an NVLinked uniform
+/// machine of `n_devices` GPUs: one device runs the headline acceptance
+/// scenario, larger rosters spread the same DAG's streams across GPUs.
 EngineCoreMetrics measure_engine_core(int n_ops, int n_streams, int n_devices,
                                       int reps) {
   EngineCoreMetrics m;
@@ -175,11 +175,7 @@ EngineCoreMetrics measure_engine_core(int n_ops, int n_streams, int n_devices,
         sim::Machine::uniform(sim::DeviceSpec::test_device(), n_devices,
                               /*nvlink_all_pairs=*/n_devices > 1);
     sim::Engine eng(std::move(machine));
-    if (n_devices == 1) {
-      sim::build_contention_dag(eng, n_ops, n_streams);
-    } else {
-      sim::build_multi_device_contention_dag(eng, n_ops, n_streams);
-    }
+    sim::build_contention_dag(eng, n_ops, n_streams);
     const auto t0 = std::chrono::steady_clock::now();
     m.makespan_us = eng.run_all();
     const auto t1 = std::chrono::steady_clock::now();

@@ -7,6 +7,12 @@
 
 namespace psched::rt {
 
+namespace {
+/// Host-side cost of dependency computation + stream selection per
+/// registered computation (parallel policy only).
+constexpr sim::TimeUs kSchedulingOverheadUs = 1.0;
+}  // namespace
+
 Context::Context(sim::GpuRuntime& gpu, Options opts)
     : gpu_(&gpu), opts_(opts) {
   streams_ = std::make_unique<StreamManager>(gpu, opts_.stream_policy);
@@ -86,7 +92,7 @@ void Context::synchronize() {
     }
   }
   active_.clear();
-  if (opts_.keep_dag) dag_.host_barrier();
+  dag_.host_barrier();
 }
 
 ContextStats Context::stats() const {
@@ -108,7 +114,7 @@ Computation& Context::new_computation(Computation::Kind kind,
   c.label = std::move(label);
   comps_.push_back(&c);
   ++stats_.computations;
-  if (opts_.keep_dag) dag_.add_vertex(c);
+  dag_.add_vertex(c);
   return c;
 }
 
@@ -250,13 +256,11 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   // Model the cost of dependency computation and stream selection. It only
   // moves the host clock: the runtime calls below advance the engine at
   // their entry (the one-advance rule, GpuRuntime::note_api_call).
-  gpu_->charge_host(opts_.scheduling_overhead_us);
+  gpu_->charge_host(kSchedulingOverheadUs);
 
   const std::span<Computation* const> deps =
       infer_dependencies(c, opts_.honor_read_only);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
+  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
   stats_.edges += static_cast<long>(deps.size());
 
   // Placement before stream acquisition: the device policy decides where
@@ -309,7 +313,7 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
 
   c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
-  if (opts_.keep_dag) dag_.annotate_vertex(c);
+  dag_.annotate_vertex(c);
 }
 
 void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
@@ -338,7 +342,7 @@ void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
 
   c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
-  if (opts_.keep_dag) dag_.annotate_vertex(c);
+  dag_.annotate_vertex(c);
 }
 
 void Context::wait_for(Computation& c) {
@@ -426,9 +430,7 @@ void Context::on_host_read(ArrayState* array) {
   c.uses.push_back({array, /*read_only=*/true});
   const std::span<Computation* const> deps =
       infer_dependencies(c, /*honor_read_only=*/true);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
+  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
   stats_.edges += static_cast<long>(deps.size());
   ++stats_.host_accesses;
 
@@ -447,7 +449,7 @@ void Context::on_host_read(ArrayState* array) {
   gpu_->host_read(array->sim_id);
   // The host observed a result: later submissions form a new host epoch
   // for the contention-free bound.
-  if (opts_.keep_dag && !deps.empty()) dag_.host_barrier();
+  if (!deps.empty()) dag_.host_barrier();
 }
 
 void Context::on_host_write(ArrayState* array) {
@@ -482,16 +484,14 @@ void Context::on_host_write(ArrayState* array) {
   c.uses.push_back({array, /*read_only=*/false});
   const std::span<Computation* const> deps =
       infer_dependencies(c, /*honor_read_only=*/true);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
+  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
   stats_.edges += static_cast<long>(deps.size());
   ++stats_.host_accesses;
 
   for (Computation* d : deps) wait_for(*d);
   c.state = Computation::State::Finished;
   gpu_->host_write(array->sim_id);
-  if (opts_.keep_dag && !deps.empty()) dag_.host_barrier();
+  if (!deps.empty()) dag_.host_barrier();
 }
 
 }  // namespace psched::rt

@@ -55,17 +55,10 @@ struct Options {
   /// every argument as written (ablation; also the behaviour for
   /// unannotated signatures).
   bool honor_read_only = true;
-  /// Retain the full DAG (vertices/edges) for introspection and the
-  /// contention-free bound. Always cheap at benchmark scale.
-  bool keep_dag = true;
   /// Kernel registry used to resolve build_kernel() names. Must be set
   /// before building kernels (the kernels library exports
   /// psched::kernels::registry() with all 33 paper kernels).
   const KernelRegistry* registry = nullptr;
-
-  /// Host-side cost of dependency computation + stream selection per
-  /// registered computation (parallel policy only).
-  sim::TimeUs scheduling_overhead_us = 1.0;
 };
 
 struct ContextStats {

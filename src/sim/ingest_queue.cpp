@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <exception>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "sim/qos.hpp"
@@ -17,33 +19,24 @@ thread_local int tl_drain_depth = 0;
 thread_local const IngestService* tl_ingest_service = nullptr;
 }  // namespace
 
-/// One queued unit of work. Producers allocate, the draining thread frees
-/// after resolving the completion token. Intrusively linked for the
+/// One queued unit of work: a recorded submission to replay, a runtime
+/// closure, or neither (a flush). Producers allocate, the draining thread
+/// frees after resolving the completion token. Intrusively linked for the
 /// lock-free MPSC queue.
 struct IngestService::Item {
-  enum class Kind : unsigned char { Op, Record, Wait, Replay, Task, Flush };
-
-  Kind kind = Kind::Flush;
-  bool want_token = false;
   TenantId tenant = kDefaultTenant;
-  TimeUs host_time = 0;          // producer stamp (Op / Record / Wait)
-  sim::Op op;                    // Op
-  EventId event = kInvalidEvent; // Record / Wait
-  StreamId stream = kInvalidStream;
-  const Submission* replay = nullptr;      // Replay
-  std::function<void(GpuRuntime&)> task;   // Task
-  OpId result_id = kInvalidOp;             // assigned at drain (Op)
-  std::exception_ptr error;                // per-item recoverable failure
-  std::promise<OpId> op_token;             // Op
-  std::promise<void> done_token;           // Replay / Task / Flush
+  const Submission* replay = nullptr;
+  std::function<void(GpuRuntime&)> task;
+  std::exception_ptr error;  // per-item recoverable failure
+  /// Built only by the token-returning entries (submit_* and flush).
+  std::optional<std::promise<void>> token;
   std::atomic<Item*> next{nullptr};
 };
 
 /// One tenant shard: a Vyukov-style intrusive MPSC queue plus its
-/// dedicated ingest thread and the shard's determinism state (the
-/// monotone host-time floor). Producer side (push, `queued`) is lock-free;
-/// consumer side (`head`, `floor`) is only ever touched under the runtime
-/// api gate, which serializes the ingest thread with helping flushers.
+/// dedicated ingest thread. Producer side (link, `queued`) is lock-free;
+/// the consumer cursor `head` is only ever touched under the runtime api
+/// gate, which serializes the ingest thread with helping flushers.
 struct IngestService::Shard {
   std::atomic<Item*> tail{nullptr};  // producers' exchange point
   Item* head = nullptr;              // gate-protected consumer cursor
@@ -58,11 +51,7 @@ struct IngestService::Shard {
   std::atomic<bool> stop{false};
   std::thread thread;
 
-  /// Monotone host-time clamp floor: producer stamps may arrive out of
-  /// order, the drained sequence may not. t' = max(t, floor); floor = t'.
-  TimeUs floor = 0;
-
-  std::atomic<long> items{0}, batches{0}, ops{0}, clamped{0}, errors{0};
+  std::atomic<long> items{0}, batches{0}, ops{0}, errors{0};
   /// Admission-control outcomes on the producer side: submissions turned
   /// away with AdmissionError, and over-limit fire-and-forget posts that
   /// were queued anyway (deferred — the producer cannot observe a throw).
@@ -144,7 +133,6 @@ IngestStats IngestService::stats() const {
     out.items += s.items;
     out.batches += s.batches;
     out.ops += s.ops;
-    out.clamped += s.clamped;
     out.errors += s.errors;
     out.rejected += s.rejected;
     out.deferred += s.deferred;
@@ -161,39 +149,17 @@ IngestStats IngestService::shard_stats(int shard) const {
   out.items = s.items.load(std::memory_order_relaxed);
   out.batches = s.batches.load(std::memory_order_relaxed);
   out.ops = s.ops.load(std::memory_order_relaxed);
-  out.clamped = s.clamped.load(std::memory_order_relaxed);
   out.errors = s.errors.load(std::memory_order_relaxed);
   out.rejected = s.rejected.load(std::memory_order_relaxed);
   out.deferred = s.deferred.load(std::memory_order_relaxed);
   return out;
 }
 
-/// Producer-side admission gate: with a QoS policy attached, check the
-/// tenant's bounds counting the shard's queued backlog toward depth.
-/// `defer` selects the fire-and-forget contract (count + admit) over the
-/// token contract (count + rethrow AdmissionError).
-void IngestService::check_admission(Shard& s, TenantId tenant, bool defer,
-                                    const char* call) {
-  QosManager* q = rt_->qos();
-  if (q == nullptr) return;
-  try {
-    q->check_admission(tenant, s.queued.load(std::memory_order_acquire),
-                       call);
-  } catch (const AdmissionError&) {
-    if (defer) {
-      s.deferred.fetch_add(1, std::memory_order_relaxed);
-      return;  // fire-and-forget: note the backlog, queue anyway
-    }
-    s.rejected.fetch_add(1, std::memory_order_relaxed);
-    throw;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Queue primitives (Vyukov intrusive MPSC)
 // ---------------------------------------------------------------------
 
-void IngestService::push(Shard& s, Item* it) {
+void IngestService::link(Shard& s, Item* it) {
   // Count before linking: a flush that observes this increment will wait
   // for the item, so "enqueued before the flush call" is always covered.
   s.queued.fetch_add(1, std::memory_order_acq_rel);
@@ -246,19 +212,8 @@ IngestService::Item* IngestService::pop(Shard& s) {
 
 void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   GpuRuntime& rt = *rt_;
-  Engine& eng = rt.engine();
   ++tl_drain_depth;
   const TenantId ambient = rt.active_tenant();
-
-  // Clamp a producer host stamp against the shard's monotone floor.
-  const auto clamp = [&s](TimeUs t) {
-    if (t < s.floor) {
-      s.clamped.fetch_add(1, std::memory_order_relaxed);
-      return s.floor;
-    }
-    s.floor = t;
-    return t;
-  };
 
   // The drain owns the batch bracket unless the application left its own
   // explicit batch open — then items fold into that batch and tokens
@@ -275,7 +230,7 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
     batch_error = std::current_exception();
   }
 
-  // Hand the whole drained batch to the residency planner: the Replay
+  // Hand the whole drained batch to the residency planner: the replay
   // items' recorded working sets, concatenated in pop order, are the ready
   // frontier this batch is about to execute — so each replay's residency
   // planning scores victims against the entire batch, not just its own
@@ -285,7 +240,7 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   if (batch_error == nullptr && !rt.memory().planner().active()) {
     std::vector<FrontierEntry> frontier;
     for (const Item* it : batch) {
-      if (it->kind != Item::Kind::Replay || it->replay == nullptr) continue;
+      if (it->replay == nullptr) continue;
       const auto& ws = it->replay->working_sets();
       frontier.insert(frontier.end(), ws.begin(), ws.end());
     }
@@ -298,36 +253,13 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   if (batch_error == nullptr) {
     for (Item* it : batch) {
       try {
-        switch (it->kind) {
-          case Item::Kind::Op: {
-            const TimeUs t = clamp(it->host_time);
-            if (!eng.in_transaction()) eng.begin_transaction(t);
-            it->result_id = eng.enqueue(std::move(it->op), t);
-            break;
-          }
-          case Item::Kind::Record: {
-            const TimeUs t = clamp(it->host_time);
-            if (!eng.in_transaction()) eng.begin_transaction(t);
-            eng.record_event(it->event, it->stream, t);
-            break;
-          }
-          case Item::Kind::Wait: {
-            const TimeUs t = clamp(it->host_time);
-            if (!eng.in_transaction()) eng.begin_transaction(t);
-            eng.wait_event(it->stream, it->event, t);
-            break;
-          }
-          case Item::Kind::Replay:
-            rt.set_active_tenant(it->tenant);
-            rt.replay(*it->replay);
-            break;
-          case Item::Kind::Task:
-            rt.set_active_tenant(it->tenant);
-            it->task(rt);
-            break;
-          case Item::Kind::Flush:
-            break;  // resolves with the batch
-        }
+        if (it->replay != nullptr) {
+          rt.set_active_tenant(it->tenant);
+          rt.replay(*it->replay);
+        } else if (it->task) {
+          rt.set_active_tenant(it->tenant);
+          it->task(rt);
+        }  // else a flush: it resolves with the batch
       } catch (...) {
         // Engine misuse throws (TransactionError, ApiError) before state
         // changes: fail this item's token, keep draining.
@@ -355,20 +287,12 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   // Tokens resolve only after the commit (or with the failure): a resolved
   // future always means the work is real engine state.
   for (Item* it : batch) {
-    if (it->want_token) {
+    if (it->token) {
       const std::exception_ptr err = it->error ? it->error : batch_error;
-      if (it->kind == Item::Kind::Op) {
-        if (err) {
-          it->op_token.set_exception(err);
-        } else {
-          it->op_token.set_value(it->result_id);
-        }
+      if (err) {
+        it->token->set_exception(err);
       } else {
-        if (err) {
-          it->done_token.set_exception(err);
-        } else {
-          it->done_token.set_value();
-        }
+        it->token->set_value();
       }
     }
     delete it;
@@ -425,103 +349,57 @@ void IngestService::help_drain(Shard& s) {
 // Producer API
 // ---------------------------------------------------------------------
 
-std::future<OpId> IngestService::submit(TenantId tenant, Op op,
-                                        TimeUs host_time) {
+std::future<void> IngestService::push(TenantId tenant, const Submission* sub,
+                                      std::function<void(GpuRuntime&)> fn,
+                                      Entry entry, const char* call) {
   Shard& s = shard_for(tenant);
-  check_admission(s, tenant, /*defer=*/false, "IngestService::submit");
-  Item* it = new Item;
-  it->kind = Item::Kind::Op;
+  QosManager* q = entry == Entry::Flush ? nullptr : rt_->qos();
+  if (q != nullptr) {
+    try {
+      q->check_admission(tenant, s.queued.load(std::memory_order_acquire),
+                         call);
+    } catch (const AdmissionError&) {
+      if (entry == Entry::Submit) {
+        s.rejected.fetch_add(1, std::memory_order_relaxed);
+        throw;
+      }
+      s.deferred.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  auto it = std::make_unique<Item>();
   it->tenant = tenant;
-  it->op = std::move(op);
-  it->host_time = host_time;
-  it->want_token = true;
-  std::future<OpId> token = it->op_token.get_future();
-  push(s, it);
+  it->replay = sub;
+  it->task = std::move(fn);
+  std::future<void> token;
+  if (entry != Entry::Post) token = it->token.emplace().get_future();
+  link(s, it.release());
   return token;
-}
-
-void IngestService::post(TenantId tenant, Op op, TimeUs host_time) {
-  Shard& s = shard_for(tenant);
-  check_admission(s, tenant, /*defer=*/true, "IngestService::post");
-  Item* it = new Item;
-  it->kind = Item::Kind::Op;
-  it->tenant = tenant;
-  it->op = std::move(op);
-  it->host_time = host_time;
-  push(s, it);
-}
-
-void IngestService::post_record(TenantId tenant, EventId event,
-                                StreamId stream, TimeUs host_time) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Record;
-  it->tenant = tenant;
-  it->event = event;
-  it->stream = stream;
-  it->host_time = host_time;
-  push(shard_for(tenant), it);
-}
-
-void IngestService::post_wait(TenantId tenant, StreamId stream, EventId event,
-                              TimeUs host_time) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Wait;
-  it->tenant = tenant;
-  it->event = event;
-  it->stream = stream;
-  it->host_time = host_time;
-  push(shard_for(tenant), it);
 }
 
 std::future<void> IngestService::submit_replay(TenantId tenant,
                                                const Submission* sub) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Replay;
-  it->tenant = tenant;
-  it->replay = sub;
-  it->want_token = true;
-  std::future<void> token = it->done_token.get_future();
-  push(shard_for(tenant), it);
-  return token;
+  return push(tenant, sub, nullptr, Entry::Submit,
+              "IngestService::submit_replay");
 }
 
 void IngestService::post_replay(TenantId tenant, const Submission* sub) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Replay;
-  it->tenant = tenant;
-  it->replay = sub;
-  push(shard_for(tenant), it);
+  push(tenant, sub, nullptr, Entry::Post, "IngestService::post_replay");
 }
 
 std::future<void> IngestService::submit_task(
     TenantId tenant, std::function<void(GpuRuntime&)> fn) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Task;
-  it->tenant = tenant;
-  it->task = std::move(fn);
-  it->want_token = true;
-  std::future<void> token = it->done_token.get_future();
-  push(shard_for(tenant), it);
-  return token;
+  return push(tenant, nullptr, std::move(fn), Entry::Submit,
+              "IngestService::submit_task");
 }
 
 void IngestService::post_task(TenantId tenant,
                               std::function<void(GpuRuntime&)> fn) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Task;
-  it->tenant = tenant;
-  it->task = std::move(fn);
-  push(shard_for(tenant), it);
+  push(tenant, nullptr, std::move(fn), Entry::Post,
+       "IngestService::post_task");
 }
 
 std::future<void> IngestService::flush(TenantId tenant) {
-  Item* it = new Item;
-  it->kind = Item::Kind::Flush;
-  it->tenant = tenant;
-  it->want_token = true;
-  std::future<void> token = it->done_token.get_future();
-  push(shard_for(tenant), it);
-  return token;
+  return push(tenant, nullptr, nullptr, Entry::Flush, "IngestService::flush");
 }
 
 void IngestService::flush_and_wait(TenantId tenant) {

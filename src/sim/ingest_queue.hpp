@@ -7,10 +7,14 @@
 //
 //   * Tenants are mapped onto S shards (default: tenant % shards, or an
 //     explicit per-tenant assignment). Each shard owns a lock-free
-//     Vyukov-style MPSC queue into which any OS thread may push work:
-//     raw engine ops / event records / event waits carrying producer host
-//     times, whole recorded `Submission`s for replay, or runtime-level
-//     closures (full async GpuRuntime API).
+//     Vyukov-style MPSC queue into which any OS thread may push work.
+//     Every queued item is one of two things: a recorded `Submission` to
+//     replay, or a runtime-level closure (the full async GpuRuntime API).
+//     A flush is an item carrying neither. Work therefore always enters
+//     the engine through GpuRuntime — residency admission, hazard
+//     tracking and issue records included — never as raw engine ops.
+//   * Every producer entry except `flush` runs the QoS admission check
+//     (see the producer API below).
 //   * A dedicated ingest thread per shard drains its queue in arrival
 //     order, batches the drained items into one explicit runtime batch
 //     (`begin_submit` / `commit` — a single engine transaction), and only
@@ -24,16 +28,15 @@
 // Determinism contract (the headline guarantee, golden-equivalence gated):
 //
 //   * Single producer: a run driven through the queue is bit-identical to
-//     the same call sequence submitted directly as explicit batches. Drain
-//     grouping is invisible because engine transactions group work without
-//     reordering it, and batched commits at the same host stamps replay
-//     per-call issue timing (PR 3 guarantee).
+//     the same replays and calls issued directly as explicit batches.
+//     Drain grouping is invisible because engine transactions group work
+//     without reordering it, and batched commits replay per-call issue
+//     timing.
 //   * Multiple producers: the schedule is a pure function of the drained
-//     arrival order. Producer host times may arrive out of order (each
-//     producer stamps its own clock); the drain clamps them against a
-//     per-shard monotone floor — t' = max(t, floor), floor = t' — so any
-//     arrival order yields a valid non-decreasing host sequence and the
-//     same arrival order always yields the same schedule.
+//     arrival order. Items carry no producer timestamps — each replay or
+//     closure is issued at the runtime's host clock when it drains — so
+//     re-issuing the same items directly in drained order reproduces the
+//     schedule.
 //
 // Flush points: `flush(tenant)` returns a token that resolves once
 // everything enqueued to that tenant's shard so far has been committed.
@@ -71,7 +74,10 @@ struct IngestStats {
   long items = 0;    ///< queue items drained
   long batches = 0;  ///< drain batches committed
   long ops = 0;      ///< engine ops those batches carried
-  long clamped = 0;  ///< producer host times raised by the monotone floor
+  /// Always 0: items carry no producer host times, so nothing is clamped.
+  /// Kept only because bench/e2e reports it; drop it together with the
+  /// benchmark's reader.
+  long clamped = 0;
   long errors = 0;   ///< recoverable per-item errors surfaced to tokens
   long rejected = 0;  ///< submissions turned away by admission control
   long deferred = 0;  ///< over-limit fire-and-forget posts (still queued)
@@ -99,24 +105,15 @@ class IngestService {
   IngestService& operator=(const IngestService&) = delete;
 
   // --- producer API: callable from any OS thread ---
-  /// Enqueue a raw engine op stamped with the producer's host time
-  /// (clamped monotone per shard at drain). The token resolves with the
-  /// assigned OpId once the op's drain batch has committed. With a
-  /// QosManager attached to the runtime, the tenant's admission bounds
-  /// are checked first (the shard's queued backlog counts toward depth):
-  /// an over-limit submit throws AdmissionError *before* anything is
-  /// queued — counted in the shard's `rejected` — and the producer can
-  /// resubmit once the backlog drains.
-  std::future<OpId> submit(TenantId tenant, Op op, TimeUs host_time);
-  /// Fire-and-forget forms (no promise allocation on the hot path). An
-  /// over-limit post cannot surface an error to its producer, so it is
-  /// *deferred* instead of rejected: counted in the shard's `deferred`
-  /// and queued anyway (the backlog signal, not a drop).
-  void post(TenantId tenant, Op op, TimeUs host_time);
-  void post_record(TenantId tenant, EventId event, StreamId stream,
-                   TimeUs host_time);
-  void post_wait(TenantId tenant, StreamId stream, EventId event,
-                 TimeUs host_time);
+  // With a QosManager attached, every entry below except `flush` checks
+  // the tenant's admission bounds first (the shard's queued backlog
+  // counts toward depth). An over-limit `submit_*` throws AdmissionError
+  // before anything is queued, counted in the shard's `rejected`; the
+  // producer can resubmit once the backlog drains. An over-limit `post_*`
+  // cannot surface an error to its producer, so it is *deferred* instead:
+  // counted in `deferred` and queued anyway (the backlog signal, not a
+  // drop).
+
   /// Replay a recorded submission (kept alive by the caller until its
   /// token resolves / a flush covers it) inside the shard's drain batch.
   std::future<void> submit_replay(TenantId tenant, const Submission* sub);
@@ -158,12 +155,22 @@ class IngestService {
   struct Shard;
 
   [[nodiscard]] Shard& shard_for(TenantId tenant);
-  /// Producer-side admission gate (see submit/post). Throws
-  /// AdmissionError (counted in `rejected`) unless `defer`, which counts
-  /// the over-limit item in `deferred` and admits it.
-  void check_admission(Shard& s, TenantId tenant, bool defer,
-                       const char* call);
-  void push(Shard& s, Item* it);
+  /// How a producer entry treats the item it queues.
+  enum class Entry : unsigned char {
+    Submit,  ///< admission-checked (throws); the token resolves at commit
+    Post,    ///< admission-checked (defers); fire-and-forget
+    Flush,   ///< no check; the token resolves at commit
+  };
+
+  /// The one producer path behind every entry: admission check per
+  /// `entry`, then one item (replay `sub`, closure `fn`, or neither for a
+  /// flush) linked into `tenant`'s shard. Returns the item's token, or an
+  /// empty future for a post.
+  std::future<void> push(TenantId tenant, const Submission* sub,
+                         std::function<void(GpuRuntime&)> fn, Entry entry,
+                         const char* call);
+  /// Link `it` at the tail of `s`'s queue and wake its ingest thread.
+  void link(Shard& s, Item* it);
   [[nodiscard]] Item* pop(Shard& s);
   void run_shard(Shard& s);
   /// Under the api gate, pop up to max_batch items of `s` into `batch`

@@ -74,7 +74,6 @@ struct Op {
   double occupancy = 0;   ///< per-SM thread occupancy in [0,1]
   double bw_need = 0;     ///< DRAM bytes/us consumed when running at rate 1
   KernelProfile prof;
-  LaunchConfig cfg;
 
   // --- transfer demands (valid for CopyH2D/CopyD2H/Fault) ---
   double bytes = 0;

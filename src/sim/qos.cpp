@@ -13,6 +13,22 @@ namespace {
 /// order ulp(work) per tick, which must not flip a balanced tenant
 /// ineligible.
 constexpr double kLagEps = 1e-9;
+
+// Feedback controller constants.
+/// Sampling window: the controller runs once per this many microseconds
+/// of virtual time.
+constexpr TimeUs kControlPeriodUs = 200.0;
+/// Per-period multiplicative weight boost bounds: the boost factor is the
+/// p99/target overshoot, clamped into [kMinBoost, kMaxBoost].
+constexpr double kMinBoost = 1.25;
+constexpr double kMaxBoost = 4.0;
+/// Relaxation: when the window p99 is under kRelaxThreshold * target, the
+/// weight decays by kDecay toward the declared spec weight.
+constexpr double kDecay = 0.8;
+constexpr double kRelaxThreshold = 0.5;
+/// Cap on any latency class's share of a saturated class: the weight
+/// boost never exceeds ResourceModel::weight_for_share(this, others).
+constexpr double kMaxLatencyShare = 0.95;
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -54,13 +70,9 @@ void QosManager::Hist::clear() {
 // Lifecycle
 // ---------------------------------------------------------------------
 
-QosManager::QosManager(TenantManager& mgr, Config cfg)
-    : mgr_(&mgr), rt_(&mgr.gpu()), cfg_(cfg) {
-  if (!(cfg_.control_period_us > 0)) {
-    throw QosError("QosManager: control_period_us must be > 0",
-                   kInvalidTenant);
-  }
-  next_control_ = rt_->engine().now() + cfg_.control_period_us;
+QosManager::QosManager(TenantManager& mgr)
+    : mgr_(&mgr), rt_(&mgr.gpu()) {
+  next_control_ = rt_->engine().now() + kControlPeriodUs;
   mgr_->attach_qos(*this);   // registers existing tenants (may throw)
   rt_->attach_qos(this);     // enables launch-path admission checks
 }
@@ -214,7 +226,7 @@ void QosManager::tick() {
   // 4. Feedback controller, once per control period.
   if (now >= next_control_) {
     controller_step();
-    next_control_ = now + cfg_.control_period_us;
+    next_control_ = now + kControlPeriodUs;
   }
 }
 
@@ -233,17 +245,17 @@ void QosManager::controller_step() {
       // that would hand this tenant more than max_latency_share of a
       // saturated class — batch tenants keep a guaranteed sliver.
       const double factor =
-          std::clamp(wp99 / s.target_us, cfg_.min_boost, cfg_.max_boost);
+          std::clamp(wp99 / s.target_us, kMinBoost, kMaxBoost);
       double others = 0;
       for (std::size_t u = 0; u < states_.size(); ++u) {
         if (u != t) others += states_[u].weight;
       }
       const double cap =
-          ResourceModel::weight_for_share(cfg_.max_latency_share, others);
+          ResourceModel::weight_for_share(kMaxLatencyShare, others);
       next = std::min(s.weight * factor, std::max(cap, s.spec_weight));
-    } else if (wp99 < cfg_.relax_threshold * s.target_us &&
+    } else if (wp99 < kRelaxThreshold * s.target_us &&
                s.weight > s.spec_weight) {
-      next = std::max(s.spec_weight, s.weight * cfg_.decay);
+      next = std::max(s.spec_weight, s.weight * kDecay);
     }
     if (next != s.weight) {
       s.weight = next;

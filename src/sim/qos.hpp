@@ -91,27 +91,9 @@ struct QosTenantStats {
 
 class QosManager {
  public:
-  struct Config {
-    /// Controller sampling window: the feedback step runs once per this
-    /// many microseconds of virtual time.
-    TimeUs control_period_us = 200.0;
-    /// Per-period multiplicative weight boost bounds: the boost factor is
-    /// the p99/target overshoot, clamped into [min_boost, max_boost].
-    double min_boost = 1.25;
-    double max_boost = 4.0;
-    /// Relaxation: when the window p99 is under relax_threshold * target,
-    /// the weight decays by this factor toward the declared spec weight.
-    double decay = 0.8;
-    double relax_threshold = 0.5;
-    /// Cap on any latency class's share of a saturated class: the weight
-    /// boost never exceeds ResourceModel::weight_for_share(this, others).
-    double max_latency_share = 0.95;
-  };
-
   /// Attaches to `mgr` (Tenant::qos_stats() now works, handles report
   /// issued ops here) and registers every existing tenant.
-  explicit QosManager(TenantManager& mgr) : QosManager(mgr, Config()) {}
-  QosManager(TenantManager& mgr, Config cfg);
+  explicit QosManager(TenantManager& mgr);
   ~QosManager();
 
   QosManager(const QosManager&) = delete;
@@ -156,8 +138,6 @@ class QosManager {
   /// received service, it does not create or destroy it).
   [[nodiscard]] double total_lag() const;
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
-
  private:
   /// Log-bucket latency histogram: geometric buckets with 4 buckets per
   /// octave starting at 1us (relative quantization error <= 2^(1/4)).
@@ -195,7 +175,6 @@ class QosManager {
 
   TenantManager* mgr_;
   GpuRuntime* rt_;
-  Config cfg_;
   mutable std::mutex mu_;
   std::vector<State> states_;
   std::vector<double> delta_;  ///< per-tick received-service scratch

@@ -884,7 +884,6 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec,
   op.kind = OpKind::Kernel;
   op.stream = stream;
   op.name = spec.name;
-  op.cfg = spec.config;
   op.prof = spec.profile;
   op.sm_demand = kd.sm_demand;
   op.occupancy = kd.occupancy;

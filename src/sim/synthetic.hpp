@@ -13,81 +13,46 @@
 
 namespace psched::sim {
 
+/// The contention DAG's kernel mix: op `i`'s kernel on stream `s`
+/// (varying SM demand, occupancy and DRAM appetite).
+inline Op contention_kernel(int i, StreamId s) {
+  Op op;
+  op.kind = OpKind::Kernel;
+  op.stream = s;
+  op.name = "k";
+  op.work = 5.0 + (i % 11);
+  op.sm_demand = 1 + (i % 4);
+  op.occupancy = 0.5 + 0.5 * ((i % 3) / 2.0);
+  op.bw_need = (i % 5 == 0) ? 50.0 : 0.0;
+  return op;
+}
+
 /// Fig. 9-style contention DAG, generic emitter: `n_ops` ops round-robined
-/// over `n_streams` streams — a mix of kernels (varying demand and DRAM
-/// appetite), explicit copies in both directions (serializing on the DMA
-/// engines), page-fault migrations, and cross-stream event edges every 8th
-/// op. Streams and events are created on the engine; the op/record/wait
-/// calls themselves flow through the three sinks in issue order, so the
-/// same DAG can be driven per-call, through a Submission, or through any
-/// host-clock replay. Deterministic: the same (n_ops, n_streams) always
-/// produces the same sequence.
+/// over `n_streams` streams — a mix of kernels (contention_kernel),
+/// explicit copies in both directions (serializing on the DMA engines),
+/// page-fault migrations, and cross-stream event edges every 8th op.
+/// Streams are spread round-robin over the engine's device roster (stream
+/// j lives on device j % num_devices), so with several GPUs the event
+/// edges cross devices and a slice of the copies become CopyP2P pulls
+/// from the previous device. Streams and events are created on the
+/// engine; the op/record/wait calls themselves flow through the three
+/// sinks in issue order, so the same DAG can be driven per-call, through
+/// a Submission, or through any host-clock replay. Deterministic: the
+/// same (n_ops, n_streams, machine) always produces the same sequence.
 template <typename EnqueueFn, typename RecordFn, typename WaitFn>
 inline void emit_contention_dag(Engine& eng, int n_ops, int n_streams,
                                 EnqueueFn&& enqueue, RecordFn&& record,
                                 WaitFn&& wait) {
-  for (int i = 1; i < n_streams; ++i) eng.create_stream();
-  for (int i = 0; i < n_ops; ++i) {
-    const auto s = static_cast<StreamId>(i % n_streams);
-    Op op;
-    if (i % 3 == 1) {
-      op.kind = (i % 6 == 1) ? OpKind::CopyH2D : OpKind::CopyD2H;
-      op.bytes = 1e4 + (i % 7) * 1e3;
-      op.work = op.bytes;
-      op.name = "cp";
-    } else if (i % 16 == 9) {
-      op.kind = OpKind::Fault;
-      op.bytes = 5e3 + (i % 5) * 1e3;
-      op.work = op.bytes;
-      op.name = "fault";
-    } else {
-      op.kind = OpKind::Kernel;
-      op.work = 5.0 + (i % 11);
-      op.sm_demand = 1 + (i % 4);
-      op.occupancy = 0.5 + 0.5 * ((i % 3) / 2.0);
-      op.bw_need = (i % 5 == 0) ? 50.0 : 0.0;
-      op.name = "k";
-    }
-    op.stream = s;
-    if (i % 8 == 7 && i > 32) {
-      const EventId ev = eng.create_event();
-      record(ev, static_cast<StreamId>((i - 1) % n_streams));
-      wait(s, ev);
-    }
-    enqueue(std::move(op));
-  }
-}
-
-/// The legacy bulk builder: emit straight into the engine at host time 0.
-inline void build_contention_dag(Engine& eng, int n_ops, int n_streams) {
-  emit_contention_dag(
-      eng, n_ops, n_streams,
-      [&eng](Op op) { eng.enqueue(std::move(op), 0); },
-      [&eng](EventId ev, StreamId s) { eng.record_event(ev, s, 0); },
-      [&eng](StreamId s, EventId ev) { eng.wait_event(s, ev, 0); });
-}
-
-/// Multi-GPU contention DAG: the same op mix as build_contention_dag with
-/// the streams spread round-robin across the engine's device roster
-/// (stream j lives on device j % n_devices). Cross-stream event edges
-/// every 8th op become cross-*device* edges whenever the two streams land
-/// on different GPUs, and a slice of the explicit copies turn into CopyP2P
-/// ops pulling from the previous device — so every per-device class set
-/// and the peer-link classes all see churn. Deterministic: the same
-/// (n_ops, n_streams, machine) always produces the same DAG. With a 1-GPU
-/// roster the structure degenerates to build_contention_dag's.
-inline void build_multi_device_contention_dag(Engine& eng, int n_ops,
-                                              int n_streams) {
   const int n_devices = eng.num_devices();
   for (int i = 1; i < n_streams; ++i) {
     eng.create_stream(static_cast<DeviceId>(i % n_devices));
   }
   for (int i = 0; i < n_ops; ++i) {
     const auto s = static_cast<StreamId>(i % n_streams);
-    const DeviceId dev = eng.stream_device(s);
     Op op;
     if (i % 3 == 1) {
       if (n_devices > 1 && i % 12 == 7) {
+        const DeviceId dev = eng.stream_device(s);
         op.kind = OpKind::CopyP2P;
         op.peer = static_cast<DeviceId>((dev + n_devices - 1) % n_devices);
       } else {
@@ -102,21 +67,25 @@ inline void build_multi_device_contention_dag(Engine& eng, int n_ops,
       op.work = op.bytes;
       op.name = "fault";
     } else {
-      op.kind = OpKind::Kernel;
-      op.work = 5.0 + (i % 11);
-      op.sm_demand = 1 + (i % 4);
-      op.occupancy = 0.5 + 0.5 * ((i % 3) / 2.0);
-      op.bw_need = (i % 5 == 0) ? 50.0 : 0.0;
-      op.name = "k";
+      op = contention_kernel(i, s);
     }
     op.stream = s;
     if (i % 8 == 7 && i > 32) {
       const EventId ev = eng.create_event();
-      eng.record_event(ev, static_cast<StreamId>((i - 1) % n_streams), 0);
-      eng.wait_event(s, ev, 0);
+      record(ev, static_cast<StreamId>((i - 1) % n_streams));
+      wait(s, ev);
     }
-    eng.enqueue(std::move(op), 0);
+    enqueue(std::move(op));
   }
+}
+
+/// The bulk builder: emit straight into the engine at host time 0.
+inline void build_contention_dag(Engine& eng, int n_ops, int n_streams) {
+  emit_contention_dag(
+      eng, n_ops, n_streams,
+      [&eng](Op op) { eng.enqueue(std::move(op), 0); },
+      [&eng](EventId ev, StreamId s) { eng.record_event(ev, s, 0); },
+      [&eng](StreamId s, EventId ev) { eng.wait_event(s, ev, 0); });
 }
 
 /// DAG shapes for the scheduler-overhead shape axis. All three use the
@@ -137,27 +106,16 @@ enum class DagShape {
 }
 
 /// Shaped synthetic DAG: `n_ops` kernels over `n_streams` streams wired as
-/// `shape`. Deterministic; all enqueues at host time 0. The kernel mix
-/// matches build_contention_dag's kernels so throughput numbers compare
-/// across shapes rather than across cost models.
+/// `shape`. Deterministic; all enqueues at host time 0. The kernels are
+/// contention_kernel's mix, so throughput numbers compare across shapes
+/// rather than across cost models.
 inline void build_shaped_dag(Engine& eng, DagShape shape, int n_ops,
                              int n_streams) {
   for (int i = 1; i < n_streams; ++i) eng.create_stream();
-  auto kernel = [](int i, StreamId s) {
-    Op op;
-    op.kind = OpKind::Kernel;
-    op.stream = s;
-    op.name = "k";
-    op.work = 5.0 + (i % 11);
-    op.sm_demand = 1 + (i % 4);
-    op.occupancy = 0.5 + 0.5 * ((i % 3) / 2.0);
-    op.bw_need = (i % 5 == 0) ? 50.0 : 0.0;
-    return op;
-  };
   switch (shape) {
     case DagShape::Wide:
       for (int i = 0; i < n_ops; ++i) {
-        eng.enqueue(kernel(i, static_cast<StreamId>(i % n_streams)), 0);
+        eng.enqueue(contention_kernel(i, static_cast<StreamId>(i % n_streams)), 0);
       }
       break;
     case DagShape::Deep:
@@ -171,7 +129,7 @@ inline void build_shaped_dag(Engine& eng, DagShape shape, int n_ops,
           eng.record_event(ev, static_cast<StreamId>((i - 1) % n_streams), 0);
           eng.wait_event(s, ev, 0);
         }
-        eng.enqueue(kernel(i, s), 0);
+        eng.enqueue(contention_kernel(i, s), 0);
       }
       break;
     case DagShape::Diamond: {
@@ -183,7 +141,7 @@ inline void build_shaped_dag(Engine& eng, DagShape shape, int n_ops,
       const int child_lanes = std::max(1, n_streams - 1);
       int i = 0;
       while (i < n_ops) {
-        eng.enqueue(kernel(i++, 0), 0);  // root (stream 0)
+        eng.enqueue(contention_kernel(i++, 0), 0);  // root (stream 0)
         const EventId root_ev = eng.create_event();
         eng.record_event(root_ev, 0, 0);
         std::vector<EventId> child_evs;
@@ -191,14 +149,14 @@ inline void build_shaped_dag(Engine& eng, DagShape shape, int n_ops,
           const auto s = static_cast<StreamId>(
               n_streams > 1 ? 1 + c % child_lanes : 0);
           eng.wait_event(s, root_ev, 0);
-          eng.enqueue(kernel(i++, s), 0);
+          eng.enqueue(contention_kernel(i++, s), 0);
           const EventId ev = eng.create_event();
           eng.record_event(ev, s, 0);
           child_evs.push_back(ev);
         }
         if (i < n_ops) {
           for (const EventId ev : child_evs) eng.wait_event(0, ev, 0);
-          eng.enqueue(kernel(i++, 0), 0);  // join (gates the next root)
+          eng.enqueue(contention_kernel(i++, 0), 0);  // join (gates the next root)
         }
       }
       break;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "golden_scenarios.hpp"
 #include "sim/ingest_queue.hpp"
@@ -96,34 +97,71 @@ TEST(GoldenEquivalence, TenancyConfigDoesNotPerturbSingleTenantSchedule) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent-ingestion fast path (front-end guardrail): a single producer
-// driving the contention DAG through the MPSC submission queue must
-// reproduce the direct-drive schedule. Drain batching is invisible
-// because engine transactions group without reordering, and commits at
-// the same host stamps replay per-call issue timing.
+// Concurrent-ingestion front-end guardrail: the contention DAG recorded
+// into several submissions and posted through one shard must reproduce,
+// exactly, the same submissions replayed directly in one batch — the
+// queue adds no timing of its own.
 // ---------------------------------------------------------------------
 
+/// The 1000-op contention DAG, recorded into `n_subs` consecutive
+/// submissions (streams and events are created on `rt`'s engine).
+std::vector<Submission> record_contention_dag(GpuRuntime& rt, int n_subs) {
+  constexpr int kOps = 1000;
+  std::vector<Submission> subs(static_cast<std::size_t>(n_subs));
+  int issued = 0;
+  const auto cur = [&]() -> Submission& {
+    return subs[static_cast<std::size_t>(issued * n_subs / kOps)];
+  };
+  emit_contention_dag(
+      rt.engine(), kOps, 16,
+      [&](Op op) {
+        cur().enqueue(std::move(op), 0);
+        ++issued;
+      },
+      [&](EventId ev, StreamId s) { cur().record_event(ev, s, 0); },
+      [&](StreamId s, EventId ev) { cur().wait_event(s, ev, 0); });
+  return subs;
+}
+
 TEST(GoldenEquivalence, QueueSingleProducerBitIdentical) {
-  const GoldenRun base = run_contention_scenario();
+  constexpr int kSubs = 4;
+
+  GpuRuntime direct(DeviceSpec::test_device());
+  const std::vector<Submission> direct_subs =
+      record_contention_dag(direct, kSubs);
+  direct.begin_submit();
+  for (const Submission& sub : direct_subs) direct.replay(sub);
+  direct.commit();
+  direct.synchronize_device();
 
   GpuRuntime rt(DeviceSpec::test_device());
   IngestService svc(rt);  // one shard: the single-producer configuration
+  std::vector<Submission> subs;
   {
-    // Hold the api gate across emission: stream/event creation goes to
-    // the engine directly, so the drain must not run mid-emission. Queue
-    // pushes are lock-free and unaffected; everything drains below.
+    // Hold the api gate across recording and posting: streams and events
+    // are created on the engine directly, and holding the drain off until
+    // every post is queued lands all of them in one drain batch.
     const auto gate = rt.api_guard();
-    Engine& eng = rt.engine();
-    emit_contention_dag(
-        eng, 1000, 16, [&svc](Op op) { svc.post(0, std::move(op), 0); },
-        [&svc](EventId ev, StreamId s) { svc.post_record(0, ev, s, 0); },
-        [&svc](StreamId s, EventId ev) { svc.post_wait(0, s, ev, 0); });
+    subs = record_contention_dag(rt, kSubs);
+    for (const Submission& sub : subs) svc.post_replay(0, &sub);
   }
   svc.flush_and_wait(0);
   rt.synchronize_device();
+  EXPECT_EQ(svc.stats().batches, 1);
 
-  expect_time_near(rt.timeline().makespan(), base.makespan, "makespan");
-  expect_same_timeline(rt.timeline().entries(), base.entries);
+  const auto& got = rt.timeline().entries();
+  const auto& want = direct.timeline().entries();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_EQ(got[i].op, want[i].op);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].stream, want[i].stream);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].start, want[i].start);
+    EXPECT_EQ(got[i].end, want[i].end);
+  }
+  EXPECT_EQ(rt.now(), direct.now());
 }
 
 // ---------------------------------------------------------------------

@@ -1,15 +1,13 @@
 // Concurrent ingestion front-end (sim/ingest_queue.hpp): MPSC submission
-// queues, per-shard ingest threads, drain determinism, monotone host-time
-// clamping, completion tokens, structured transaction-error recovery, and
-// the tenant-handle routing surface. The multi-producer tests double as
+// queues, per-shard ingest threads, drain determinism, completion tokens,
+// structured transaction-error recovery, and the tenant-handle routing
+// surface. The multi-producer tests double as
 // the ThreadSanitizer workload (`ctest -L ingest` under the tsan preset).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <future>
-#include <map>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,36 +31,14 @@ LaunchSpec simple_kernel(const std::string& name, std::vector<ArrayUse> arrays,
   return s;
 }
 
-/// A raw engine-level kernel op (the queue's lowest-level item kind): the
-/// demand derivation mirrors GpuRuntime::launch, minus arrays/staging.
-Op raw_kernel(GpuRuntime& rt, StreamId stream, const std::string& name,
-              double flops_sp = 1e6) {
-  const auto cfg = LaunchConfig::linear(16, 256);
-  KernelProfile prof;
-  prof.flops_sp = flops_sp;
-  const KernelDemand d =
-      rt.engine().model(rt.stream_device(stream)).kernel_demand(cfg, prof);
-  Op op;
-  op.kind = OpKind::Kernel;
-  op.stream = stream;
-  op.name = name;
-  op.cfg = cfg;
-  op.prof = prof;
-  op.sm_demand = d.sm_demand;
-  op.occupancy = d.occupancy;
-  op.bw_need = d.bw_need;
-  op.work = d.solo_us;
-  return op;
-}
-
-/// Kernel entries grouped per stream in timeline order.
-std::map<StreamId, std::vector<TimelineEntry>> kernel_projection(
-    GpuRuntime& rt) {
-  std::map<StreamId, std::vector<TimelineEntry>> out;
-  for (const auto& e : rt.timeline().entries()) {
-    if (e.kind == OpKind::Kernel) out[e.stream].push_back(e);
-  }
-  return out;
+/// A closure launching one array-free kernel on `stream`; it stores the
+/// launched op's id in `*id` when given one.
+std::function<void(GpuRuntime&)> launch_task(StreamId stream, std::string name,
+                                             OpId* id = nullptr) {
+  return [stream, name = std::move(name), id](GpuRuntime& g) {
+    const OpId op = g.launch(stream, simple_kernel(name, {}));
+    if (id != nullptr) *id = op;
+  };
 }
 
 // ---------------------------------------------------------------------
@@ -75,7 +51,7 @@ TEST(TransactionErrorTest, BeginWhileOpenIsStructuredAndRecoverable) {
   Engine& eng = rt.engine();
 
   eng.begin_transaction(rt.now());
-  eng.enqueue(raw_kernel(rt, s, "k0"), rt.now());
+  eng.enqueue(test::raw_kernel(s, 5.0, 1, 1.0, 0, "k0"), rt.now());
   try {
     eng.begin_transaction(rt.now());
     FAIL() << "begin_transaction with a transaction open must throw";
@@ -168,139 +144,97 @@ TEST(IngestQueueTest, SingleProducerTaskPathBitIdenticalToDirectBatch) {
   test::expect_time_near(queued.now(), direct.now(), "now");
 }
 
-// Satellite: out-of-order producer host times are clamped against the
-// shard's monotone floor, deterministically — any submission order yields
-// a schedule bit-identical to a direct drive applying the same clamp in
-// the same order.
-TEST(IngestQueueTest, MonotoneClampDeterministicAcrossShuffledOrders) {
-  std::vector<TimeUs> times = {5, 40, 10, 80, 20, 80, 3, 55, 7, 120};
-  for (const unsigned seed : {1u, 2u, 3u}) {
-    std::vector<std::size_t> order(times.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::mt19937 rng(seed);
-    std::shuffle(order.begin(), order.end(), rng);
-
-    GpuRuntime queued(DeviceSpec::test_device());
-    const StreamId qs = queued.create_stream();
-    long clamped = 0;
-    {
-      IngestService svc(queued);
-      for (const std::size_t i : order) {
-        svc.post(0, raw_kernel(queued, qs, "k" + std::to_string(i)),
-                 times[i]);
-      }
-      svc.flush_and_wait(0);
-      clamped = svc.stats().clamped;
-    }
-    queued.synchronize_device();
-
-    GpuRuntime direct(DeviceSpec::test_device());
-    const StreamId ds = direct.create_stream();
-    direct.begin_submit();
-    TimeUs floor = 0;
-    long expect_clamped = 0;
-    Engine& eng = direct.engine();
-    for (const std::size_t i : order) {
-      TimeUs t = times[i];
-      if (t < floor) {
-        t = floor;
-        ++expect_clamped;
-      }
-      floor = t;
-      if (!eng.in_transaction()) eng.begin_transaction(t);
-      eng.enqueue(raw_kernel(direct, ds, "k" + std::to_string(i)), t);
-    }
-    direct.commit();
-    direct.synchronize_device();
-
-    EXPECT_EQ(clamped, expect_clamped) << "seed " << seed;
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    test::expect_same_timeline(queued.timeline().entries(),
-                               direct.timeline().entries());
-  }
-}
-
-// Satellite + TSan meat: real concurrent producers with out-of-order host
-// stamps. Every producer leads with a sentinel stamp that dominates the
-// rest, so the shard floor clamps all work to one instant regardless of
-// interleaving — the per-stream schedule must then be identical to a
-// single-threaded canonical submission order.
-TEST(IngestQueueTest, MultiProducerClampIsInterleavingInvariant) {
+// TSan meat: real concurrent producers. Each closure logs its drain
+// position; the schedule is a pure function of that order, so re-issuing
+// the same closures directly, in logged order and as one explicit batch,
+// must reproduce the queued run's timeline however the drain grouped
+// them.
+TEST(IngestQueueTest, MultiProducerScheduleIsAFunctionOfDrainOrder) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 6;
-  constexpr TimeUs kSentinel = 1000;
 
-  const auto drive = [&](bool threaded) {
-    auto rt = std::make_unique<GpuRuntime>(DeviceSpec::test_device());
-    std::vector<StreamId> streams;
+  // Closure j of producer p: a kernel on the producer's stream that
+  // writes its own array and reads a shared one, logged at drain time.
+  const auto closure = [](const std::vector<StreamId>& streams,
+                          const std::vector<ArrayId>& arrays, ArrayId shared,
+                          std::vector<int>* log, int p, int j) {
+    return [=](GpuRuntime& g) {
+      if (log != nullptr) log->push_back(p * kPerProducer + j);
+      const auto pi = static_cast<std::size_t>(p);
+      g.launch(streams[pi],
+               simple_kernel("k" + std::to_string(j) + "@p" +
+                                 std::to_string(p),
+                             {{arrays[pi], true}, {shared, false}},
+                             1e6 * (1 + j)));
+    };
+  };
+  const auto setup = [](GpuRuntime& rt, std::vector<StreamId>& streams,
+                        std::vector<ArrayId>& arrays, ArrayId& shared) {
     for (int p = 0; p < kProducers; ++p) {
-      streams.push_back(rt->create_stream());
+      streams.push_back(rt.create_stream());
+      arrays.push_back(rt.alloc(4000, "a" + std::to_string(p)));
     }
-    {
-      IngestService svc(*rt);
-      const auto produce = [&](int p) {
-        for (int j = 0; j < kPerProducer; ++j) {
-          // First item at the sentinel, the rest below it: every stamp
-          // this producer emits after the first is non-monotone and must
-          // clamp to exactly kSentinel on the shared shard.
-          const TimeUs t = j == 0 ? kSentinel : kSentinel - 10 * j;
-          svc.post(0,
-                   raw_kernel(*rt, streams[static_cast<std::size_t>(p)],
-                              "k" + std::to_string(j) + "@p" +
-                                  std::to_string(p),
-                              1e6 * (1 + j)),
-                   t);
-        }
-      };
-      if (threaded) {
-        std::vector<std::thread> producers;
-        producers.reserve(kProducers);
-        for (int p = 0; p < kProducers; ++p) {
-          producers.emplace_back(produce, p);
-        }
-        for (auto& th : producers) th.join();
-      } else {
-        for (int p = 0; p < kProducers; ++p) produce(p);
-      }
-      svc.flush_and_wait(0);
-    }
-    rt->synchronize_device();
-    auto projection = kernel_projection(*rt);
-    return std::make_pair(std::move(rt), std::move(projection));
+    shared = rt.alloc(8000, "shared");
+    rt.host_write(shared);
   };
 
-  const auto [ref_rt, ref] = drive(false);
-  const auto [con_rt, con] = drive(true);
-
-  ASSERT_EQ(ref.size(), static_cast<std::size_t>(kProducers));
-  ASSERT_EQ(con.size(), ref.size());
-  for (const auto& [stream, ref_entries] : ref) {
-    const auto it = con.find(stream);
-    ASSERT_NE(it, con.end()) << "stream " << stream;
-    const auto& con_entries = it->second;
-    SCOPED_TRACE("stream " + std::to_string(stream));
-    test::expect_same_timeline(con_entries, ref_entries);
-    // All starts sit at/after the sentinel: the clamp really fired.
-    for (const TimelineEntry& e : con_entries) EXPECT_GE(e.start, kSentinel);
+  GpuRuntime queued(DeviceSpec::test_device());
+  std::vector<StreamId> qs;
+  std::vector<ArrayId> qa;
+  ArrayId qshared = kInvalidArray;
+  setup(queued, qs, qa, qshared);
+  std::vector<int> order;  // appended under the api gate by the drain
+  {
+    IngestService svc(queued);
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (int j = 0; j < kPerProducer; ++j) {
+          svc.post_task(0, closure(qs, qa, qshared, &order, p, j));
+        }
+      });
+    }
+    for (auto& th : producers) th.join();
+    svc.flush_and_wait(0);
   }
+  queued.synchronize_device();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+
+  GpuRuntime direct(DeviceSpec::test_device());
+  std::vector<StreamId> ds;
+  std::vector<ArrayId> da;
+  ArrayId dshared = kInvalidArray;
+  setup(direct, ds, da, dshared);
+  direct.begin_submit();
+  for (const int id : order) {
+    closure(ds, da, dshared, nullptr, id / kPerProducer,
+            id % kPerProducer)(direct);
+  }
+  direct.commit();
+  direct.synchronize_device();
+
+  test::expect_same_timeline(queued.timeline().entries(),
+                             direct.timeline().entries());
+  test::expect_time_near(queued.now(), direct.now(), "now");
 }
 
 // ---------------------------------------------------------------------
 // Tokens, flush points, error recovery.
 // ---------------------------------------------------------------------
 
-TEST(IngestQueueTest, TokensResolveWithOpIdsAfterCommit) {
+TEST(IngestQueueTest, TokensResolveAfterCommit) {
   GpuRuntime rt(DeviceSpec::test_device());
   const StreamId s = rt.create_stream();
   IngestService svc(rt);
-  std::vector<std::future<OpId>> tokens;
-  for (int i = 0; i < 8; ++i) {
-    tokens.push_back(svc.submit(
-        0, raw_kernel(rt, s, "k" + std::to_string(i)), rt.now()));
+  std::vector<OpId> ids(8, kInvalidOp);
+  std::vector<std::future<void>> tokens;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    tokens.push_back(svc.submit_task(
+        0, launch_task(s, "k" + std::to_string(i), &ids[i])));
   }
-  svc.flush_and_wait(0);
-  std::vector<OpId> ids;
-  for (auto& tok : tokens) ids.push_back(tok.get());
+  // A resolved token means the closure's work is committed engine state.
+  for (auto& tok : tokens) tok.get();
   rt.synchronize_device();
   for (const OpId id : ids) {
     EXPECT_NE(id, kInvalidOp);
@@ -311,6 +245,7 @@ TEST(IngestQueueTest, TokensResolveWithOpIdsAfterCommit) {
   EXPECT_GE(st.ops, 8);
   EXPECT_GE(st.batches, 1);
   EXPECT_EQ(st.errors, 0);
+  EXPECT_EQ(st.clamped, 0);
 }
 
 TEST(IngestQueueTest, BlockingCallsFlushTheQueueImplicitly) {
@@ -338,11 +273,12 @@ TEST(IngestQueueTest, PerItemErrorsFailTokensAndDrainContinues) {
 
   auto bad = svc.submit_task(
       0, [](GpuRuntime&) { throw ApiError("injected failure"); });
-  auto good = svc.submit(0, raw_kernel(rt, s, "after-error"), rt.now());
+  OpId id = kInvalidOp;
+  auto good = svc.submit_task(0, launch_task(s, "after-error", &id));
   svc.flush_and_wait(0);
 
   EXPECT_THROW(bad.get(), ApiError);
-  const OpId id = good.get();  // the failed item did not poison the batch
+  good.get();  // the failed item did not poison the batch
   EXPECT_NE(id, kInvalidOp);
   rt.synchronize_device();
   EXPECT_TRUE(rt.engine().op_done(id));
@@ -355,9 +291,8 @@ TEST(IngestQueueTest, DestructorFlushesOutstandingWork) {
   OpId id = kInvalidOp;
   {
     IngestService svc(rt);
-    auto tok = svc.submit(0, raw_kernel(rt, s, "k"), rt.now());
+    svc.post_task(0, launch_task(s, "k", &id));
     // No flush: the destructor drains, joins, and detaches.
-    id = tok.get();
   }
   EXPECT_EQ(rt.ingest(), nullptr);
   rt.synchronize_device();
@@ -458,15 +393,12 @@ TEST(IngestQueueTest, ContendedMultiProducerFloodDrainsCompletely) {
     producers.emplace_back([&, p] {
       const auto tenant = static_cast<TenantId>(p);
       const StreamId s = streams[static_cast<std::size_t>(p)];
-      std::future<OpId> last;
+      std::future<void> last;
       for (int j = 0; j < kPerProducer; ++j) {
         if (j % 8 == 7) {
-          last = svc.submit(
-              tenant, raw_kernel(rt, s, "f" + std::to_string(j)),
-              static_cast<TimeUs>(j));
+          last = svc.submit_task(tenant, launch_task(s, "f" + std::to_string(j)));
         } else {
-          svc.post(tenant, raw_kernel(rt, s, "f" + std::to_string(j)),
-                   static_cast<TimeUs>(j));
+          svc.post_task(tenant, launch_task(s, "f" + std::to_string(j)));
         }
       }
       if (last.valid()) {

@@ -209,7 +209,7 @@ TEST(MultiDeviceEngine, SolverWorkIsolatedPerDevice) {
 TEST(MultiDeviceEngine, MultiDeviceContentionDagDrains) {
   for (const int ndev : {1, 2, 4}) {
     Engine eng(Machine::uniform(DeviceSpec::test_device(), ndev, ndev > 1));
-    build_multi_device_contention_dag(eng, 600, 12);
+    build_contention_dag(eng, 600, 12);
     const TimeUs end = eng.run_all();
     EXPECT_GT(end, 0);
     EXPECT_TRUE(eng.all_idle());
@@ -221,27 +221,6 @@ TEST(MultiDeviceEngine, MultiDeviceContentionDagDrains) {
       }
       EXPECT_GT(p2p, 0);
     }
-  }
-}
-
-// With one device, the multi-device generator produces the exact same
-// schedule as the PR-1 contention DAG (the sweep's 1-GPU rows stay
-// comparable with the headline figure).
-TEST(MultiDeviceEngine, SingleDeviceGeneratorMatchesLegacy) {
-  Engine legacy(DeviceSpec::test_device());
-  build_contention_dag(legacy, 400, 8);
-  legacy.run_all();
-  Engine multi(Machine::single(DeviceSpec::test_device()));
-  build_multi_device_contention_dag(multi, 400, 8);
-  multi.run_all();
-  const auto& a = legacy.timeline().entries();
-  const auto& b = multi.timeline().entries();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].op, b[i].op);
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_DOUBLE_EQ(a[i].start, b[i].start);
-    EXPECT_DOUBLE_EQ(a[i].end, b[i].end);
   }
 }
 

@@ -5,6 +5,7 @@
 // the asan-gate and tsan-gate presets.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -275,28 +276,42 @@ TEST(QosAdmission, LagBoundRejectsWithLagBranch) {
   rt.synchronize_device();
 }
 
+// Every ingest producer entry runs the admission check: the token-
+// returning ones throw, the fire-and-forget ones defer and still run.
 TEST(QosAdmission, IngestSubmitRejectsPostDefers) {
   GpuRuntime rt(DeviceSpec::test_device());
   TenantManager mgr(rt);
   Tenant& t = mgr.create_tenant({"t"});
-  const StreamId s = rt.create_stream();
+  const StreamId s = t.create_stream();
+  Submission sub;
+  rt.begin_record(sub);
+  t.launch(s, full_kernel("recorded"));
+  rt.end_record();
+  t.synchronize();
+  const long base = t.ops_completed();
+
   QosManager qos(mgr);
   // Depth bound 0: every producer-side submission is over the bound, so
   // the rejection is deterministic regardless of drain timing.
   qos.set_limits(t.id(), {/*max_queue_depth=*/0, -1});
   IngestService svc(rt, {.shards = 2, .max_batch = 16});
-  const auto op = [&] {
-    return test::raw_kernel(s, 5.0, 4, 1.0, 0, "q");
-  };
-  EXPECT_THROW(svc.submit(t.id(), op(), rt.now()), AdmissionError);
+  std::atomic<int> ran{0};
+  const auto task = [&ran](GpuRuntime&) { ran.fetch_add(1); };
+  EXPECT_THROW(svc.submit_replay(t.id(), &sub), AdmissionError);
+  EXPECT_THROW(svc.submit_task(t.id(), task), AdmissionError);
   // Fire-and-forget posts cannot surface the error: they are deferred
   // (counted) but still queued, so no work is silently lost.
-  svc.post(t.id(), op(), rt.now());
-  svc.flush(t.id()).wait();
-  rt.poll();
+  svc.post_replay(t.id(), &sub);
+  svc.post_task(t.id(), task);
+  svc.flush(t.id()).wait();  // flushes are never admission-checked
+  rt.synchronize_device();
+  EXPECT_EQ(ran.load(), 1);                           // only the post ran
+  EXPECT_EQ(t.ops_completed(),
+            base + static_cast<long>(sub.num_ops()));  // only the post
   const IngestStats st = svc.stats();
-  EXPECT_EQ(st.rejected, 1);
-  EXPECT_EQ(st.deferred, 1);
+  EXPECT_EQ(st.rejected, 2);
+  EXPECT_EQ(st.deferred, 2);
+  EXPECT_EQ(st.errors, 0);
   // The per-shard view sums to the roster totals.
   long rejected = 0;
   long deferred = 0;
@@ -306,10 +321,9 @@ TEST(QosAdmission, IngestSubmitRejectsPostDefers) {
   }
   EXPECT_EQ(rejected, st.rejected);
   EXPECT_EQ(deferred, st.deferred);
-  // The manager counts every tripped check (the deferred post tripped it
-  // too); the ingest counters are what split rejected from deferred.
-  EXPECT_EQ(qos.stats(t.id()).admission_rejections, 2);
-  rt.synchronize_device();
+  // The manager counts every tripped check (the deferred posts tripped
+  // it too); the ingest counters are what split rejected from deferred.
+  EXPECT_EQ(qos.stats(t.id()).admission_rejections, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -358,13 +372,12 @@ TEST(QosConfig, StatsRequireAnAttachedManager) {
 
 // ---------------------------------------------------------------------
 // Feedback controller: re-weighting drives the latency tenant's p99
-// under its target. Asserted on the exact scenario the bench ratchet
-// gates (bench/multi_app_scenario.hpp), so the acceptance numbers and
-// the test can never diverge.
+// under its target, asserted on the exact scenario the multi-app harness
+// reports (bench/multi_app_scenario.hpp), at its full 400-round scale.
 // ---------------------------------------------------------------------
 
 TEST(QosController, ReweightingConvergesToTheTarget) {
-  const auto q = psched::bench::run_qos_mixed(/*smoke=*/true);
+  const auto q = psched::bench::run_qos_mixed(/*smoke=*/false);
   ASSERT_GT(q.latency_ops, 0);
   // The controller boosted the latency tenant well past its declared
   // weight 1.0 and brought its p99 under the target; plain weighted
@@ -372,7 +385,8 @@ TEST(QosController, ReweightingConvergesToTheTarget) {
   EXPECT_GT(q.final_weight, 1.0);
   EXPECT_LE(q.qos_p99_us, q.target_p99_us);
   EXPECT_GT(q.base_p99_us, q.target_p99_us);
-  // The acceptance bounds the bench ratchet enforces.
+  // The acceptance bounds: at most half the plain-sharing p99, at no
+  // more than a fifth of the batch throughput.
   EXPECT_LE(q.p99_ratio, 0.5);
   EXPECT_GE(q.batch_ratio, 0.8);
   EXPECT_EQ(q.deadline_misses, 0);

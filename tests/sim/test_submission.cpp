@@ -63,54 +63,11 @@ TEST(SubmissionEquivalence, MultiDeviceContentionMatchesPerCall) {
       Machine::uniform(DeviceSpec::test_device(), 4, /*nvlink=*/true);
 
   Engine per_call{Machine(machine)};
-  build_multi_device_contention_dag(per_call, 600, 12);
+  build_contention_dag(per_call, 600, 12);
   per_call.run_all();
 
   Engine batched{Machine(machine)};
-  Submission sub;
-  {
-    // The multi-device generator issued through a submission.
-    const int n_devices = batched.num_devices();
-    for (int i = 1; i < 12; ++i) {
-      batched.create_stream(static_cast<DeviceId>(i % n_devices));
-    }
-    for (int i = 0; i < 600; ++i) {
-      const auto s = static_cast<StreamId>(i % 12);
-      const DeviceId dev = batched.stream_device(s);
-      Op op;
-      if (i % 3 == 1) {
-        if (n_devices > 1 && i % 12 == 7) {
-          op.kind = OpKind::CopyP2P;
-          op.peer = static_cast<DeviceId>((dev + n_devices - 1) % n_devices);
-        } else {
-          op.kind = (i % 6 == 1) ? OpKind::CopyH2D : OpKind::CopyD2H;
-        }
-        op.bytes = 1e4 + (i % 7) * 1e3;
-        op.work = op.bytes;
-        op.name = "cp";
-      } else if (i % 16 == 9) {
-        op.kind = OpKind::Fault;
-        op.bytes = 5e3 + (i % 5) * 1e3;
-        op.work = op.bytes;
-        op.name = "fault";
-      } else {
-        op.kind = OpKind::Kernel;
-        op.work = 5.0 + (i % 11);
-        op.sm_demand = 1 + (i % 4);
-        op.occupancy = 0.5 + 0.5 * ((i % 3) / 2.0);
-        op.bw_need = (i % 5 == 0) ? 50.0 : 0.0;
-        op.name = "k";
-      }
-      op.stream = s;
-      if (i % 8 == 7 && i > 32) {
-        const EventId ev = batched.create_event();
-        sub.record_event(ev, static_cast<StreamId>((i - 1) % 12), 0);
-        sub.wait_event(s, ev, 0);
-      }
-      sub.enqueue(std::move(op), 0);
-    }
-  }
-  batched.ingest(sub);
+  build_contention_via_submission(batched, 600, 12);
   batched.run_all();
 
   expect_same_timeline(batched.timeline().entries(),

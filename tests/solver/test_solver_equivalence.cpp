@@ -29,7 +29,7 @@ std::vector<TimelineEntry> multi_gpu_contention(Stepper& d) {
   Machine machine = Machine::uniform(DeviceSpec::test_device(), 4,
                                      /*nvlink_all_pairs=*/true);
   Engine eng(std::move(machine));
-  build_multi_device_contention_dag(eng, 2000, 32);
+  build_contention_dag(eng, 2000, 32);
   d.run_all(eng);
   return eng.timeline().entries();
 }
