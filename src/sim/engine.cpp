@@ -229,7 +229,7 @@ const ResourceModel& Engine::model(DeviceId d) const {
 }
 
 EventId Engine::create_event() {
-  events_.emplace_back();
+  events_.push_back({});
   return static_cast<EventId>(events_.size() - 1);
 }
 
@@ -243,14 +243,14 @@ const Engine::OpRecord& Engine::record_of(OpId id, const char* who) const {
 
 bool Engine::is_running(OpId id) const {
   const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  if (rec.slot < 0) return false;
-  const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+  if (!rec.live()) return false;
+  const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
   return op.id == id && op.state == OpState::Running;
 }
 
 Op& Engine::live_op(OpId id) {
   const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  return slab_[static_cast<std::size_t>(rec.slot)];
+  return slab_[static_cast<std::size_t>(rec.tag)];
 }
 
 void Engine::check_enqueueable(const Op& op) const {
@@ -301,11 +301,11 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   op.state = OpState::Queued;
   op.class_pos = -1;
   op.heap_seq = 0;
+  op.after_waiters = WaiterPool::kNone;
   op.gated_events.clear();
 
   const OpId id = op.id;
   const StreamId stream = op.stream;
-  const OpKind kind = op.kind;
 
   std::int32_t slot;
   if (!free_slots_.empty()) {
@@ -316,7 +316,7 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
     slot = static_cast<std::int32_t>(slab_.size());
     slab_.push_back(std::move(op));
   }
-  records_.push_back({slot, kind, stream, -1, -1});
+  records_.push_back({-1, -1, stream, slot});
   ++live_ops_;
   peak_resident_ = std::max(peak_resident_, live_ops_);
 
@@ -334,7 +334,6 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
   check_stream_id(stream, "record_event");
   if (txn_open_) txn_last_time_ = std::max(txn_last_time_, host_time);
   EventState& ev = events_[static_cast<std::size_t>(event)];
-  ev.recorded = true;
   const auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
   if (fifo.empty()) {
     ev.gate = kInvalidOp;
@@ -345,15 +344,15 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
     live_op(ev.gate).gated_events.push_back(event);
   }
   // Re-recording changes what waiting heads observe: re-examine them.
-  wake_event_waiters(ev);
+  wake_waiters(ev.waiters);
 }
 
 void Engine::set_on_complete(OpId op, std::function<void()> fn) {
   const OpRecord& rec = record_of(op, "set_on_complete");
-  if (rec.slot < 0) {
+  if (!rec.live()) {
     throw ApiError("set_on_complete: op already completed");
   }
-  slab_[static_cast<std::size_t>(rec.slot)].on_complete = std::move(fn);
+  slab_[static_cast<std::size_t>(rec.tag)].on_complete = std::move(fn);
 }
 
 Op Engine::make_wait_marker(StreamId stream, EventId event) {
@@ -495,15 +494,15 @@ bool Engine::stream_idle(StreamId stream) const {
 }
 
 bool Engine::op_done(OpId op) const {
-  return record_of(op, "op_done").slot < 0;
+  return !record_of(op, "op_done").live();
 }
 
 bool Engine::event_done(EventId event) const {
   if (event < 0 || static_cast<std::size_t>(event) >= events_.size()) {
     throw ApiError("event_done: invalid event");
   }
-  const EventState& ev = events_[static_cast<std::size_t>(event)];
-  return ev.recorded && ev.done_at <= now_;
+  // An event never recorded has done_at == kTimeInfinity.
+  return events_[static_cast<std::size_t>(event)].done_at <= now_;
 }
 
 TimeUs Engine::event_done_time(EventId event) const {
@@ -515,10 +514,10 @@ TimeUs Engine::event_done_time(EventId event) const {
 
 Op Engine::op(OpId id) const {
   const OpRecord& rec = record_of(id, "op");
-  if (rec.slot >= 0) {
+  if (rec.live()) {
     // Live: snapshot with lazily-accrued fluid progress folded in from the
     // class's progress columns, so `done` and `rate` reflect now().
-    Op snap = slab_[static_cast<std::size_t>(rec.slot)];
+    Op snap = slab_[static_cast<std::size_t>(rec.tag)];
     snap.rate = live_rate(snap);
     if (snap.state == OpState::Running && snap.class_pos >= 0) {
       snap.done = snap.work - live_remaining(snap);
@@ -528,7 +527,7 @@ Op Engine::op(OpId id) const {
   // Retired: reconstruct the compact completion record.
   Op done;
   done.id = id;
-  done.kind = rec.kind;
+  done.kind = rec.retired_kind();
   done.stream = rec.stream;
   done.state = OpState::Done;
   done.start_time = rec.start;
@@ -550,9 +549,26 @@ void Engine::mark_class_dirty(int cls) {
   dirty_classes_.push_back(cls);
 }
 
-void Engine::wake_event_waiters(EventState& ev) {
-  for (StreamId s : ev.waiters) mark_pending(s);
-  ev.waiters.clear();
+void Engine::WaiterPool::park(std::int32_t& h, StreamId s) {
+  if (h == kNone) {
+    if (spare.empty()) {
+      h = static_cast<std::int32_t>(lists.size());
+      lists.emplace_back();
+    } else {
+      h = spare.back();
+      spare.pop_back();
+    }
+  }
+  lists[static_cast<std::size_t>(h)].push_back(s);
+}
+
+void Engine::wake_waiters(std::int32_t& h) {
+  if (h == WaiterPool::kNone) return;
+  std::vector<StreamId>& list = waiter_pool_.lists[static_cast<std::size_t>(h)];
+  for (const StreamId s : list) mark_pending(s);
+  list.clear();
+  waiter_pool_.spare.push_back(h);
+  h = WaiterPool::kNone;
 }
 
 const Engine::SolverGroup* Engine::ClassSolver::group(TenantId tenant) const {
@@ -739,6 +755,7 @@ void Engine::complete_op(Op& op) {
   OpRecord& rec = records_[static_cast<std::size_t>(op.id - 1)];
   rec.start = op.start_time;
   rec.end = now_;
+  const auto slot = static_cast<std::size_t>(rec.tag);
 
   auto& fifo = streams_[static_cast<std::size_t>(op.stream)].fifo;
   if (!fifo.empty() && fifo.front() == op.id) fifo.pop_front();
@@ -759,20 +776,14 @@ void Engine::complete_op(Op& op) {
   }
 
   // Wake the heads gated on this op through `after`.
-  if (!after_waiters_.empty()) {
-    std::erase_if(after_waiters_, [&](const std::pair<OpId, StreamId>& w) {
-      if (w.first != op.id) return false;
-      mark_pending(w.second);
-      return true;
-    });
-  }
+  wake_waiters(op.after_waiters);
   // Complete any event gated on this op (reverse index; re-records against
   // a newer gate are skipped by the gate check).
   for (EventId eid : op.gated_events) {
     EventState& ev = events_[static_cast<std::size_t>(eid)];
-    if (ev.recorded && ev.gate == op.id && ev.done_at == kTimeInfinity) {
+    if (ev.gate == op.id && ev.done_at == kTimeInfinity) {
       ev.done_at = now_;
-      wake_event_waiters(ev);
+      wake_waiters(ev.waiters);
     }
   }
 
@@ -800,11 +811,10 @@ void Engine::complete_op(Op& op) {
   // then fire the callbacks. `op` must not be touched past this point: the
   // callbacks may re-enter the engine and reuse the slot.
   auto fn = std::move(op.on_complete);
-  const std::int32_t slot = rec.slot;
-  rec.slot = -1;
+  rec.tag = -1 - static_cast<std::int32_t>(op.kind);
   --live_ops_;
-  slab_[static_cast<std::size_t>(slot)] = Op{};
-  free_slots_.push_back(slot);
+  slab_[slot] = Op{};
+  free_slots_.push_back(static_cast<std::int32_t>(slot));
   if (fn) fn();
   // After on_complete: the callback may have enqueued fresh work, in which
   // case the observer's idle record is stale — observers revalidate.
@@ -862,8 +872,8 @@ void Engine::push_start(Op& op, TimeUs at) {
 void Engine::compact_start_heap() {
   std::erase_if(start_heap_, [this](const HeapEntry& e) {
     const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot < 0) return true;  // op retired (slot may be reused)
-    return slab_[static_cast<std::size_t>(rec.slot)].heap_seq != e.seq;
+    if (!rec.live()) return true;  // op retired (slot may be reused)
+    return slab_[static_cast<std::size_t>(rec.tag)].heap_seq != e.seq;
   });
   std::make_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
   start_heap_stale_ = 0;
@@ -874,8 +884,8 @@ void Engine::check_stream_head(StreamId stream) {
   auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
   if (fifo.empty()) return;
   const OpId id = fifo.front();
-  OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+  const std::int32_t slot = records_[static_cast<std::size_t>(id - 1)].tag;
+  Op& op = slab_[static_cast<std::size_t>(slot)];
   if (op.state != OpState::Queued) return;
 
   // Earliest possible start among enqueue time and event completions. A
@@ -885,18 +895,20 @@ void Engine::check_stream_head(StreamId stream) {
   TimeUs at = op.enqueue_time;
   for (EventId e : op.waits) {
     EventState& ev = events_[static_cast<std::size_t>(e)];
-    if (!ev.recorded || ev.done_at == kTimeInfinity) {
-      // Unknown completion time: woken by the gate op or a re-record.
-      ev.waiters.push_back(stream);
+    if (ev.done_at == kTimeInfinity) {
+      // Unknown completion time (not recorded, or its gate op is live):
+      // woken by the gate op or a re-record.
+      waiter_pool_.park(ev.waiters, stream);
       return;
     }
     at = std::max(at, ev.done_at);
   }
   for (const OpId dep : op.after) {
     const OpRecord& dep_rec = records_[static_cast<std::size_t>(dep - 1)];
-    if (dep_rec.slot >= 0) {
+    if (dep_rec.live()) {
       // Still live: woken when it completes.
-      after_waiters_.emplace_back(dep, stream);
+      waiter_pool_.park(
+          slab_[static_cast<std::size_t>(dep_rec.tag)].after_waiters, stream);
       return;
     }
     at = std::max(at, dep_rec.end);
@@ -907,7 +919,7 @@ void Engine::check_stream_head(StreamId stream) {
     // waiter lists so the change triggers a fresh examination.
     for (EventId e : op.waits) {
       EventState& ev = events_[static_cast<std::size_t>(e)];
-      if (ev.done_at > now_ + kWorkEps) ev.waiters.push_back(stream);
+      if (ev.done_at > now_ + kWorkEps) waiter_pool_.park(ev.waiters, stream);
     }
     return;
   }
@@ -935,7 +947,7 @@ void Engine::check_stream_head(StreamId stream) {
   const int cls = class_index(op);
   if (cls != kClassNone) {
     op.class_pos = classes_[static_cast<std::size_t>(cls)].join(
-        rec.slot, op, machine_.device(op.device), now_);
+        slot, op, machine_.device(op.device), now_);
     mark_class_dirty(cls);
   }
   if (op.remaining() <= kWorkEps) {
@@ -1278,8 +1290,8 @@ TimeUs Engine::earliest_queued_candidate() {
   while (!start_heap_.empty()) {
     const HeapEntry& e = start_heap_.front();
     const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot >= 0 &&
-        slab_[static_cast<std::size_t>(rec.slot)].heap_seq == e.seq) {
+    if (rec.live() &&
+        slab_[static_cast<std::size_t>(rec.tag)].heap_seq == e.seq) {
       return e.t;
     }
     // Stale: op started, retired, or displaced by a newer entry.
@@ -1296,11 +1308,11 @@ void Engine::release_due_starts() {
     std::pop_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
     start_heap_.pop_back();
     const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot < 0) {
+    if (!rec.live()) {
       --start_heap_stale_;
       continue;
     }
-    Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    Op& op = slab_[static_cast<std::size_t>(rec.tag)];
     if (op.heap_seq != e.seq) {
       --start_heap_stale_;
       continue;
@@ -1343,8 +1355,8 @@ bool Engine::complete_due_ops() {
   std::sort(due.begin(), due.end());  // deterministic tie-breaking
   for (const OpId id : due) {
     const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-    if (rec.slot < 0) continue;
-    Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    if (!rec.live()) continue;
+    Op& op = slab_[static_cast<std::size_t>(rec.tag)];
     if (op.state == OpState::Running) complete_op(op);
   }
   due_ = std::move(due);
@@ -1371,7 +1383,7 @@ void Engine::note_progress(bool advanced) {
     if (stream.fifo.empty()) continue;
     const OpRecord& rec =
         records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
     if (op.state != OpState::Queued) continue;
     msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
         << "' enqueue_t " << op.enqueue_time << " waits " << op.waits.size()
@@ -1449,7 +1461,7 @@ void Engine::check_deadlock() {
     if (stream.fifo.empty()) continue;
     const OpRecord& rec =
         records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
     msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
         << "']";
   }
@@ -1474,7 +1486,7 @@ TimeUs Engine::run_until_event(EventId event) {
     throw ApiError("run_until_event: invalid event");
   }
   const EventState& ev = events_[static_cast<std::size_t>(event)];
-  if (!ev.recorded) {
+  if (!ev.recorded()) {
     throw ApiError("run_until_event: event was never recorded");
   }
   if (ev.gate == kInvalidOp) {

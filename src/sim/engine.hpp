@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/chunked_store.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
@@ -258,10 +259,11 @@ class Engine {
   [[nodiscard]] bool event_done(EventId event) const;
   [[nodiscard]] TimeUs event_done_time(EventId event) const;
   /// Snapshot an op's state (by value: live ops move through a recycled
-  /// slab, retired ops only persist as compact completion records, so no
-  /// stable reference exists). Live ops are returned in full with progress
-  /// folded to now(); retired ops carry id/kind/stream/start_time/end_time
-  /// and state only.
+  /// slab, retired ops only persist as 24-byte completion records in the
+  /// engine's append-only chunked history, so no stable reference exists).
+  /// Live ops are returned in full with progress folded to now(); retired
+  /// ops carry id/kind/stream/start_time/end_time and state only. Answers
+  /// for every op ever issued.
   [[nodiscard]] Op op(OpId id) const;
   [[nodiscard]] bool all_idle() const { return live_ops_ == 0; }
 
@@ -371,23 +373,49 @@ class Engine {
     TenantId tenant = kDefaultTenant;  ///< ops inherit this at enqueue
     bool pending = false;   ///< queued for a head ready-check
   };
+  /// Recycled lists of parked streams. An event, or a live op gated on
+  /// through `after`, borrows a list when the first stream parks on it and
+  /// gives it back when it wakes them, so parking allocates only while the
+  /// pool itself grows.
+  struct WaiterPool {
+    static constexpr std::int32_t kNone = -1;
+    std::vector<std::vector<StreamId>> lists;
+    std::vector<std::int32_t> spare;  ///< returned lists, cleared
+
+    /// Append `s` to list `h`, borrowing a list first if h is kNone.
+    void park(std::int32_t& h, StreamId s);
+  };
+  /// One event ever created. Never recorded: gate == kInvalidOp and
+  /// done_at == kTimeInfinity. Recorded on an idle stream: no gate, done at
+  /// the record's host time. Otherwise done_at stays infinite until the
+  /// gate op completes.
   struct EventState {
-    bool recorded = false;
     OpId gate = kInvalidOp;       ///< op whose completion triggers the event
     TimeUs done_at = kTimeInfinity;
-    /// Streams whose head waits on this event; woken (and cleared) when the
-    /// event fires or is re-recorded.
-    std::vector<StreamId> waiters;
+    /// Pooled list of the streams whose head waits on this event; woken
+    /// (and returned) when the event fires or is re-recorded.
+    std::int32_t waiters = WaiterPool::kNone;
+
+    [[nodiscard]] bool recorded() const {
+      return gate != kInvalidOp || done_at != kTimeInfinity;
+    }
   };
-  /// Compact per-id op record: slab slot while live, completion times after
-  /// retirement. Indexed by OpId - 1 (ids are dense).
+  /// Compact per-id op record, indexed by OpId - 1 (ids are dense): the
+  /// slab slot while live, kind and completion times after retirement.
   struct OpRecord {
-    std::int32_t slot = -1;  ///< slab slot; -1 once retired
-    OpKind kind = OpKind::Marker;
-    StreamId stream = kInvalidStream;
     TimeUs start = -1;
     TimeUs end = -1;
+    StreamId stream = kInvalidStream;
+    /// Slab slot (>= 0) while live; -(1 + kind) once retired.
+    std::int32_t tag = -1;
+
+    [[nodiscard]] bool live() const { return tag >= 0; }
+    [[nodiscard]] OpKind retired_kind() const {
+      return static_cast<OpKind>(-1 - tag);
+    }
   };
+  static_assert(sizeof(EventState) <= 24);
+  static_assert(sizeof(OpRecord) == 24);
   /// Start-heap entry: a queued head's known future start time, stamped
   /// with the op's heap sequence so displaced entries are recognized as
   /// stale (on pop, or in bulk by compact_start_heap).
@@ -553,8 +581,9 @@ class Engine {
   /// Mark one class's rates as needing a re-solve (idempotent; feeds the
   /// dirty worklist recompute_rates drains).
   void mark_class_dirty(int cls);
-  /// Wake every stream registered on `ev` (event fired or re-recorded).
-  void wake_event_waiters(EventState& ev);
+  /// Wake every stream parked on list `h` in park order and return the
+  /// list to the pool (event fired or re-recorded, `after` gate completed).
+  void wake_waiters(std::int32_t& h);
   /// Remaining work of a live op folded to now() — from its class row for
   /// running classed ops, from the Op itself otherwise.
   [[nodiscard]] double live_remaining(const Op& op) const;
@@ -672,12 +701,13 @@ class Engine {
   std::size_t txn_ops_ = 0;   ///< ops ingested by the open transaction
 
   std::vector<StreamState> streams_;
-  std::vector<EventState> events_;
+  ChunkedStore<EventState> events_;
+  WaiterPool waiter_pool_;
 
   // --- slab op storage ---
   std::vector<Op> slab_;
   std::vector<std::int32_t> free_slots_;
-  std::vector<OpRecord> records_;  ///< per-id, dense, compact
+  ChunkedStore<OpRecord> records_;  ///< per-id, dense, compact
   long live_ops_ = 0;              ///< queued + running (slab occupancy)
   long peak_resident_ = 0;
 
@@ -701,10 +731,6 @@ class Engine {
   /// ones. Kept dense beside the records: every step sweeps it.
   std::vector<TimeUs> class_next_;
   std::vector<int> dirty_classes_;  ///< worklist of dirty class indices
-  /// Heads waiting on a live op through `Op::after`: (gate op, stream),
-  /// woken and dropped when the gate completes. Only the residency
-  /// planner's page-outs use `after`, so this stays a handful long.
-  std::vector<std::pair<OpId, StreamId>> after_waiters_;
   long running_ = 0;  ///< running ops across all classes (incl. rate-less)
 
   // --- reusable scratch (avoid per-step allocation) ---

@@ -62,7 +62,8 @@ IngestService::IngestService(GpuRuntime& rt, Config cfg)
     : rt_(&rt),
       cfg_(cfg),
       shards_count_(cfg.shards < 1 ? 1 : cfg.shards),
-      shard_map_(static_cast<std::size_t>(kMaxTenants)) {
+      shard_map_(static_cast<std::size_t>(kMaxTenants)),
+      tenant_queued_(static_cast<std::size_t>(kMaxTenants)) {
   if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   for (auto& m : shard_map_) m.store(-1, std::memory_order_relaxed);
   shards_.reserve(static_cast<std::size_t>(shards_count_));
@@ -287,6 +288,10 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   // Tokens resolve only after the commit (or with the failure): a resolved
   // future always means the work is real engine state.
   for (Item* it : batch) {
+    if (it->replay != nullptr || it->task) {
+      tenant_queued_[static_cast<std::size_t>(it->tenant)].fetch_sub(
+          1, std::memory_order_acq_rel);
+    }
     if (it->token) {
       const std::exception_ptr err = it->error ? it->error : batch_error;
       if (err) {
@@ -353,10 +358,11 @@ std::future<void> IngestService::push(TenantId tenant, const Submission* sub,
                                       std::function<void(GpuRuntime&)> fn,
                                       Entry entry, const char* call) {
   Shard& s = shard_for(tenant);
+  std::atomic<long>& queued = tenant_queued_[static_cast<std::size_t>(tenant)];
   QosManager* q = entry == Entry::Flush ? nullptr : rt_->qos();
   if (q != nullptr) {
     try {
-      q->check_admission(tenant, s.queued.load(std::memory_order_acquire),
+      q->check_admission(tenant, queued.load(std::memory_order_acquire),
                          call);
     } catch (const AdmissionError&) {
       if (entry == Entry::Submit) {
@@ -372,6 +378,7 @@ std::future<void> IngestService::push(TenantId tenant, const Submission* sub,
   it->task = std::move(fn);
   std::future<void> token;
   if (entry != Entry::Post) token = it->token.emplace().get_future();
+  if (entry != Entry::Flush) queued.fetch_add(1, std::memory_order_acq_rel);
   link(s, it.release());
   return token;
 }

@@ -106,13 +106,14 @@ class IngestService {
 
   // --- producer API: callable from any OS thread ---
   // With a QosManager attached, every entry below except `flush` checks
-  // the tenant's admission bounds first (the shard's queued backlog
-  // counts toward depth). An over-limit `submit_*` throws AdmissionError
-  // before anything is queued, counted in the shard's `rejected`; the
-  // producer can resubmit once the backlog drains. An over-limit `post_*`
-  // cannot surface an error to its producer, so it is *deferred* instead:
-  // counted in `deferred` and queued anyway (the backlog signal, not a
-  // drop).
+  // the tenant's admission bounds first (the tenant's own items still
+  // queued count toward depth; other tenants' items on the shard do not).
+  // An over-limit `submit_*` throws AdmissionError before anything is
+  // queued, counted in the shard's `rejected`; the producer can resubmit
+  // once the backlog drains. An over-limit `post_*` cannot surface an
+  // error to its producer, so it is *deferred* instead: counted in
+  // `deferred` and queued anyway (the backlog signal, not a drop). A
+  // drained item is not admission-checked again by the runtime.
 
   /// Replay a recorded submission (kept alive by the caller until its
   /// token resolves / a flush covers it) inside the shard's drain batch.
@@ -190,6 +191,9 @@ class IngestService {
   /// Per-tenant explicit shard assignment; -1 = modulo default. Atomic so
   /// producers can read it lock-free while assignments settle.
   std::vector<std::atomic<int>> shard_map_;
+  /// Per-tenant replays and closures queued but not yet drained: the
+  /// depth admission adds to the tenant's outstanding ops.
+  std::vector<std::atomic<long>> tenant_queued_;
   std::atomic<bool> stopping_{false};
 };
 

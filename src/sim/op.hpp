@@ -81,14 +81,11 @@ struct Op {
   // --- progress ---
   double work = 0;
   double done = 0;
-  OpState state = OpState::Queued;
   TimeUs start_time = -1;
   TimeUs end_time = -1;
+  OpState state = OpState::Queued;
 
   // --- engine scheduling state (managed by Engine; opaque to callers) ---
-  /// Instantaneous fluid-model rate, filled in by Engine::op() snapshots
-  /// (0 unless running in a resource class).
-  double rate = 0;
   /// Position inside the engine's per-resource-class member list (swap-and-
   /// pop removal); -1 while not running or for rate-less kinds.
   std::int32_t class_pos = -1;
@@ -96,6 +93,12 @@ struct Op {
   /// whose stamp no longer matches are stale; the engine counts them and
   /// compacts the heap when they outnumber live entries.
   std::uint32_t heap_seq = 0;
+  /// Pooled list of the streams whose head waits on this op through
+  /// `after` (-1: none); woken and returned when the op completes.
+  std::int32_t after_waiters = -1;
+  /// Instantaneous fluid-model rate, filled in by Engine::op() snapshots
+  /// (0 unless running in a resource class).
+  double rate = 0;
   /// Events gated on this op's completion (reverse index maintained by
   /// record_event, so completion does not scan all events).
   std::vector<EventId> gated_events;

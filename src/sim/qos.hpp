@@ -38,10 +38,10 @@
 //     batch tenants always keep a guaranteed share of a saturated class
 //     (ResourceModel::weight_for_share).
 //   * Admission control. Per-tenant bounds on outstanding queue depth and
-//     service lag; check_admission (wired into GpuRuntime::launch and the
-//     IngestService producer paths) throws a structured, recoverable
-//     AdmissionError *before* any state changes, so a producer can back
-//     off and resubmit once the backlog drains.
+//     service lag; check_admission (wired into GpuRuntime's launch and
+//     replay and the IngestService producer paths) throws a structured,
+//     recoverable AdmissionError *before* any state changes, so a
+//     producer can back off and resubmit once the backlog drains.
 //
 // Threading: tick() and on_op_issued() run under the runtime api gate
 // (they touch engine state); check_admission() may be called from any
@@ -109,8 +109,9 @@ class QosManager {
 
   /// Throw AdmissionError if admitting one more item for `t` would exceed
   /// its bounds. `extra_depth` adds caller-side queued items the manager
-  /// cannot see (an ingest shard's backlog). Callable from any thread;
-  /// counts the rejection. Unregistered tenants pass (no limits).
+  /// cannot see (the tenant's items queued in an ingest service). Callable
+  /// from any thread; counts the rejection. Unregistered tenants pass (no
+  /// limits).
   void check_admission(TenantId t, long extra_depth, const char* call);
 
   /// A tracked op was issued for `t` at host time `host_time` (called by

@@ -125,6 +125,18 @@ void GpuRuntime::detach_qos(QosManager* qos) {
   }
 }
 
+void GpuRuntime::admit(const char* call) {
+  // Admission control before any state changes: a rejected call throws
+  // AdmissionError and leaves the host clock, batch and engine untouched,
+  // so the caller can back off and retry once the backlog drains.
+  QosManager* q = qos_.load(std::memory_order_acquire);
+  if (q == nullptr) return;
+  // A drained ingest item was admitted once, when it was queued.
+  const IngestService* svc = ingest_.load(std::memory_order_acquire);
+  if (svc != nullptr && svc->on_ingest_thread()) return;
+  q->check_admission(active_tenant(), 0, call);
+}
+
 void GpuRuntime::flush_ingest(TenantId tenant) {
   IngestService* svc = ingest_.load(std::memory_order_acquire);
   if (svc != nullptr) svc->flush_and_wait(tenant);
@@ -294,6 +306,7 @@ std::size_t GpuRuntime::replay(const Submission& sub) {
   const auto gate = api_guard();
   if (capture_ != nullptr) throw ApiError("replay: capture active");
   if (record_ != nullptr) throw ApiError("replay: recording active");
+  admit("replay");
   // One driver call relaunches the whole recorded list.
   host_now_ += kLaunchCpuOverheadUs;
   replay_admit(sub);
@@ -830,12 +843,7 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec,
     capture_->on_captured_launch(stream, spec);
     return kInvalidOp;
   }
-  // Admission control before any state changes: a rejected launch throws
-  // AdmissionError and leaves the host clock, batch and engine untouched,
-  // so the caller can back off and retry once the backlog drains.
-  if (QosManager* q = qos_.load(std::memory_order_acquire)) {
-    q->check_admission(active_tenant(), 0, "launch");
-  }
+  admit("launch");
   note_api_call();
   const DeviceId dev = engine_.stream_device(stream);
 

@@ -293,9 +293,11 @@ class GpuRuntime {
 
   // --- latency QoS (see sim/qos.hpp) ---
   /// Called by QosManager's constructor / destructor. While attached,
-  /// launch() runs the manager's admission check for the ambient tenant
-  /// before any state changes — a rejected launch throws AdmissionError
-  /// and leaves the runtime untouched.
+  /// launch() and replay() (and so TaskGraph launches) run the manager's
+  /// admission check for the ambient tenant before any state changes — a
+  /// rejected call throws AdmissionError and leaves the runtime untouched.
+  /// Work drained from the attached ingest queue is not checked again: it
+  /// was admitted when it was queued.
   void attach_qos(QosManager* qos);
   void detach_qos(QosManager* qos);
   [[nodiscard]] QosManager* qos() const {
@@ -437,6 +439,8 @@ class GpuRuntime {
   /// static data movement. Skips never-evicted under-capacity devices
   /// outright, keeping such replays bit-identical (stamps included).
   void replay_admit(const Submission& sub);
+  /// The QoS admission check of launch() and replay() (see attach_qos).
+  void admit(const char* call);
   void note_host_access(ArrayId id, bool for_write);
   /// True if `ev` names an event that has not completed yet.
   [[nodiscard]] bool event_pending(EventId ev) {

@@ -423,6 +423,77 @@ TEST_F(EngineTest, RetiredOpsKeepCompletionRecord) {
   EXPECT_DOUBLE_EQ(ob.end_time, 30);
 }
 
+// The per-id history lives in fixed 4096-element chunks. Queries answer
+// for ops and events in every chunk, and `after` edges on an op of the
+// first chunk read its record whether the op is still live (the head
+// parks on the op's waiter list) or retired.
+TEST_F(EngineTest, HistoryAnswersAcrossChunks) {
+  constexpr int kChunk = 4096;
+  constexpr int kEdges = 3 * kChunk + 100;  // > 3 chunks of events
+  const StreamId s1 = eng_.create_stream();
+  const StreamId s2 = eng_.create_stream();
+  const StreamId s3 = eng_.create_stream();
+  const StreamId s4 = eng_.create_stream();
+  const OpId first =
+      eng_.enqueue(raw_copy(s3, OpKind::CopyD2H, 5000, "first"), 0);
+  std::vector<OpId> gates;
+  std::vector<EventId> events;
+  for (int i = 0; i < kEdges; ++i) {
+    gates.push_back(
+        eng_.enqueue(raw_kernel(s1, 1.0 + i % 3, 4, 1.0, 0, "gate"), 0));
+    events.push_back(eng_.create_event());
+    eng_.record_event(events.back(), s1, 0);
+    eng_.wait_event(s2, events.back(), 0);
+    eng_.enqueue(raw_copy(s2, OpKind::CopyH2D, 100, "follow"), 0);
+  }
+  // Issued in a late chunk, gated on the first op while it is live.
+  Op parked = raw_kernel(s4, 1, 4, 1.0, 0, "parked");
+  parked.after = {first};
+  const OpId parked_id = eng_.enqueue(std::move(parked), 0);
+  ASSERT_GT(parked_id, 9 * kChunk);
+
+  const TimeUs first_end = eng_.run_until_op_done(first);
+  ASSERT_FALSE(eng_.op_done(gates.back()));  // later chunks still running
+  // Gated on the first op after it retired: starts at its recorded end.
+  Op late = raw_copy(s3, OpKind::CopyD2H, 100, "late");
+  late.after = {first};
+  const OpId late_id = eng_.enqueue(std::move(late), 0);
+  eng_.run_all();
+  EXPECT_DOUBLE_EQ(eng_.op(first).end_time, first_end);
+  EXPECT_DOUBLE_EQ(eng_.op(parked_id).start_time, first_end);
+  EXPECT_DOUBLE_EQ(eng_.op(late_id).start_time, first_end);
+
+  // Every retired op answers from its record as the timeline saw it;
+  // wait markers (absent from the timeline) keep their kind and stream.
+  std::vector<const TimelineEntry*> entry(
+      static_cast<std::size_t>(late_id) + 1, nullptr);
+  for (const TimelineEntry& e : eng_.timeline().entries()) {
+    entry[static_cast<std::size_t>(e.op)] = &e;
+  }
+  for (OpId id = 1; id <= late_id; ++id) {
+    const Op op = eng_.op(id);
+    ASSERT_TRUE(eng_.op_done(id));
+    EXPECT_EQ(op.state, OpState::Done);
+    EXPECT_EQ(eng_.op_stream(id), op.stream);
+    const TimelineEntry* e = entry[static_cast<std::size_t>(id)];
+    if (e == nullptr) {
+      EXPECT_EQ(op.kind, OpKind::Marker) << "op " << id;
+      EXPECT_EQ(op.stream, s2) << "op " << id;
+      continue;
+    }
+    EXPECT_EQ(op.kind, e->kind) << "op " << id;
+    EXPECT_EQ(op.stream, e->stream) << "op " << id;
+    EXPECT_DOUBLE_EQ(op.start_time, e->start) << "op " << id;
+    EXPECT_DOUBLE_EQ(op.end_time, e->end) << "op " << id;
+  }
+  for (int i = 0; i < kEdges; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_TRUE(eng_.event_done(events[k]));
+    EXPECT_DOUBLE_EQ(eng_.event_done_time(events[k]),
+                     eng_.op(gates[k]).end_time);
+  }
+}
+
 TEST_F(EngineTest, PeakResidentTracksConcurrencyNotHistory) {
   // 50 ops executed one at a time: the slab never holds more than one live
   // op (plus the occasional marker), however many have retired.

@@ -326,6 +326,82 @@ TEST(QosAdmission, IngestSubmitRejectsPostDefers) {
   EXPECT_EQ(qos.stats(t.id()).admission_rejections, 4);
 }
 
+// The depth an ingest producer entry adds is the tenant's own queued
+// items: a neighbour's backlog on a shared shard neither rejects nor
+// defers a tenant that has nothing queued.
+TEST(QosAdmission, NeighbourBacklogOnSharedShardDoesNotCount) {
+  GpuRuntime rt(DeviceSpec::test_device());
+  TenantManager mgr(rt);
+  Tenant& a = mgr.create_tenant({"a"});
+  Tenant& b = mgr.create_tenant({"b"});
+  QosManager qos(mgr);
+  qos.set_limits(a.id(), {/*max_queue_depth=*/2, -1});
+  IngestService svc(rt, {.shards = 1, .max_batch = 16});
+  std::atomic<int> ran{0};
+  const auto task = [&ran](GpuRuntime&) { ran.fetch_add(1); };
+  std::future<void> admitted;
+  {
+    // Holding the api gate keeps the ingest thread from draining, so
+    // every item pushed here is still queued at the next push.
+    const auto gate = rt.api_guard();
+    for (int i = 0; i < 4; ++i) svc.post_task(b.id(), task);
+    admitted = svc.submit_task(a.id(), task);
+    svc.post_task(a.id(), task);
+    // Two of a's own items queued: a third is over a's bound.
+    EXPECT_THROW(svc.submit_task(a.id(), task), AdmissionError);
+  }
+  admitted.get();
+  svc.flush_all_and_wait();
+  EXPECT_EQ(ran.load(), 6);
+  const IngestStats st = svc.stats();
+  EXPECT_EQ(st.rejected, 1);
+  EXPECT_EQ(st.deferred, 0);
+  EXPECT_EQ(st.errors, 0);
+  // Drained, a has nothing queued again.
+  svc.submit_task(a.id(), task).get();
+  EXPECT_EQ(ran.load(), 7);
+}
+
+// GpuRuntime::replay runs the same admission check as launch, so a
+// tenant at its depth bound cannot get around it by replaying recorded
+// work directly.
+TEST(QosAdmission, DirectReplayIsBounded) {
+  GpuRuntime rt(DeviceSpec::test_device());
+  TenantManager mgr(rt);
+  Tenant& t = mgr.create_tenant({"t"});
+  const StreamId s = t.create_stream();
+  Submission sub;
+  rt.begin_record(sub);
+  t.launch(s, full_kernel("recorded"));
+  rt.end_record();
+  t.synchronize();
+
+  QosManager qos(mgr);
+  qos.set_limits(t.id(), {/*max_queue_depth=*/2, -1});
+  const LaunchSpec k = full_kernel("k");
+  t.launch(s, k);
+  t.launch(s, k);
+  const TimeUs host = rt.now();
+  const long ops = rt.batched_ops();
+  try {
+    t.gpu().replay(sub);
+    FAIL() << "expected AdmissionError";
+  } catch (const AdmissionError& e) {
+    EXPECT_EQ(e.tenant, t.id());
+    EXPECT_EQ(e.queue_depth, 2);
+    EXPECT_EQ(std::string(e.call), "replay");
+  }
+  // Thrown before any state changes: no host time, no ops.
+  EXPECT_EQ(rt.now(), host);
+  EXPECT_EQ(rt.batched_ops(), ops);
+  EXPECT_EQ(t.qos_stats().admission_rejections, 1);
+  // Once the backlog drains, the same replay is admitted.
+  rt.synchronize_device();
+  qos.tick();
+  EXPECT_EQ(t.gpu().replay(sub), sub.num_ops());
+  rt.synchronize_device();
+}
+
 // ---------------------------------------------------------------------
 // Service-class configuration errors.
 // ---------------------------------------------------------------------
