@@ -389,7 +389,7 @@ RunResult run_benchmark(const Benchmark& bench, Variant variant,
   r.engine_solved_ops = gpu.engine().solved_ops();
   if (cfg.functional) r.checksum = compute_checksum(prog);
   if (run_opts.keep_timeline_ascii) r.timeline_ascii = tl.render_ascii();
-  if (run_opts.keep_timeline) r.timeline = tl.entries();
+  if (run_opts.keep_timeline) r.timeline = tl.entries().to_vector();
   return r;
 }
 

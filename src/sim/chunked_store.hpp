@@ -1,12 +1,14 @@
-// Append-only chunked storage for the engine's per-id history.
+// Append-only chunked storage for per-id history.
 //
 // The engine keeps one compact record per op and per event it ever
-// issued, for the life of the engine, and the ids are dense. A growing
-// std::vector would copy the whole history at every doubling, holding
-// old and new buffers at once, and leave up to half its capacity unused.
-// ChunkedStore appends into fixed-size chunks instead: a chunk is
-// allocated on the first append that lands in it and never moves, so
-// growth copies nothing and the unused tail is less than one chunk.
+// issued, for the life of the engine, and the ids are dense; the timeline
+// keeps one row per completed op. A growing std::vector would copy the
+// whole history at every doubling, holding old and new buffers at once,
+// and leave up to half its capacity unused. ChunkedStore appends into
+// fixed-size chunks instead: a chunk is allocated on the first append
+// that lands in it and never moves, so growth copies nothing and the
+// unused tail is less than one chunk. clear() keeps the chunks, so a
+// store refilled to the same size allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +21,7 @@ namespace psched::sim {
 
 /// Dense append-only array of trivially copyable elements, stored in
 /// chunks of kChunk elements. Elements are constructed only when appended;
-/// references stay valid for the life of the store.
+/// references stay valid until clear() or the end of the store.
 template <typename T, std::size_t kChunk = 4096>
 class ChunkedStore {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -37,15 +39,18 @@ class ChunkedStore {
     return chunks_[i / kChunk].get()[i % kChunk];
   }
 
+  /// Drop every element; the chunks stay allocated for reuse.
+  void clear() { size_ = 0; }
+
   /// Append `v`; returns the stored element.
   T& push_back(const T& v) {
     const std::size_t off = size_ % kChunk;
-    if (off == 0) {
+    if (off == 0 && size_ / kChunk == chunks_.size()) {
       std::unique_ptr<T, Free> chunk(
           static_cast<T*>(::operator new(kChunk * sizeof(T))));
       chunks_.push_back(std::move(chunk));
     }
-    T* slot = ::new (chunks_.back().get() + off) T(v);
+    T* slot = ::new (chunks_[size_ / kChunk].get() + off) T(v);
     ++size_;
     return *slot;
   }

@@ -42,6 +42,17 @@ double finish_tag(double v_enter, double rem, double work, double sw) {
   return sw > 0 ? v_enter + rem / sw : kTimeInfinity;
 }
 
+/// Call `f` on every event `op` waits on (the inline one, then `waits`)
+/// until it returns false; returns whether every call returned true.
+template <typename F>
+bool for_each_wait(const Op& op, F&& f) {
+  if (op.wait != kInvalidEvent && !f(op.wait)) return false;
+  for (const EventId e : op.waits) {
+    if (!f(e)) return false;
+  }
+  return true;
+}
+
 /// Swap-and-pop removal of row `pos` from one member column.
 template <typename T>
 void swap_pop(std::vector<T>& col, std::size_t pos) {
@@ -267,7 +278,10 @@ void Engine::check_enqueueable(const Op& op) const {
                      std::to_string(dev));
     }
   }
-  for (const EventId e : op.waits) check_event_id(e, "enqueue/waits");
+  for_each_wait(op, [&](EventId e) {
+    check_event_id(e, "enqueue/waits");
+    return true;
+  });
   for (const OpId dep : op.after) {
     if (dep < 1 || dep >= next_op_id_) {
       throw ApiError("enqueue: `after` names an op not yet issued");
@@ -302,7 +316,7 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   op.class_pos = -1;
   op.heap_seq = 0;
   op.after_waiters = WaiterPool::kNone;
-  op.gated_events.clear();
+  op.gated_events = GatedPool::kNone;
 
   const OpId id = op.id;
   const StreamId stream = op.stream;
@@ -341,7 +355,7 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
   } else {
     ev.gate = fifo.back();
     ev.done_at = kTimeInfinity;  // set when the gate op completes
-    live_op(ev.gate).gated_events.push_back(event);
+    gated_pool_.add(live_op(ev.gate).gated_events, event);
   }
   // Re-recording changes what waiting heads observe: re-examine them.
   wake_waiters(ev.waiters);
@@ -361,7 +375,7 @@ Op Engine::make_wait_marker(StreamId stream, EventId event) {
   marker.stream = stream;
   marker.name = "wait_event";
   marker.work = 0;
-  marker.waits.push_back(event);
+  marker.wait = event;
   return marker;
 }
 
@@ -549,7 +563,8 @@ void Engine::mark_class_dirty(int cls) {
   dirty_classes_.push_back(cls);
 }
 
-void Engine::WaiterPool::park(std::int32_t& h, StreamId s) {
+template <typename T>
+void Engine::ListPool<T>::add(std::int32_t& h, T v) {
   if (h == kNone) {
     if (spare.empty()) {
       h = static_cast<std::int32_t>(lists.size());
@@ -559,16 +574,22 @@ void Engine::WaiterPool::park(std::int32_t& h, StreamId s) {
       spare.pop_back();
     }
   }
-  lists[static_cast<std::size_t>(h)].push_back(s);
+  lists[static_cast<std::size_t>(h)].push_back(v);
+}
+
+template <typename T>
+void Engine::ListPool<T>::release(std::int32_t& h) {
+  lists[static_cast<std::size_t>(h)].clear();
+  spare.push_back(h);
+  h = kNone;
 }
 
 void Engine::wake_waiters(std::int32_t& h) {
   if (h == WaiterPool::kNone) return;
-  std::vector<StreamId>& list = waiter_pool_.lists[static_cast<std::size_t>(h)];
-  for (const StreamId s : list) mark_pending(s);
-  list.clear();
-  waiter_pool_.spare.push_back(h);
-  h = WaiterPool::kNone;
+  for (const StreamId s : waiter_pool_.lists[static_cast<std::size_t>(h)]) {
+    mark_pending(s);
+  }
+  waiter_pool_.release(h);
 }
 
 const Engine::SolverGroup* Engine::ClassSolver::group(TenantId tenant) const {
@@ -779,28 +800,19 @@ void Engine::complete_op(Op& op) {
   wake_waiters(op.after_waiters);
   // Complete any event gated on this op (reverse index; re-records against
   // a newer gate are skipped by the gate check).
-  for (EventId eid : op.gated_events) {
-    EventState& ev = events_[static_cast<std::size_t>(eid)];
-    if (ev.gate == op.id && ev.done_at == kTimeInfinity) {
-      ev.done_at = now_;
-      wake_waiters(ev.waiters);
+  if (op.gated_events != GatedPool::kNone) {
+    for (const EventId eid :
+         gated_pool_.lists[static_cast<std::size_t>(op.gated_events)]) {
+      EventState& ev = events_[static_cast<std::size_t>(eid)];
+      if (ev.gate == op.id && ev.done_at == kTimeInfinity) {
+        ev.done_at = now_;
+        wake_waiters(ev.waiters);
+      }
     }
+    gated_pool_.release(op.gated_events);
   }
 
-  if (op.kind != OpKind::Marker) {
-    TimelineEntry e;
-    e.op = op.id;
-    e.kind = op.kind;
-    e.stream = op.stream;
-    e.device = op.device;
-    e.peer = op.peer;
-    e.name = op.name;
-    e.start = op.start_time;
-    e.end = op.end_time;
-    e.bytes = op.bytes;
-    e.prof = op.prof;
-    timeline_.record(e);
-  }
+  if (op.kind != OpKind::Marker) timeline_.record(op);
 
   const StreamId stream = op.stream;
   const bool stream_drained = fifo.empty();
@@ -893,21 +905,23 @@ void Engine::check_stream_head(StreamId stream) {
   // blocker's waiter list; a head blocked only by the clock goes into the
   // start heap at its known start time.
   TimeUs at = op.enqueue_time;
-  for (EventId e : op.waits) {
+  const bool events_timed = for_each_wait(op, [&](EventId e) {
     EventState& ev = events_[static_cast<std::size_t>(e)];
     if (ev.done_at == kTimeInfinity) {
       // Unknown completion time (not recorded, or its gate op is live):
       // woken by the gate op or a re-record.
-      waiter_pool_.park(ev.waiters, stream);
-      return;
+      waiter_pool_.add(ev.waiters, stream);
+      return false;
     }
     at = std::max(at, ev.done_at);
-  }
+    return true;
+  });
+  if (!events_timed) return;
   for (const OpId dep : op.after) {
     const OpRecord& dep_rec = records_[static_cast<std::size_t>(dep - 1)];
     if (dep_rec.live()) {
       // Still live: woken when it completes.
-      waiter_pool_.park(
+      waiter_pool_.add(
           slab_[static_cast<std::size_t>(dep_rec.tag)].after_waiters, stream);
       return;
     }
@@ -917,10 +931,11 @@ void Engine::check_stream_head(StreamId stream) {
     push_start(op, at);
     // A re-record may move an awaited event earlier than `at`: stay on the
     // waiter lists so the change triggers a fresh examination.
-    for (EventId e : op.waits) {
+    for_each_wait(op, [&](EventId e) {
       EventState& ev = events_[static_cast<std::size_t>(e)];
-      if (ev.done_at > now_ + kWorkEps) waiter_pool_.park(ev.waiters, stream);
-    }
+      if (ev.done_at > now_ + kWorkEps) waiter_pool_.add(ev.waiters, stream);
+      return true;
+    });
     return;
   }
   // Explicit copies serialize on their DMA engine — one in flight per
@@ -1386,7 +1401,8 @@ void Engine::note_progress(bool advanced) {
     const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
     if (op.state != OpState::Queued) continue;
     msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
-        << "' enqueue_t " << op.enqueue_time << " waits " << op.waits.size()
+        << "' enqueue_t " << op.enqueue_time << " waits "
+        << op.waits.size() + (op.wait != kInvalidEvent ? 1 : 0)
         << "]";
   }
   throw Error(msg.str());

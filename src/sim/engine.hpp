@@ -373,18 +373,24 @@ class Engine {
     TenantId tenant = kDefaultTenant;  ///< ops inherit this at enqueue
     bool pending = false;   ///< queued for a head ready-check
   };
-  /// Recycled lists of parked streams. An event, or a live op gated on
-  /// through `after`, borrows a list when the first stream parks on it and
-  /// gives it back when it wakes them, so parking allocates only while the
-  /// pool itself grows.
-  struct WaiterPool {
+  /// Recycled short lists. An event or a live op borrows a list when its
+  /// first element arrives and gives it back when the list is consumed,
+  /// so adding allocates only while the pool itself grows. Two pools:
+  /// the streams parked on an event or on an op through `after`, and the
+  /// events gated on a live op.
+  template <typename T>
+  struct ListPool {
     static constexpr std::int32_t kNone = -1;
-    std::vector<std::vector<StreamId>> lists;
+    std::vector<std::vector<T>> lists;
     std::vector<std::int32_t> spare;  ///< returned lists, cleared
 
-    /// Append `s` to list `h`, borrowing a list first if h is kNone.
-    void park(std::int32_t& h, StreamId s);
+    /// Append `v` to list `h`, borrowing a list first if h is kNone.
+    void add(std::int32_t& h, T v);
+    /// Give list `h` back, cleared; h becomes kNone.
+    void release(std::int32_t& h);
   };
+  using WaiterPool = ListPool<StreamId>;
+  using GatedPool = ListPool<EventId>;
   /// One event ever created. Never recorded: gate == kInvalidOp and
   /// done_at == kTimeInfinity. Recorded on an idle stream: no gate, done at
   /// the record's host time. Otherwise done_at stays infinite until the
@@ -703,6 +709,7 @@ class Engine {
   std::vector<StreamState> streams_;
   ChunkedStore<EventState> events_;
   WaiterPool waiter_pool_;
+  GatedPool gated_pool_;  ///< per live op: the events it gates
 
   // --- slab op storage ---
   std::vector<Op> slab_;

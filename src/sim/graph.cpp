@@ -154,6 +154,17 @@ TaskGraph::Exec TaskGraph::instantiate(GpuRuntime& rt) const {
     if (lane < 0) lane = lanes++;
     exec.assignment_[static_cast<std::size_t>(v)] = lane;
   }
+  // One pass over the edges: lanes map one-to-one onto streams, so a
+  // child in another lane is a child on another stream.
+  exec.cross_child_.assign(n, false);
+  for (const Node& node : nodes_) {
+    for (NodeId dep : node.deps) {
+      if (exec.assignment_[static_cast<std::size_t>(dep)] !=
+          exec.assignment_[static_cast<std::size_t>(node.id)]) {
+        exec.cross_child_[static_cast<std::size_t>(dep)] = true;
+      }
+    }
+  }
   exec.streams_.resize(static_cast<std::size_t>(lanes), kInvalidStream);
   for (auto& s : exec.streams_) s = rt.create_stream();
 
@@ -232,16 +243,7 @@ void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {
         break;
     }
     // Record a completion event if any child lives on another stream.
-    bool needs_event = false;
-    for (const Node& other : nodes) {
-      if (std::find(other.deps.begin(), other.deps.end(), v) !=
-              other.deps.end() &&
-          stream_of(other.id) != stream) {
-        needs_event = true;
-        break;
-      }
-    }
-    if (needs_event) {
+    if (cross_child_[static_cast<std::size_t>(v)]) {
       const EventId e = rt.create_event();
       rt.record_event(e, stream);
       done_event[static_cast<std::size_t>(v)] = e;

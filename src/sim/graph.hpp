@@ -91,6 +91,9 @@ class TaskGraph {
     std::vector<NodeId> topo_order_;
     std::vector<int> assignment_;    // node -> index into streams_
     std::vector<StreamId> streams_;  // internal streams (created on demand)
+    /// Per node: some child runs on another stream, so each launch records
+    /// a completion event for it to wait on.
+    std::vector<bool> cross_child_;
   };
 
   /// Validate (throws ApiError on cycles / bad edges) and bind to runtime.

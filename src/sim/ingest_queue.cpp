@@ -163,14 +163,18 @@ IngestStats IngestService::shard_stats(int shard) const {
 void IngestService::link(Shard& s, Item* it) {
   // Count before linking: a flush that observes this increment will wait
   // for the item, so "enqueued before the flush call" is always covered.
-  s.queued.fetch_add(1, std::memory_order_acq_rel);
+  const long before = s.queued.fetch_add(1, std::memory_order_seq_cst);
   it->next.store(nullptr, std::memory_order_relaxed);
   Item* prev = s.tail.exchange(it, std::memory_order_acq_rel);
   prev->next.store(it, std::memory_order_release);
-  // Wake the ingest thread if it is (about to be) asleep. A push landing
-  // exactly in the flag's blind spot is netted by the consumer's bounded
-  // wait timeout.
-  if (s.sleeping.load(std::memory_order_seq_cst)) {
+  // Wake the ingest thread only when this post took the shard from empty
+  // to non-empty and the thread is (about to be) asleep. Over a non-empty
+  // shard some drainer is already due: the thread sleeps only after it
+  // saw `queued` at 0, and a helping flusher drains until it is 0. The
+  // seq_cst increment here and the thread's seq_cst `sleeping` store and
+  // `queued` load cannot both miss; the bounded wait timeout stays as the
+  // safety net.
+  if (before == 0 && s.sleeping.load(std::memory_order_seq_cst)) {
     {
       std::lock_guard<std::mutex> lk(s.mu);
     }

@@ -96,14 +96,18 @@ struct Op {
   /// Pooled list of the streams whose head waits on this op through
   /// `after` (-1: none); woken and returned when the op completes.
   std::int32_t after_waiters = -1;
+  /// Pooled list of the events gated on this op's completion (-1: none):
+  /// the reverse index record_event maintains, so completion does not
+  /// scan all events. Fired and returned when the op completes.
+  std::int32_t gated_events = -1;
   /// Instantaneous fluid-model rate, filled in by Engine::op() snapshots
   /// (0 unless running in a resource class).
   double rate = 0;
-  /// Events gated on this op's completion (reverse index maintained by
-  /// record_event, so completion does not scan all events).
-  std::vector<EventId> gated_events;
 
-  /// Events that must be complete before this op may start.
+  /// An event that must be complete before this op may start, carried
+  /// inline (a wait marker's one event); kInvalidEvent if none.
+  EventId wait = kInvalidEvent;
+  /// Further events that must be complete before this op may start.
   std::vector<EventId> waits;
   /// Issued ops that must complete before this op may start — a direct
   /// dependency on another stream's op, without an event in between.

@@ -1096,14 +1096,15 @@ double GpuRuntime::prefetch_overlap_fraction() const {
   TimeUs overlapped = 0;
   IntervalSet kernels;  // built lazily: most runs have no prefetch entries
   bool have_kernels = false;
-  for (const TimelineEntry& e : tl.entries()) {
-    if (e.name.rfind("prefetch:", 0) != 0) continue;
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    const Timeline::Row& r = tl.row(i);
+    if (!tl.name(r.name).starts_with("prefetch:")) continue;
     if (!have_kernels) {
       kernels = tl.kernel_cover();
       have_kernels = true;
     }
-    total += e.duration();
-    overlapped += kernels.intersection_measure(e.interval());
+    total += r.end - r.start;
+    overlapped += kernels.intersection_measure(r.interval());
   }
   return total > 0 ? overlapped / total : 0.0;
 }

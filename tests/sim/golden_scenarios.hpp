@@ -5,7 +5,9 @@
 // scan-per-step engine; the runtime-level oversub_planner and
 // multi_gpu_staging fixtures pin the residency planner and multi-GPU
 // staging paths as they stood before the runtime's transfer issuers were
-// folded. Every build must reproduce the same per-op completion times and
+// folded; graph_fanout pins TaskGraph lowering as it stood while each
+// node still scanned every other node for a child on another stream.
+// Every build must reproduce the same per-op completion times and
 // Timeline contents on every scenario. Regenerate with
 //
 //   sim_test_golden_equivalence --gtest_also_run_disabled_tests
@@ -27,6 +29,7 @@
 
 #include "bench_suite/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/graph.hpp"
 #include "sim/runtime.hpp"
 #include "sim/synthetic.hpp"
 
@@ -58,7 +61,7 @@ inline GoldenRun run_contention_scenario() {
   build_contention_dag(eng, 1000, 16);
   GoldenRun r;
   r.makespan = run_all_audited(eng);
-  r.entries = eng.timeline().entries();
+  r.entries = eng.timeline().entries().to_vector();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -72,7 +75,7 @@ inline GoldenRun run_transfer_churn_scenario() {
   build_transfer_churn_dag(eng, 8, 400, 8);
   GoldenRun r;
   r.makespan = run_all_audited(eng);
-  r.entries = eng.timeline().entries();
+  r.entries = eng.timeline().entries().to_vector();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -101,7 +104,7 @@ inline GoldenRun run_benchmark_scenario(benchsuite::BenchId id) {
 
 inline GoldenRun runtime_run(GpuRuntime& rt) {
   GoldenRun r;
-  r.entries = rt.timeline().entries();
+  r.entries = rt.timeline().entries().to_vector();
   r.makespan = rt.timeline().makespan();
   r.solves = rt.engine().solve_count();
   r.solved_ops = rt.engine().solved_ops();
@@ -206,6 +209,64 @@ inline GoldenRun run_multi_gpu_staging_scenario(const CallProbe& probe = {}) {
   return runtime_run(rt);
 }
 
+/// A wide fan-out/fan-in TaskGraph launched twice: an H2D node feeds a
+/// root kernel that fans out to eight branches. Even branches continue in
+/// a same-stream chain; odd branches also fork a child onto a new stream.
+/// All leaves join into one kernel, which fans out to four tails that
+/// meet at an empty node before a final kernel. Pins graph lowering: the
+/// stream assignment and which nodes record a completion event for a
+/// child on another stream.
+inline GoldenRun run_graph_fanout_scenario() {
+  GpuRuntime rt(DeviceSpec::test_device());
+  const auto kernel = [](std::string name, std::vector<ArrayUse> arrays,
+                         double flops) {
+    LaunchSpec k = golden_kernel(std::move(name), std::move(arrays));
+    k.profile.flops_sp = flops;
+    return k;
+  };
+  const ArrayId in = rt.alloc(4000, "in");
+  std::vector<ArrayId> w;
+  for (int i = 0; i < 9; ++i) w.push_back(rt.alloc(1000, "w" + std::to_string(i)));
+  rt.host_write(in);
+
+  TaskGraph g;
+  const auto h2d = g.add_h2d(in, "h2d:in");
+  const auto root = g.add_kernel(kernel("root", {{in, false}, {w[0], true}}, 2e6));
+  g.add_dependency(h2d, root);
+  std::vector<TaskGraph::NodeId> leaves;
+  for (int i = 1; i <= 8; ++i) {
+    const std::string n = std::to_string(i);
+    const auto b = g.add_kernel(
+        kernel("b" + n, {{w[0], false}, {w[i], true}}, 1e6 * (1 + i % 3)));
+    g.add_dependency(root, b);
+    const auto c = g.add_kernel(kernel("c" + n, {{w[i], true}}, 5e5 * (1 + i % 2)));
+    g.add_dependency(b, c);
+    leaves.push_back(c);
+    if (i % 2 == 1) {
+      const auto d = g.add_kernel(kernel("d" + n, {{w[i], false}}, 7e5));
+      g.add_dependency(b, d);
+      leaves.push_back(d);
+    }
+  }
+  const auto join = g.add_kernel(kernel("join", {{w[0], true}}, 3e6));
+  for (const auto leaf : leaves) g.add_dependency(leaf, join);
+  const auto meet = g.add_empty("meet");
+  for (int j = 1; j <= 4; ++j) {
+    const auto t = g.add_kernel(
+        kernel("t" + std::to_string(j), {{w[0], false}, {w[j], true}}, 1e6 * j));
+    g.add_dependency(join, t);
+    g.add_dependency(t, meet);
+  }
+  const auto fin = g.add_kernel(kernel("fin", {{w[1], false}, {w[8], true}}, 1e6));
+  g.add_dependency(meet, fin);
+
+  TaskGraph::Exec exec = g.instantiate(rt);
+  exec.launch(rt);
+  exec.launch(rt);
+  rt.synchronize_device();
+  return runtime_run(rt);
+}
+
 inline std::vector<std::pair<std::string, GoldenRun>> run_all_scenarios() {
   std::vector<std::pair<std::string, GoldenRun>> all;
   all.emplace_back("contention_1k", run_contention_scenario());
@@ -215,6 +276,7 @@ inline std::vector<std::pair<std::string, GoldenRun>> run_all_scenarios() {
   }
   all.emplace_back("oversub_planner", run_oversub_planner_scenario());
   all.emplace_back("multi_gpu_staging", run_multi_gpu_staging_scenario());
+  all.emplace_back("graph_fanout", run_graph_fanout_scenario());
   return all;
 }
 

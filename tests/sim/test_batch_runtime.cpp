@@ -199,7 +199,7 @@ TEST_F(BatchRuntimeTest, RecordingDoesNotPerturbTheBatch) {
       rt.commit();
     }
     rt.synchronize_device();
-    return rt.timeline().entries();
+    return rt.timeline().entries().to_vector();
   };
   test::expect_same_timeline(run(true), run(false));
 }

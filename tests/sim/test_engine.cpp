@@ -467,7 +467,9 @@ TEST_F(EngineTest, HistoryAnswersAcrossChunks) {
   // wait markers (absent from the timeline) keep their kind and stream.
   std::vector<const TimelineEntry*> entry(
       static_cast<std::size_t>(late_id) + 1, nullptr);
-  for (const TimelineEntry& e : eng_.timeline().entries()) {
+  const std::vector<TimelineEntry> entries =
+      eng_.timeline().entries().to_vector();
+  for (const TimelineEntry& e : entries) {
     entry[static_cast<std::size_t>(e.op)] = &e;
   }
   for (OpId id = 1; id <= late_id; ++id) {

@@ -179,7 +179,8 @@ TEST(Eviction, WritebacksRideTheD2hDmaClassAndGateTheFaultingOp) {
   EXPECT_EQ(rt.device_bytes_evicted(0), 8000u);
   const TimelineEntry* evict = nullptr;
   const TimelineEntry* fault = nullptr;
-  for (const TimelineEntry& e : rt.timeline().entries()) {
+  const std::vector<TimelineEntry> entries = rt.timeline().entries().to_vector();
+  for (const TimelineEntry& e : entries) {
     if (e.kind == OpKind::CopyD2H && e.name == "evict:victim") evict = &e;
     if (e.kind == OpKind::Fault && e.name == "fault:incoming") fault = &e;
   }
@@ -241,7 +242,8 @@ TEST(Eviction, RefaultWaitsForTheInFlightWriteback) {
   rt.synchronize_device();
   const TimelineEntry* evict = nullptr;
   const TimelineEntry* fault = nullptr;
-  for (const TimelineEntry& e : rt.timeline().entries()) {
+  const std::vector<TimelineEntry> entries = rt.timeline().entries().to_vector();
+  for (const TimelineEntry& e : entries) {
     if (e.kind == OpKind::CopyD2H && e.name == "evict:a") evict = &e;
     if (e.kind == OpKind::Fault && e.name == "fault:a") fault = &e;
   }
@@ -333,7 +335,7 @@ TEST(Eviction, UnderCapacityWorkloadsAreBitIdenticalToUnpagedRuns) {
       std::size_t evicted;
       TimeUs now;
     };
-    return Result{rt.timeline().entries(), rt.bytes_evicted(), rt.now()};
+    return Result{rt.timeline().entries().to_vector(), rt.bytes_evicted(), rt.now()};
   };
   const auto exact = run(8000);
   const auto huge = run(1u << 30);

@@ -72,6 +72,11 @@ TEST(GoldenEquivalence, MultiGpuStaging) {
           load_fixture("multi_gpu_staging"), "multi_gpu_staging");
 }
 
+TEST(GoldenEquivalence, GraphFanOutFanIn) {
+  compare(run_graph_fanout_scenario(), load_fixture("graph_fanout"),
+          "graph_fanout");
+}
+
 // ---------------------------------------------------------------------
 // Tenancy guardrail: with one tenant, the general solver path — tenant
 // columns in the solver mirrors, the per-scan uniformity check, the
@@ -90,7 +95,7 @@ TEST(GoldenEquivalence, TenancyConfigDoesNotPerturbSingleTenantSchedule) {
   build_contention_dag(eng, 1000, 16);
   GoldenRun run;
   run.makespan = eng.run_all();
-  run.entries = eng.timeline().entries();
+  run.entries = eng.timeline().entries().to_vector();
 
   expect_time_near(run.makespan, base.makespan, "makespan");
   expect_same_timeline(run.entries, base.entries);

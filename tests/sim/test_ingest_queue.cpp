@@ -137,8 +137,8 @@ TEST(IngestQueueTest, SingleProducerTaskPathBitIdenticalToDirectBatch) {
     queued.synchronize_device();
   }
 
-  test::expect_same_timeline(queued.timeline().entries(),
-                             direct.timeline().entries());
+  test::expect_same_timeline(queued.timeline().entries().to_vector(),
+                             direct.timeline().entries().to_vector());
   test::expect_time_near(queued.timeline().makespan(),
                          direct.timeline().makespan(), "makespan");
   test::expect_time_near(queued.now(), direct.now(), "now");
@@ -214,8 +214,8 @@ TEST(IngestQueueTest, MultiProducerScheduleIsAFunctionOfDrainOrder) {
   direct.commit();
   direct.synchronize_device();
 
-  test::expect_same_timeline(queued.timeline().entries(),
-                             direct.timeline().entries());
+  test::expect_same_timeline(queued.timeline().entries().to_vector(),
+                             direct.timeline().entries().to_vector());
   test::expect_time_near(queued.now(), direct.now(), "now");
 }
 

@@ -124,8 +124,9 @@ TEST(MultiDeviceEngine, CrossDeviceDependencyViaP2PLink) {
       entries.begin(), entries.end(),
       [](const TimelineEntry& e) { return e.kind == OpKind::CopyP2P; });
   ASSERT_NE(it, entries.end());
-  EXPECT_EQ(it->device, 1);  // destination (the stream's device)
-  EXPECT_EQ(it->peer, 0);    // source
+  const TimelineEntry p2p = *it;
+  EXPECT_EQ(p2p.device, 1);  // destination (the stream's device)
+  EXPECT_EQ(p2p.peer, 0);    // source
   // Exactly the (0 -> 1) link class was solved; the reverse link never.
   EXPECT_EQ(eng.link_solve_count(0, 1), 1);
   EXPECT_EQ(eng.link_solve_count(1, 0), 0);

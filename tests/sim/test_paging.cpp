@@ -192,7 +192,7 @@ TEST(PagingOrder, ChainScenario) {
   EXPECT_GT(rt.evict_ops(), 0);
   EXPECT_GT(rt.prefetch_ops(), 0);
   EXPECT_EQ(rt.hazard_count(), 0);
-  test::expect_physical_paging(rec, rt.timeline().entries());
+  test::expect_physical_paging(rec, rt.timeline().entries().to_vector());
 }
 
 // Outputs no host code ever wrote hold no data: the planner charges their
@@ -223,7 +223,7 @@ TEST(PagingOrder, MaterializedOutputsWaitForTheirFrames) {
     rec.after_call(rt, outs);
   }
   EXPECT_GT(rt.evict_ops(), 0);
-  test::expect_physical_paging(rec, rt.timeline().entries());
+  test::expect_physical_paging(rec, rt.timeline().entries().to_vector());
 }
 
 // Frames a serve freed behind in-flight users are accounted free before
@@ -261,7 +261,7 @@ TEST(PagingOrder, AdmissionWaitsForPlannerPageOuts) {
   rt.synchronize_device();
   rec.after_call(rt, arrays);
   EXPECT_EQ(rt.evict_ops(), 1);
-  test::expect_physical_paging(rec, rt.timeline().entries());
+  test::expect_physical_paging(rec, rt.timeline().entries().to_vector());
 }
 
 // An admission under an active frontier pages out whole runs, so it can
@@ -299,7 +299,7 @@ TEST(PagingOrder, AdmissionPageOutsUnderAFrontierFreeFramesInOrder) {
   rt.synchronize_device();
   rec.after_call(rt, arrays);
   EXPECT_EQ(rt.evict_ops(), 1);
-  test::expect_physical_paging(rec, rt.timeline().entries());
+  test::expect_physical_paging(rec, rt.timeline().entries().to_vector());
 }
 
 // The checker itself: a schedule that lands a page before its frame is
@@ -316,7 +316,7 @@ TEST(PagingOrder, CheckerFlagsAnOvercommittedDevice) {
   rec.after_call(rt, {a});
   rt.synchronize_device();
   rec.after_call(rt, {a});
-  const std::vector<TimelineEntry>& entries = rt.timeline().entries();
+  const std::vector<TimelineEntry>& entries = rt.timeline().entries().to_vector();
   EXPECT_TRUE(test::check_paging(rec, entries).empty());
   // Judged against a smaller device, the same fault overflows it.
   EXPECT_FALSE(test::check_paging(rec, entries, {1000}).empty());

@@ -77,8 +77,8 @@ struct Rig {
 
 /// Same ops in the same order at the same times (golden tolerance).
 void expect_identical_timelines(GpuRuntime& got, GpuRuntime& want) {
-  test::expect_same_timeline(got.timeline().entries(),
-                             want.timeline().entries());
+  test::expect_same_timeline(got.timeline().entries().to_vector(),
+                             want.timeline().entries().to_vector());
   test::expect_time_near(got.now(), want.now(), "now");
 }
 
@@ -220,6 +220,36 @@ TEST(PrefetchPolicy, AdvisoryMismatchKeepsPositionConsistent) {
   EXPECT_EQ(rig.rt.memory().planner().frontier_remaining(), 1u);
   rig.rt.clear_frontier();
   EXPECT_EQ(rig.rt.memory().planner().frontier_remaining(), 0u);
+}
+
+// The prefetch-overlap fraction reads the timeline's interned names: it
+// must equal the same fraction computed over the rebuilt entries.
+TEST(PrefetchPolicy, OverlapFractionMatchesTheEntryScan) {
+  Rig rig(6 * kMiB, 4, 2 * kMiB);
+  rig.rt.announce_frontier(rig.cyclic_frontier(2));
+  for (int r = 0; r < 2; ++r) {
+    for (const ArrayId a : rig.arrays) {
+      rig.rt.launch(kDefaultStream, touch_kernel(a));
+    }
+  }
+  rig.rt.synchronize_device();
+  rig.rt.clear_frontier();
+
+  const Timeline& tl = rig.rt.timeline();
+  const IntervalSet kernels = tl.kernel_cover();
+  TimeUs total = 0;
+  TimeUs overlapped = 0;
+  int prefetches = 0;
+  for (const TimelineEntry& e : tl.entries()) {
+    if (e.name.rfind("prefetch:", 0) != 0) continue;
+    ++prefetches;
+    total += e.duration();
+    overlapped += kernels.intersection_measure(e.interval());
+  }
+  ASSERT_GT(prefetches, 0);
+  ASSERT_GT(total, 0);
+  EXPECT_GT(overlapped, 0);
+  EXPECT_DOUBLE_EQ(rig.rt.prefetch_overlap_fraction(), overlapped / total);
 }
 
 // ---------------------------------------------------------------------

@@ -198,7 +198,7 @@ TEST(QosGolden, BatchOnlyScheduleBitIdentical) {
       }
     }
     rt.synchronize_device();
-    return rt.timeline().entries();
+    return rt.timeline().entries().to_vector();
   };
   test::expect_same_timeline(run(true), run(false));
 }

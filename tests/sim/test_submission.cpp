@@ -44,8 +44,8 @@ TEST(SubmissionEquivalence, ContentionDagMatchesPerCallBitExact) {
   build_contention_via_submission(batched, 1000, 16);
   batched.run_all();
 
-  expect_same_timeline(batched.timeline().entries(),
-                       per_call.timeline().entries());
+  expect_same_timeline(batched.timeline().entries().to_vector(),
+                       per_call.timeline().entries().to_vector());
   EXPECT_EQ(batched.solve_count(), per_call.solve_count());
   EXPECT_EQ(batched.solved_ops(), per_call.solved_ops());
   for (const OpKind kind :
@@ -70,8 +70,8 @@ TEST(SubmissionEquivalence, MultiDeviceContentionMatchesPerCall) {
   build_contention_via_submission(batched, 600, 12);
   batched.run_all();
 
-  expect_same_timeline(batched.timeline().entries(),
-                       per_call.timeline().entries());
+  expect_same_timeline(batched.timeline().entries().to_vector(),
+                       per_call.timeline().entries().to_vector());
   for (DeviceId d = 0; d < 4; ++d) {
     for (const OpKind kind :
          {OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault}) {
@@ -138,8 +138,8 @@ TEST(Transaction, StaggeredHostTimesReplayPerCallIssueTiming) {
   batched.commit_transaction();
   batched.run_all();
 
-  expect_same_timeline(batched.timeline().entries(),
-                       per_call.timeline().entries());
+  expect_same_timeline(batched.timeline().entries().to_vector(),
+                       per_call.timeline().entries().to_vector());
   EXPECT_EQ(batched.timeline().entries()[0].start, 5.0);
   EXPECT_EQ(batched.timeline().entries()[1].start, 20.0);
 }

@@ -102,7 +102,7 @@ std::vector<TimelineEntry> run_churn(Stepper& d, Engine& eng, unsigned seed,
   }
   d.run_all(eng);
   eng.audit();
-  return eng.timeline().entries();
+  return eng.timeline().entries().to_vector();
 }
 
 constexpr unsigned kChurnSeeds[] = {1u, 7u, 1234u};
@@ -226,7 +226,7 @@ std::vector<TimelineEntry> weight_change(Stepper& d) {
   eng.set_tenant_weight(3, 0.5);
   d.run_all(eng);
   eng.audit();
-  return eng.timeline().entries();
+  return eng.timeline().entries().to_vector();
 }
 
 TEST(SolverChurn, WeightChangeRatesMatchReference) {

@@ -31,7 +31,7 @@ std::vector<TimelineEntry> multi_gpu_contention(Stepper& d) {
   Engine eng(std::move(machine));
   build_contention_dag(eng, 2000, 32);
   d.run_all(eng);
-  return eng.timeline().entries();
+  return eng.timeline().entries().to_vector();
 }
 
 TEST(SolverEquivalence, MultiGpuContention) {
@@ -66,7 +66,7 @@ std::vector<TimelineEntry> tenant_weighted(Stepper& d) {
   d.advance_to(eng, 100.0);
   eng.set_tenant_weight(2, 5.0);  // mid-flight re-pricing
   d.run_all(eng);
-  return eng.timeline().entries();
+  return eng.timeline().entries().to_vector();
 }
 
 TEST(SolverEquivalence, TenantWeightedSharing) {
@@ -79,7 +79,7 @@ std::vector<TimelineEntry> batched_ingest(Stepper& d) {
   build_contention_dag(eng, 500, 16);
   eng.commit_transaction();
   d.run_all(eng);
-  return eng.timeline().entries();
+  return eng.timeline().entries().to_vector();
 }
 
 TEST(SolverEquivalence, BatchedIngest) {
