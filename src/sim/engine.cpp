@@ -42,13 +42,14 @@ double finish_tag(double v_enter, double rem, double work, double sw) {
   return sw > 0 ? v_enter + rem / sw : kTimeInfinity;
 }
 
-/// Call `f` on every event `op` waits on (the inline one, then `waits`)
-/// until it returns false; returns whether every call returned true.
+/// Call `f` on every op `op` must wait for (the inline gate, then
+/// `after`) until it returns false; returns whether every call returned
+/// true.
 template <typename F>
-bool for_each_wait(const Op& op, F&& f) {
-  if (op.wait != kInvalidEvent && !f(op.wait)) return false;
-  for (const EventId e : op.waits) {
-    if (!f(e)) return false;
+bool for_each_after(const Op& op, F&& f) {
+  if (op.gate != kInvalidOp && !f(op.gate)) return false;
+  for (const OpId dep : op.after) {
+    if (!f(dep)) return false;
   }
   return true;
 }
@@ -259,12 +260,7 @@ bool Engine::is_running(OpId id) const {
   return op.id == id && op.state == OpState::Running;
 }
 
-Op& Engine::live_op(OpId id) {
-  const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  return slab_[static_cast<std::size_t>(rec.tag)];
-}
-
-void Engine::check_enqueueable(const Op& op) const {
+void Engine::check_enqueueable(const Op& op, OpId id) const {
   if (op.stream < 0 || static_cast<std::size_t>(op.stream) >= streams_.size()) {
     throw ApiError("enqueue: invalid stream " + std::to_string(op.stream));
   }
@@ -278,15 +274,12 @@ void Engine::check_enqueueable(const Op& op) const {
                      std::to_string(dev));
     }
   }
-  for_each_wait(op, [&](EventId e) {
-    check_event_id(e, "enqueue/waits");
-    return true;
-  });
-  for (const OpId dep : op.after) {
-    if (dep < 1 || dep >= next_op_id_) {
+  for_each_after(op, [&](OpId dep) {
+    if (dep < 1 || dep >= id) {
       throw ApiError("enqueue: `after` names an op not yet issued");
     }
-  }
+    return true;
+  });
 }
 
 void Engine::check_event_id(EventId event, const char* who) const {
@@ -302,7 +295,7 @@ void Engine::check_stream_id(StreamId stream, const char* who) const {
 }
 
 OpId Engine::enqueue(Op op, TimeUs host_time) {
-  check_enqueueable(op);
+  check_enqueueable(op, next_op_id_);
   if (txn_open_) {
     txn_last_time_ = std::max(txn_last_time_, host_time);
     ++txn_ops_;
@@ -314,9 +307,8 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   op.enqueue_time = std::max(host_time, op.enqueue_time);
   op.state = OpState::Queued;
   op.class_pos = -1;
-  op.heap_seq = 0;
+  op.next_slot = -1;
   op.after_waiters = WaiterPool::kNone;
-  op.gated_events = GatedPool::kNone;
 
   const OpId id = op.id;
   const StreamId stream = op.stream;
@@ -334,12 +326,16 @@ OpId Engine::enqueue(Op op, TimeUs host_time) {
   ++live_ops_;
   peak_resident_ = std::max(peak_resident_, live_ops_);
 
-  auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
-  const bool new_head = fifo.empty();
-  fifo.push_back(id);
-  // Only a fresh head can change a stream's startability; the caller's
-  // next advance drains the ready worklist.
-  if (new_head) mark_pending(stream);
+  StreamState& st = streams_[static_cast<std::size_t>(stream)];
+  if (st.idle()) {
+    st.head = slot;
+    // Only a fresh head can change a stream's startability; the caller's
+    // next advance drains the ready worklist.
+    mark_pending(stream);
+  } else {
+    slab_[static_cast<std::size_t>(st.tail)].next_slot = slot;
+  }
+  st.tail = slot;
   return id;
 }
 
@@ -348,17 +344,14 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
   check_stream_id(stream, "record_event");
   if (txn_open_) txn_last_time_ = std::max(txn_last_time_, host_time);
   EventState& ev = events_[static_cast<std::size_t>(event)];
-  const auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
-  if (fifo.empty()) {
+  const StreamState& st = streams_[static_cast<std::size_t>(stream)];
+  if (st.idle()) {
     ev.gate = kInvalidOp;
-    ev.done_at = host_time;  // nothing pending: completes at record time
+    ev.recorded_at = host_time;  // nothing pending: completes at record time
   } else {
-    ev.gate = fifo.back();
-    ev.done_at = kTimeInfinity;  // set when the gate op completes
-    gated_pool_.add(live_op(ev.gate).gated_events, event);
+    ev.gate = slab_[static_cast<std::size_t>(st.tail)].id;
+    ev.recorded_at = kTimeInfinity;  // completes with the gate op
   }
-  // Re-recording changes what waiting heads observe: re-examine them.
-  wake_waiters(ev.waiters);
 }
 
 void Engine::set_on_complete(OpId op, std::function<void()> fn) {
@@ -369,18 +362,33 @@ void Engine::set_on_complete(OpId op, std::function<void()> fn) {
   slab_[static_cast<std::size_t>(rec.tag)].on_complete = std::move(fn);
 }
 
-Op Engine::make_wait_marker(StreamId stream, EventId event) {
+void Engine::wait_on_event(Op& op, EventId event) const {
+  check_event_id(event, "wait_event");
+  const EventState& ev = events_[static_cast<std::size_t>(event)];
+  if (ev.gate != kInvalidOp) {
+    if (op.gate == kInvalidOp) {
+      op.gate = ev.gate;
+    } else {
+      op.after.push_back(ev.gate);
+    }
+  } else if (ev.recorded()) {
+    // Recorded on an idle stream: done at the record's host time.
+    op.enqueue_time = std::max(op.enqueue_time, ev.recorded_at);
+  }
+  // Never recorded: the wait is a no-op.
+}
+
+Op Engine::make_wait_marker(StreamId stream, EventId event) const {
   Op marker;
   marker.kind = OpKind::Marker;
   marker.stream = stream;
   marker.name = "wait_event";
   marker.work = 0;
-  marker.wait = event;
+  wait_on_event(marker, event);
   return marker;
 }
 
 void Engine::wait_event(StreamId stream, EventId event, TimeUs host_time) {
-  check_event_id(event, "wait_event");
   enqueue(make_wait_marker(stream, event), host_time);
 }
 
@@ -445,8 +453,10 @@ std::size_t Engine::commit_transaction() {
 
 void Engine::validate_submission(const Submission& sub) const {
   // Host times replay a host call sequence, so they must be
-  // non-decreasing; every item must reference valid streams/events.
+  // non-decreasing; every item must reference valid streams/events, and
+  // an `after` edge may name an op issued earlier in the list.
   TimeUs prev = sub.items_.front().host_time;
+  OpId id = next_op_id_;
   for (const Submission::Item& item : sub.items_) {
     if (item.host_time < prev) {
       throw ApiError("ingest: submission host times must be non-decreasing");
@@ -454,7 +464,7 @@ void Engine::validate_submission(const Submission& sub) const {
     prev = item.host_time;
     switch (item.kind) {
       case Submission::ItemKind::Enqueue:
-        check_enqueueable(item.op);
+        check_enqueueable(item.op, id++);
         break;
       case Submission::ItemKind::Record:
         check_event_id(item.event, "ingest/record_event");
@@ -463,6 +473,7 @@ void Engine::validate_submission(const Submission& sub) const {
       case Submission::ItemKind::Wait:
         check_event_id(item.event, "ingest/wait_event");
         check_stream_id(item.stream, "ingest/wait_event");
+        ++id;
         break;
     }
   }
@@ -504,26 +515,28 @@ bool Engine::stream_idle(StreamId stream) const {
   if (stream < 0 || static_cast<std::size_t>(stream) >= streams_.size()) {
     throw ApiError("stream_idle: invalid stream");
   }
-  return streams_[static_cast<std::size_t>(stream)].fifo.empty();
+  return streams_[static_cast<std::size_t>(stream)].idle();
 }
 
 bool Engine::op_done(OpId op) const {
   return !record_of(op, "op_done").live();
 }
 
+TimeUs Engine::event_time(const EventState& ev) const {
+  if (ev.gate == kInvalidOp) return ev.recorded_at;
+  const OpRecord& rec = records_[static_cast<std::size_t>(ev.gate - 1)];
+  return rec.live() ? kTimeInfinity : rec.end;
+}
+
 bool Engine::event_done(EventId event) const {
-  if (event < 0 || static_cast<std::size_t>(event) >= events_.size()) {
-    throw ApiError("event_done: invalid event");
-  }
-  // An event never recorded has done_at == kTimeInfinity.
-  return events_[static_cast<std::size_t>(event)].done_at <= now_;
+  check_event_id(event, "event_done");
+  // An event never recorded completes at infinity.
+  return event_time(events_[static_cast<std::size_t>(event)]) <= now_;
 }
 
 TimeUs Engine::event_done_time(EventId event) const {
-  if (event < 0 || static_cast<std::size_t>(event) >= events_.size()) {
-    throw ApiError("event_done_time: invalid event");
-  }
-  return events_[static_cast<std::size_t>(event)].done_at;
+  check_event_id(event, "event_done_time");
+  return event_time(events_[static_cast<std::size_t>(event)]);
 }
 
 Op Engine::op(OpId id) const {
@@ -563,8 +576,7 @@ void Engine::mark_class_dirty(int cls) {
   dirty_classes_.push_back(cls);
 }
 
-template <typename T>
-void Engine::ListPool<T>::add(std::int32_t& h, T v) {
+void Engine::WaiterPool::add(std::int32_t& h, StreamId s) {
   if (h == kNone) {
     if (spare.empty()) {
       h = static_cast<std::int32_t>(lists.size());
@@ -574,11 +586,10 @@ void Engine::ListPool<T>::add(std::int32_t& h, T v) {
       spare.pop_back();
     }
   }
-  lists[static_cast<std::size_t>(h)].push_back(v);
+  lists[static_cast<std::size_t>(h)].push_back(s);
 }
 
-template <typename T>
-void Engine::ListPool<T>::release(std::int32_t& h) {
+void Engine::WaiterPool::release(std::int32_t& h) {
   lists[static_cast<std::size_t>(h)].clear();
   spare.push_back(h);
   h = kNone;
@@ -778,8 +789,10 @@ void Engine::complete_op(Op& op) {
   rec.end = now_;
   const auto slot = static_cast<std::size_t>(rec.tag);
 
-  auto& fifo = streams_[static_cast<std::size_t>(op.stream)].fifo;
-  if (!fifo.empty() && fifo.front() == op.id) fifo.pop_front();
+  // Only a stream's head ever starts, so the op leaves from the front.
+  StreamState& st = streams_[static_cast<std::size_t>(op.stream)];
+  st.head = op.next_slot;
+  if (st.idle()) st.tail = -1;
 
   // Leave the running set: swap-and-pop out of the resource class, dirty
   // it, and hand a freed DMA engine to the blocked copies of its direction.
@@ -796,26 +809,14 @@ void Engine::complete_op(Op& op) {
     }
   }
 
-  // Wake the heads gated on this op through `after`.
+  // Wake the heads gated on this op through `after` (events recorded
+  // behind it read its record from now on).
   wake_waiters(op.after_waiters);
-  // Complete any event gated on this op (reverse index; re-records against
-  // a newer gate are skipped by the gate check).
-  if (op.gated_events != GatedPool::kNone) {
-    for (const EventId eid :
-         gated_pool_.lists[static_cast<std::size_t>(op.gated_events)]) {
-      EventState& ev = events_[static_cast<std::size_t>(eid)];
-      if (ev.gate == op.id && ev.done_at == kTimeInfinity) {
-        ev.done_at = now_;
-        wake_waiters(ev.waiters);
-      }
-    }
-    gated_pool_.release(op.gated_events);
-  }
 
   if (op.kind != OpKind::Marker) timeline_.record(op);
 
   const StreamId stream = op.stream;
-  const bool stream_drained = fifo.empty();
+  const bool stream_drained = st.idle();
   if (!stream_drained) mark_pending(stream);
 
   // Retire: move the callback out, release the slab slot (drops the op's
@@ -870,72 +871,32 @@ void Engine::remove_stream_idle_observer(int token) {
   }
 }
 
-void Engine::push_start(Op& op, TimeUs at) {
-  if (op.heap_seq != 0) ++start_heap_stale_;  // displaced previous entry
-  op.heap_seq = next_heap_seq_++;
-  start_heap_.push_back({at, op.id, op.heap_seq});
-  std::push_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
-  if (start_heap_.size() >= kHeapCompactMin &&
-      start_heap_stale_ * 2 > static_cast<long>(start_heap_.size())) {
-    compact_start_heap();
-  }
-}
-
-void Engine::compact_start_heap() {
-  std::erase_if(start_heap_, [this](const HeapEntry& e) {
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (!rec.live()) return true;  // op retired (slot may be reused)
-    return slab_[static_cast<std::size_t>(rec.tag)].heap_seq != e.seq;
-  });
-  std::make_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
-  start_heap_stale_ = 0;
-  ++start_heap_compactions_;
-}
-
 void Engine::check_stream_head(StreamId stream) {
-  auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
-  if (fifo.empty()) return;
-  const OpId id = fifo.front();
-  const std::int32_t slot = records_[static_cast<std::size_t>(id - 1)].tag;
+  const StreamState& st = streams_[static_cast<std::size_t>(stream)];
+  if (st.idle()) return;
+  const std::int32_t slot = st.head;
   Op& op = slab_[static_cast<std::size_t>(slot)];
   if (op.state != OpState::Queued) return;
 
-  // Earliest possible start among enqueue time and event completions. A
-  // head blocked on something with no known time registers on that
-  // blocker's waiter list; a head blocked only by the clock goes into the
-  // start heap at its known start time.
+  // Earliest possible start among enqueue time and gate completions. A
+  // head behind a live gate parks on that gate's waiter list; a head
+  // blocked only by the clock goes into the start heap at its known start
+  // time, and is examined again only when that entry is released.
   TimeUs at = op.enqueue_time;
-  const bool events_timed = for_each_wait(op, [&](EventId e) {
-    EventState& ev = events_[static_cast<std::size_t>(e)];
-    if (ev.done_at == kTimeInfinity) {
-      // Unknown completion time (not recorded, or its gate op is live):
-      // woken by the gate op or a re-record.
-      waiter_pool_.add(ev.waiters, stream);
-      return false;
-    }
-    at = std::max(at, ev.done_at);
-    return true;
-  });
-  if (!events_timed) return;
-  for (const OpId dep : op.after) {
+  const bool gates_done = for_each_after(op, [&](OpId dep) {
     const OpRecord& dep_rec = records_[static_cast<std::size_t>(dep - 1)];
     if (dep_rec.live()) {
-      // Still live: woken when it completes.
       waiter_pool_.add(
           slab_[static_cast<std::size_t>(dep_rec.tag)].after_waiters, stream);
-      return;
+      return false;
     }
     at = std::max(at, dep_rec.end);
-  }
+    return true;
+  });
+  if (!gates_done) return;
   if (at > now_ + kWorkEps) {
-    push_start(op, at);
-    // A re-record may move an awaited event earlier than `at`: stay on the
-    // waiter lists so the change triggers a fresh examination.
-    for_each_wait(op, [&](EventId e) {
-      EventState& ev = events_[static_cast<std::size_t>(e)];
-      if (ev.done_at > now_ + kWorkEps) waiter_pool_.add(ev.waiters, stream);
-      return true;
-    });
+    start_heap_.push_back({at, op.id});
+    std::push_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
     return;
   }
   // Explicit copies serialize on their DMA engine — one in flight per
@@ -951,11 +912,6 @@ void Engine::check_stream_head(StreamId stream) {
     }
   }
 
-  // The head starts now: its pending start-heap entry (if any) is stale.
-  if (op.heap_seq != 0) {
-    ++start_heap_stale_;
-    op.heap_seq = 0;
-  }
   op.state = OpState::Running;
   op.start_time = now_;
   ++running_;
@@ -1301,39 +1257,16 @@ TimeUs Engine::earliest_completion() const {
   return best;
 }
 
-TimeUs Engine::earliest_queued_candidate() {
-  while (!start_heap_.empty()) {
-    const HeapEntry& e = start_heap_.front();
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.live() &&
-        slab_[static_cast<std::size_t>(rec.tag)].heap_seq == e.seq) {
-      return e.t;
-    }
-    // Stale: op started, retired, or displaced by a newer entry.
-    std::pop_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
-    start_heap_.pop_back();
-    --start_heap_stale_;
-  }
-  return kTimeInfinity;
+TimeUs Engine::earliest_queued_candidate() const {
+  return start_heap_.empty() ? kTimeInfinity : start_heap_.front().t;
 }
 
 void Engine::release_due_starts() {
   while (!start_heap_.empty() && start_heap_.front().t <= now_ + kWorkEps) {
-    const HeapEntry e = start_heap_.front();
+    const OpId id = start_heap_.front().id;
     std::pop_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
     start_heap_.pop_back();
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (!rec.live()) {
-      --start_heap_stale_;
-      continue;
-    }
-    Op& op = slab_[static_cast<std::size_t>(rec.tag)];
-    if (op.heap_seq != e.seq) {
-      --start_heap_stale_;
-      continue;
-    }
-    op.heap_seq = 0;  // live entry consumed
-    mark_pending(op.stream);
+    mark_pending(records_[static_cast<std::size_t>(id - 1)].stream);
   }
 }
 
@@ -1395,15 +1328,16 @@ void Engine::note_progress(bool advanced) {
   }
   msg << "; queued heads:";
   for (const auto& stream : streams_) {
-    if (stream.fifo.empty()) continue;
-    const OpRecord& rec =
-        records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
+    if (stream.idle()) continue;
+    const Op& op = slab_[static_cast<std::size_t>(stream.head)];
     if (op.state != OpState::Queued) continue;
     msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
-        << "' enqueue_t " << op.enqueue_time << " waits "
-        << op.waits.size() + (op.wait != kInvalidEvent ? 1 : 0)
-        << "]";
+        << "' enqueue_t " << op.enqueue_time << " after";
+    for_each_after(op, [&](OpId dep) {
+      msg << ' ' << dep;
+      return true;
+    });
+    msg << "]";
   }
   throw Error(msg.str());
 }
@@ -1474,10 +1408,8 @@ void Engine::check_deadlock() {
   std::ostringstream msg;
   msg << "engine deadlock at t=" << now_ << "us; blocked ops:";
   for (const auto& stream : streams_) {
-    if (stream.fifo.empty()) continue;
-    const OpRecord& rec =
-        records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.tag)];
+    if (stream.idle()) continue;
+    const Op& op = slab_[static_cast<std::size_t>(stream.head)];
     msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
         << "']";
   }
@@ -1498,18 +1430,14 @@ TimeUs Engine::run_until_op_done(OpId op_id) {
 }
 
 TimeUs Engine::run_until_event(EventId event) {
-  if (event < 0 || static_cast<std::size_t>(event) >= events_.size()) {
-    throw ApiError("run_until_event: invalid event");
-  }
+  check_event_id(event, "run_until_event");
   const EventState& ev = events_[static_cast<std::size_t>(event)];
   if (!ev.recorded()) {
     throw ApiError("run_until_event: event was never recorded");
   }
-  if (ev.gate == kInvalidOp) {
-    advance_to(std::max(now_, ev.done_at));
-    return ev.done_at;
-  }
-  return run_until_op_done(ev.gate);
+  if (ev.gate != kInvalidOp) return run_until_op_done(ev.gate);
+  advance_to(std::max(now_, ev.recorded_at));
+  return ev.recorded_at;
 }
 
 TimeUs Engine::run_until_stream_idle(StreamId stream) {
@@ -1521,7 +1449,7 @@ TimeUs Engine::run_until_stream_idle(StreamId stream) {
         "run_until_stream_idle: a transaction is open (commit_transaction "
         "first)");
   }
-  while (!streams_[static_cast<std::size_t>(stream)].fifo.empty()) {
+  while (!streams_[static_cast<std::size_t>(stream)].idle()) {
     check_deadlock();
     step(kTimeInfinity);
   }
@@ -1529,6 +1457,75 @@ TimeUs Engine::run_until_stream_idle(StreamId stream) {
 }
 
 void Engine::audit() const {
+  const auto fail_engine = [](const std::string& what) {
+    throw Error("Engine::audit: " + what);
+  };
+  // Stream FIFOs: each links its own live ops in issue order, only the
+  // head may run, and together they hold every live op. Every dependency
+  // edge names an op issued before its waiter.
+  long linked = 0;
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    const StreamState& st = streams_[s];
+    const std::string fifo = "stream " + std::to_string(s) + ": ";
+    OpId prev = 0;
+    std::int32_t last = -1;
+    for (std::int32_t slot = st.head; slot >= 0;
+         slot = slab_[static_cast<std::size_t>(slot)].next_slot) {
+      if (static_cast<std::size_t>(slot) >= slab_.size() ||
+          ++linked > live_ops_) {
+        fail_engine(fifo + "FIFO links a slot outside the live slab");
+      }
+      const Op& op = slab_[static_cast<std::size_t>(slot)];
+      if (op.stream != static_cast<StreamId>(s) || op.id <= prev ||
+          op.id >= next_op_id_ ||
+          records_[static_cast<std::size_t>(op.id - 1)].tag != slot) {
+        fail_engine(fifo + "FIFO links an op of another stream, out of "
+                    "issue order, or not live");
+      }
+      if (op.state != OpState::Queued && slot != st.head) {
+        fail_engine(fifo + "an op behind the head has started");
+      }
+      for_each_after(op, [&](OpId dep) {
+        if (dep < 1 || dep >= op.id) {
+          fail_engine(fifo + "op " + std::to_string(op.id) +
+                      " waits for an op not issued before it");
+        }
+        return true;
+      });
+      prev = op.id;
+      last = slot;
+    }
+    if (last != st.tail) fail_engine(fifo + "tail is not the FIFO's last op");
+  }
+  if (linked != live_ops_) fail_engine("the FIFOs do not hold every live op");
+  for (std::size_t e = 0; e < events_.size(); ++e) {
+    const OpId gate = events_[e].gate;
+    if (gate != kInvalidOp && (gate < 1 || gate >= next_op_id_)) {
+      fail_engine("event " + std::to_string(e) +
+                  "'s gate names an op not issued");
+    }
+  }
+  // The start heap holds one entry per clock-blocked head and nothing
+  // else: a head is examined again only when its entry is released.
+  std::vector<OpId> heads;
+  for (const HeapEntry& e : start_heap_) {
+    if (e.id < 1 || e.id >= next_op_id_) {
+      fail_engine("start-heap entry names an op not issued");
+    }
+    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
+    if (!rec.live() ||
+        streams_[static_cast<std::size_t>(rec.stream)].head != rec.tag ||
+        slab_[static_cast<std::size_t>(rec.tag)].state != OpState::Queued) {
+      fail_engine("start-heap entry for op " + std::to_string(e.id) +
+                  " names no queued stream head");
+    }
+    heads.push_back(e.id);
+  }
+  std::sort(heads.begin(), heads.end());
+  if (std::adjacent_find(heads.begin(), heads.end()) != heads.end()) {
+    fail_engine("a head holds two start-heap entries");
+  }
+
   for (int cls = 0; cls < num_classes_; ++cls) {
     const auto fail = [cls](const std::string& what) {
       throw Error("Engine::audit: class " + std::to_string(cls) + ": " +

@@ -13,7 +13,15 @@
 //   * an event records the completion of all work issued to a stream before
 //     the record call; re-recording resets the event;
 //   * stream_wait_event inserts a barrier: later ops on the stream wait for
-//     the event without blocking the host.
+//     the event without blocking the host. The wait binds at the call, as
+//     cudaStreamWaitEvent does: it waits for the work the event's latest
+//     record covered then, and a later re-record does not move it. A wait
+//     on an event never recorded is a no-op.
+//
+// `after` is the engine's only dependency edge: an op may name issued ops
+// that must complete before it starts (Op::gate, Op::after), and a wait
+// resolves its event to such an edge on the op the event was recorded
+// behind. An event is a handle {gate op, record time} with no waiter list.
 //
 // Engine core (see docs/engine-internals.md for the full design):
 //   * op storage is a contiguous slab with a free list; completed ops retire
@@ -25,9 +33,9 @@
 //     the per-class next completion, so finding it is a min over the
 //     class table and completing it pops the due heap fronts;
 //   * queued head ops that can only start at a known future time sit in a
-//     second min-heap (periodically compacted — see "start heap" below);
-//     heads blocked on events or a DMA engine register on waiter lists and
-//     are re-examined only when the blocker changes — stepping never scans
+//     second min-heap, one entry per such head; heads blocked on a live
+//     `after` gate or a DMA engine register on waiter lists and are
+//     re-examined only when the blocker completes — stepping never scans
 //     all streams;
 //   * rates are re-solved per (device, resource class) — kernels / H2D /
 //     D2H / faults on each device, plus one class per directed peer link
@@ -77,7 +85,8 @@ class Submission {
   void enqueue(Op op, TimeUs host_time, BindFn bind = nullptr);
   /// Append an event record on `stream`.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
-  /// Append an event wait (lowered to a wait marker op at ingest).
+  /// Append an event wait (lowered to a wait marker op at ingest, bound to
+  /// the event as it stands when the item applies).
   void wait_event(StreamId stream, EventId event, TimeUs host_time);
 
   /// Pre-size the item buffer (ops are buffered by value; reserving spares
@@ -190,15 +199,22 @@ class Engine {
   // --- host-side API (host_time is the caller's current virtual time) ---
   /// Enqueue an op on `op.stream`; returns its id. The op executes on the
   /// stream's device; CopyP2P ops must carry a valid `peer` source device.
-  /// Events in `op.waits` gate its start like a wait_event marker ahead of
-  /// it would, without the marker op; ops in `op.after` gate it directly —
-  /// no event, and no wait for the ops issued after them on their streams.
+  /// Ops in `op.gate` / `op.after` gate its start directly — no wait for
+  /// the ops issued after them on their streams.
   OpId enqueue(Op op, TimeUs host_time);
   /// Record `event` on `stream`: the event completes when all work issued
   /// to the stream before this call has completed.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
-  /// Make future ops on `stream` wait for `event` (non-blocking for host).
+  /// Make future ops on `stream` wait for `event` as it stands now
+  /// (non-blocking for host): a zero-work marker op bound by
+  /// wait_on_event.
   void wait_event(StreamId stream, EventId event, TimeUs host_time);
+  /// Bind `op` to `event` as it stands now, as cudaStreamWaitEvent does.
+  /// An event recorded behind an op adds that op as an `after` edge (the
+  /// inline `gate` if free, else appended to `after`); one recorded on an
+  /// idle stream holds `op` until the record's host time; one never
+  /// recorded adds nothing. A later re-record does not move the edge.
+  void wait_on_event(Op& op, EventId event) const;
   // --- transactional batched ingestion ---
   /// Open a transaction: the engine advances to `host_time` once (the
   /// transaction's one pre-ingest host-clock advance) and then freezes.
@@ -334,17 +350,11 @@ class Engine {
   /// slab's peak occupancy.
   [[nodiscard]] long peak_resident_ops() const { return peak_resident_; }
 
-  // --- start-heap introspection (compaction regression tests) ---
-  [[nodiscard]] std::size_t start_heap_size() const {
-    return start_heap_.size();
-  }
-  [[nodiscard]] long start_heap_stale() const { return start_heap_stale_; }
-  [[nodiscard]] long start_heap_compactions() const {
-    return start_heap_compactions_;
-  }
-
-  /// Check the resource-class bookkeeping against the op slab and the
-  /// dirty worklist; throws Error naming the first violated invariant.
+  /// Check the engine's bookkeeping; throws Error naming the first violated
+  /// invariant. Each stream's FIFO links exactly its live ops, in id order,
+  /// and the streams together hold every live op; every dependency edge of
+  /// a live op names an op issued before it; every event's gate names an
+  /// issued op; every start-heap entry names a queued stream head, once.
   /// Per class: every member column holds one row per member (demand
   /// columns only in kernel classes); row i's op is Running at class_pos
   /// i of this class with the row's tenant and work; DMA classes (H2D,
@@ -352,7 +362,7 @@ class Engine {
   /// their rows; a clean class's next completion is
   /// since + max(0, F_min - V) / c over its populated groups, with F_min
   /// the least finish tag its rows carry; `dirty` is set exactly for the
-  /// classes on the worklist. O(members); for tests.
+  /// classes on the worklist. O(live ops + events); for tests.
   void audit() const;
 
  private:
@@ -367,43 +377,41 @@ class Engine {
   static constexpr OpKind kSlotKind[kSlotsPerDevice] = {
       OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault};
 
+  /// A stream's FIFO (queued + running ops, in issue order) is linked
+  /// through the slab: head and tail slab slots, Op::next_slot between.
   struct StreamState {
-    std::deque<OpId> fifo;  ///< queued + running ops, in issue order
+    std::int32_t head = -1;  ///< slab slot of the oldest op; -1: idle
+    std::int32_t tail = -1;  ///< slab slot of the newest op
     DeviceId device = kDefaultDevice;
     TenantId tenant = kDefaultTenant;  ///< ops inherit this at enqueue
     bool pending = false;   ///< queued for a head ready-check
+
+    [[nodiscard]] bool idle() const { return head < 0; }
   };
-  /// Recycled short lists. An event or a live op borrows a list when its
-  /// first element arrives and gives it back when the list is consumed,
-  /// so adding allocates only while the pool itself grows. Two pools:
-  /// the streams parked on an event or on an op through `after`, and the
-  /// events gated on a live op.
-  template <typename T>
-  struct ListPool {
+  /// Recycled lists of the streams parked on a live op through an `after`
+  /// edge. A live op borrows a list when its first waiter arrives and
+  /// gives it back when it completes, so parking allocates only while the
+  /// pool itself grows.
+  struct WaiterPool {
     static constexpr std::int32_t kNone = -1;
-    std::vector<std::vector<T>> lists;
+    std::vector<std::vector<StreamId>> lists;
     std::vector<std::int32_t> spare;  ///< returned lists, cleared
 
-    /// Append `v` to list `h`, borrowing a list first if h is kNone.
-    void add(std::int32_t& h, T v);
+    /// Append `s` to list `h`, borrowing a list first if h is kNone.
+    void add(std::int32_t& h, StreamId s);
     /// Give list `h` back, cleared; h becomes kNone.
     void release(std::int32_t& h);
   };
-  using WaiterPool = ListPool<StreamId>;
-  using GatedPool = ListPool<EventId>;
-  /// One event ever created. Never recorded: gate == kInvalidOp and
-  /// done_at == kTimeInfinity. Recorded on an idle stream: no gate, done at
-  /// the record's host time. Otherwise done_at stays infinite until the
-  /// gate op completes.
+  /// One event ever created: a handle, read at wait and query time. Never
+  /// recorded: no gate, recorded_at infinite. Recorded behind an op: the
+  /// gate, done when the gate completes (its OpRecord keeps the end).
+  /// Recorded on an idle stream: no gate, done at the record's host time.
   struct EventState {
-    OpId gate = kInvalidOp;       ///< op whose completion triggers the event
-    TimeUs done_at = kTimeInfinity;
-    /// Pooled list of the streams whose head waits on this event; woken
-    /// (and returned) when the event fires or is re-recorded.
-    std::int32_t waiters = WaiterPool::kNone;
+    OpId gate = kInvalidOp;  ///< op the latest record was issued behind
+    TimeUs recorded_at = kTimeInfinity;  ///< host time of a gateless record
 
     [[nodiscard]] bool recorded() const {
-      return gate != kInvalidOp || done_at != kTimeInfinity;
+      return gate != kInvalidOp || recorded_at != kTimeInfinity;
     }
   };
   /// Compact per-id op record, indexed by OpId - 1 (ids are dense): the
@@ -420,15 +428,15 @@ class Engine {
       return static_cast<OpKind>(-1 - tag);
     }
   };
-  static_assert(sizeof(EventState) <= 24);
+  static_assert(sizeof(EventState) <= 16);
   static_assert(sizeof(OpRecord) == 24);
-  /// Start-heap entry: a queued head's known future start time, stamped
-  /// with the op's heap sequence so displaced entries are recognized as
-  /// stale (on pop, or in bulk by compact_start_heap).
+  static_assert(sizeof(Op) <= 272);  // one slab slot per live op
+  /// Start-heap entry: a queued head's known future start time. A head is
+  /// examined again only when its entry is released, so every entry is
+  /// live: it names a queued stream head, and no head has two.
   struct HeapEntry {
     TimeUs t = 0;
     OpId id = kInvalidOp;
-    std::uint32_t seq = 0;
     /// Min-heap on (t, id): ties release in op-id order, matching the seed
     /// engine's deterministic tie-breaking.
     [[nodiscard]] bool operator>(const HeapEntry& o) const {
@@ -565,20 +573,23 @@ class Engine {
                               : op.device * kSlotsPerDevice + slot;
   }
 
-  [[nodiscard]] Op& live_op(OpId id);
   /// Whether op `id` is live and running (finish-index fronts go stale
   /// when their op completes).
   [[nodiscard]] bool is_running(OpId id) const;
   [[nodiscard]] const OpRecord& record_of(OpId id, const char* who) const;
 
-  /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
-  /// peer constraints. Used by enqueue() and by ingest()'s atomic pre-pass.
-  void check_enqueueable(const Op& op) const;
+  /// Shared enqueue validation (throws ApiError) of `op` as op id `id`:
+  /// stream range, CopyP2P peer constraints, and `after` edges naming ops
+  /// issued before it. Used by enqueue() and by ingest()'s atomic pre-pass.
+  void check_enqueueable(const Op& op, OpId id) const;
   /// ingest()'s atomic pre-pass: per-item validation plus non-decreasing
   /// host times. Throws ApiError; touches no state.
   void validate_submission(const Submission& sub) const;
-  /// The wait_event lowering: one zero-work marker gated on `event`.
-  [[nodiscard]] static Op make_wait_marker(StreamId stream, EventId event);
+  /// The wait_event lowering: one zero-work marker bound to `event`.
+  [[nodiscard]] Op make_wait_marker(StreamId stream, EventId event) const;
+  /// When `ev` completes: its gate's end (infinite while the gate is
+  /// live), else its record time (infinite if never recorded).
+  [[nodiscard]] TimeUs event_time(const EventState& ev) const;
   void check_event_id(EventId event, const char* who) const;
   void check_stream_id(StreamId stream, const char* who) const;
 
@@ -588,15 +599,15 @@ class Engine {
   /// dirty worklist recompute_rates drains).
   void mark_class_dirty(int cls);
   /// Wake every stream parked on list `h` in park order and return the
-  /// list to the pool (event fired or re-recorded, `after` gate completed).
+  /// list to the pool (its `after` gate completed).
   void wake_waiters(std::int32_t& h);
   /// Remaining work of a live op folded to now() — from its class row for
   /// running classed ops, from the Op itself otherwise.
   [[nodiscard]] double live_remaining(const Op& op) const;
   /// Examine `stream`'s head; start it if its start condition holds at
   /// now_, otherwise register it exactly where its wake signal will occur
-  /// (start heap for known future times, event / copy-engine waiter lists
-  /// otherwise). Completes zero-work ops (markers) immediately.
+  /// (start heap for known future times, a live gate's or a copy engine's
+  /// waiter list otherwise). Completes zero-work ops (markers) immediately.
   void check_stream_head(StreamId stream);
   /// Drain the pending-stream worklist to a fixpoint. Streams are processed
   /// in ascending id per round, mirroring the seed engine's sweep order
@@ -658,16 +669,8 @@ class Engine {
                                                   const char* who) const;
   [[nodiscard]] const ResourceClass& link_class(DeviceId src, DeviceId dst,
                                                 const char* who) const;
-  /// Push a start-heap entry for `op` (displacing its previous entry, if
-  /// any, into staleness) and compact the heap when stale entries outnumber
-  /// live ones.
-  void push_start(Op& op, TimeUs at);
-  /// Drop every stale entry and re-heapify (stale entries are otherwise
-  /// discarded lazily as they surface at the top).
-  void compact_start_heap();
-  /// Earliest valid future head start (start heap top), discarding stale
-  /// entries.
-  [[nodiscard]] TimeUs earliest_queued_candidate();
+  /// Earliest known future head start (start heap top).
+  [[nodiscard]] TimeUs earliest_queued_candidate() const;
   /// Earliest completion across the per-class next finishes.
   [[nodiscard]] TimeUs earliest_completion() const;
   /// Complete every op whose finish tag is due at now_ (within the
@@ -709,7 +712,6 @@ class Engine {
   std::vector<StreamState> streams_;
   ChunkedStore<EventState> events_;
   WaiterPool waiter_pool_;
-  GatedPool gated_pool_;  ///< per live op: the events it gates
 
   // --- slab op storage ---
   std::vector<Op> slab_;
@@ -721,11 +723,8 @@ class Engine {
   // --- scheduling state ---
   std::vector<StreamId> ready_;  ///< streams needing a head check
   /// Min-heap (std::push_heap/pop_heap with greater) of future head
-  /// starts. A plain vector so compact_start_heap can filter in place.
+  /// starts.
   std::vector<HeapEntry> start_heap_;
-  std::uint32_t next_heap_seq_ = 1;
-  long start_heap_stale_ = 0;  ///< displaced/dead entries still in the heap
-  long start_heap_compactions_ = 0;
 
   // --- per-(device, class) solver domains ---
   /// Class table layout: device d's four classes at [d*4, d*4+4), then the
@@ -773,8 +772,6 @@ class Engine {
   long completed_count_ = 0;
   long stall_steps_ = 0;
   static constexpr long kStallLimit = 100'000;
-  /// Compaction trigger floor: below this size the heap is left alone.
-  static constexpr std::size_t kHeapCompactMin = 64;
 };
 
 }  // namespace psched::sim

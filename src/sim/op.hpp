@@ -89,28 +89,23 @@ struct Op {
   /// Position inside the engine's per-resource-class member list (swap-and-
   /// pop removal); -1 while not running or for rate-less kinds.
   std::int32_t class_pos = -1;
-  /// Sequence stamp of this op's live start-heap entry (0 = none). Entries
-  /// whose stamp no longer matches are stale; the engine counts them and
-  /// compacts the heap when they outnumber live entries.
-  std::uint32_t heap_seq = 0;
-  /// Pooled list of the streams whose head waits on this op through
-  /// `after` (-1: none); woken and returned when the op completes.
+  /// Slab slot of the next op on this op's stream (-1: the stream's
+  /// tail). Each stream's FIFO is linked through the slab, so issuing
+  /// and retiring ops allocates nothing.
+  std::int32_t next_slot = -1;
+  /// Pooled list of the streams whose head waits on this op through an
+  /// `after` edge (-1: none); woken and returned when the op completes.
   std::int32_t after_waiters = -1;
-  /// Pooled list of the events gated on this op's completion (-1: none):
-  /// the reverse index record_event maintains, so completion does not
-  /// scan all events. Fired and returned when the op completes.
-  std::int32_t gated_events = -1;
   /// Instantaneous fluid-model rate, filled in by Engine::op() snapshots
   /// (0 unless running in a resource class).
   double rate = 0;
 
-  /// An event that must be complete before this op may start, carried
-  /// inline (a wait marker's one event); kInvalidEvent if none.
-  EventId wait = kInvalidEvent;
-  /// Further events that must be complete before this op may start.
-  std::vector<EventId> waits;
-  /// Issued ops that must complete before this op may start — a direct
-  /// dependency on another stream's op, without an event in between.
+  /// Issued ops that must complete before this op may start: the engine's
+  /// one dependency edge. The first edge rides inline in `gate` (a wait
+  /// marker's event gate, so an event edge allocates nothing; see
+  /// Engine::wait_on_event), any further ones in `after`. An edge waits
+  /// for that op alone, not for the ops issued after it on its stream.
+  OpId gate = kInvalidOp;
   std::vector<OpId> after;
 
   /// Invoked exactly once when the op completes (functional execution of

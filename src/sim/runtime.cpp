@@ -515,7 +515,7 @@ void GpuRuntime::free_array(ArrayId id) {
 void GpuRuntime::issue_writeback(StreamId stream, std::string name,
                                  double bytes,
                                  std::span<const ArrayId> victims,
-                                 std::vector<EventId> waits,
+                                 std::span<const EventId> waits,
                                  std::vector<OpId> after) {
   // A write-back is a real D2H transfer on the caller's stream (the
   // device's service stream at admission, its write-back stream for
@@ -527,8 +527,8 @@ void GpuRuntime::issue_writeback(StreamId stream, std::string name,
   op.name = std::move(name);
   op.bytes = bytes;
   op.work = op.bytes;
-  op.waits = std::move(waits);
   op.after = std::move(after);
+  for (const EventId ev : waits) engine_.wait_on_event(op, ev);
   // The page-out reads the device copies: register it like any other
   // in-flight read so hazard checks, eviction eligibility, and free all
   // see it (free_array drains runtime-initiated page-outs).
@@ -543,10 +543,10 @@ void GpuRuntime::issue_writeback(StreamId stream, std::string name,
 void GpuRuntime::issue_fetch(StreamId stream, OpKind kind, DeviceId src,
                              const std::string& tag, double bytes,
                              bool prefetch, Submission::BindFn bind,
-                             std::vector<EventId> waits) {
+                             std::span<const EventId> waits) {
   Op op;
   op.stream = stream;
-  op.waits = std::move(waits);
+  for (const EventId ev : waits) engine_.wait_on_event(op, ev);
   op.kind = kind;
   op.peer = src;
   op.name = (prefetch                  ? "prefetch:"
@@ -1010,12 +1010,12 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
       marker.kind = OpKind::Marker;
       marker.stream = wb_stream;
       marker.name = "frames";
-      marker.waits = std::move(wb_waits);
       marker.after = std::move(after);
+      for (const EventId ev : wb_waits) engine_.wait_on_event(marker, ev);
       issue_op(std::move(marker), nullptr);
     } else {
       issue_writeback(wb_stream, "evict:" + tag_of(victims), evict_bytes,
-                      victims, std::move(wb_waits), std::move(after));
+                      victims, wb_waits, std::move(after));
     }
     // One event closes the page-outs: the victims' host copies
     // materialize, and their frames are free, once it fires.
@@ -1074,12 +1074,12 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step) {
   // other sources' fetches behind it.
   if (host_bytes > 0) {
     issue_fetch(fetch_stream, OpKind::CopyH2D, kInvalidDevice, tag,
-                host_bytes, /*prefetch=*/true, bind, std::move(fetch_waits));
+                host_bytes, /*prefetch=*/true, bind, fetch_waits);
     fetch_waits.clear();
   }
   for (const auto& [src, bytes] : peer_bytes) {
     issue_fetch(fetch_stream, OpKind::CopyP2P, src, tag, bytes,
-                /*prefetch=*/true, bind, std::move(fetch_waits));
+                /*prefetch=*/true, bind, fetch_waits);
     fetch_waits.clear();
   }
   // One event closes the fetches: the moved arrays' device-ready gate.

@@ -398,19 +398,23 @@ class GpuRuntime {
   /// none).
   EventId price_eviction(const EvictionPlan& plan, StreamId stream);
   /// Issue one write-back: a CopyD2H of `bytes` on `stream`, registered as
-  /// an in-flight read of every victim until it completes. `waits`
-  /// (events) and `after` (ops) gate its start on the op itself (no
+  /// an in-flight read of every victim until it completes. `after` (ops)
+  /// and `waits` (events, resolved to their gate ops at the call by
+  /// Engine::wait_on_event) gate its start on the op itself (no
   /// wait-marker ops).
   void issue_writeback(StreamId stream, std::string name, double bytes,
                        std::span<const ArrayId> victims,
-                       std::vector<EventId> waits, std::vector<OpId> after);
+                       std::span<const EventId> waits,
+                       std::vector<OpId> after);
   /// Issue one fetch onto `stream`'s device — from the host (`kind`
   /// CopyH2D or Fault) or from peer `src` (CopyP2P) — named `tag` behind
   /// a kind prefix ("prefetch:" for planner steps), and count its bytes.
-  /// `waits` gate its start on the op itself.
+  /// `waits` gate its start on the op itself, resolved like
+  /// issue_writeback's.
   void issue_fetch(StreamId stream, OpKind kind, DeviceId src,
                    const std::string& tag, double bytes, bool prefetch,
-                   Submission::BindFn bind, std::vector<EventId> waits = {});
+                   Submission::BindFn bind,
+                   std::span<const EventId> waits = {});
   /// Issue one planner step with minimal op count on two streams, so
   /// page-outs and fetches use both DMA directions at once: the step's
   /// write-backs merged into one CopyD2H on the device's write-back

@@ -371,5 +371,41 @@ TEST_F(BatchRuntimeTest, OverCapacityMigrationEvictsInsteadOfThrowing) {
                OutOfMemoryError);
 }
 
+TEST_F(BatchRuntimeTest, ReplayedEventEdgeBindsToItsOwnRound) {
+  // The e2e tenant_mix batch round: a kernel on each of two streams, then
+  // a join behind a cross-stream edge through one event that every replay
+  // re-records. With two replays in flight, each round's join waits for
+  // its own round's s0 kernel: a wait binds to the record issued before
+  // it, as cudaStreamWaitEvent does, never to the next round's.
+  const StreamId s0 = rt_.create_stream();
+  const StreamId s1 = rt_.create_stream();
+  const EventId ev = rt_.create_event();
+  Submission round;
+  rt_.begin_record(round);
+  rt_.launch(s0, simple_kernel("a", {}, 1e8));
+  rt_.launch(s1, simple_kernel("b", {}, 1e7));
+  rt_.record_event(ev, s0);
+  rt_.stream_wait_event(s1, ev);
+  rt_.launch(s1, simple_kernel("join", {}, 1e7));
+  rt_.end_record();
+  rt_.synchronize_device();
+  rt_.replay(round);
+  rt_.replay(round);
+  rt_.synchronize_device();
+
+  std::vector<TimelineEntry> a;
+  std::vector<TimelineEntry> join;
+  for (const TimelineEntry& e : rt_.timeline().entries().to_vector()) {
+    if (e.name == "a") a.push_back(e);
+    if (e.name == "join") join.push_back(e);
+  }
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(join.size(), 3u);
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    SCOPED_TRACE("round " + std::to_string(k));
+    EXPECT_DOUBLE_EQ(join[k].start, a[k].end);
+  }
+}
+
 }  // namespace
 }  // namespace psched::sim

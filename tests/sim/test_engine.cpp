@@ -163,12 +163,43 @@ TEST_F(EngineTest, EventReRecordResets) {
   EXPECT_DOUBLE_EQ(eng_.event_done_time(ev), 80);
 }
 
-TEST_F(EngineTest, WaitOnUnrecordedEventDeadlocks) {
+// cudaStreamWaitEvent on an event never recorded returns at once and adds
+// no dependency; a record issued after the wait does not reach back.
+TEST_F(EngineTest, WaitOnUnrecordedEventIsANoOp) {
   const StreamId s1 = eng_.create_stream();
+  const StreamId s2 = eng_.create_stream();
   const EventId ev = eng_.create_event();
   eng_.wait_event(s1, ev, 0);
-  eng_.enqueue(raw_kernel(s1, 10, 4, 1.0), 0);
-  EXPECT_THROW(eng_.run_all(), Error);
+  const OpId a = eng_.enqueue(raw_kernel(s1, 10, 1, 1.0), 0);
+  const OpId b = eng_.enqueue(raw_kernel(s2, 100, 1, 1.0), 0);
+  eng_.record_event(ev, s2, 0);
+  eng_.run_all();
+  EXPECT_DOUBLE_EQ(eng_.op(a).start_time, 0);
+  EXPECT_LT(eng_.op(a).end_time, eng_.op(b).end_time);
+}
+
+// The wait binds to the work the event covered at the wait call, as
+// cudaStreamWaitEvent does: re-recording the event behind a longer op
+// before the waiter's head is even examined does not move the edge.
+TEST_F(EngineTest, WaitBindsToTheGateAtTheCall) {
+  const StreamId s1 = eng_.create_stream();
+  const StreamId s2 = eng_.create_stream();
+  const StreamId s3 = eng_.create_stream();
+  const EventId ev = eng_.create_event();
+  const OpId first = eng_.enqueue(raw_kernel(s1, 50, 1, 1.0, 0, "first"), 0);
+  eng_.record_event(ev, s1, 0);
+  eng_.wait_event(s3, ev, 0);
+  const OpId waiter = eng_.enqueue(raw_kernel(s3, 10, 1, 1.0, 0, "w"), 0);
+  const OpId second =
+      eng_.enqueue(raw_kernel(s2, 200, 1, 1.0, 0, "second"), 0);
+  eng_.record_event(ev, s2, 0);  // busy stream: the event now gates on it
+  eng_.audit();
+  eng_.run_all();
+  EXPECT_DOUBLE_EQ(eng_.op(waiter).start_time, eng_.op(first).end_time);
+  EXPECT_LT(eng_.op(waiter).start_time, eng_.op(second).end_time);
+  // The event itself follows its latest record.
+  EXPECT_DOUBLE_EQ(eng_.event_done_time(ev), eng_.op(second).end_time);
+  eng_.audit();
 }
 
 TEST_F(EngineTest, RunUntilEventOnUnrecordedThrows) {
@@ -576,12 +607,11 @@ TEST_F(EngineTest, SolverCountersAdvance) {
   EXPECT_LT(eng_.solved_ops(), eng_.solve_count() * 3);
 }
 
-TEST_F(EngineTest, StartHeapCompactionBoundsRerecordChurn) {
-  // Pathological event re-record churn: a head waits on an event whose
-  // completion time keeps moving into the future. Every re-record wakes
-  // the head, which re-registers in the start heap, displacing its
-  // previous entry into staleness — without compaction the heap grows by
-  // one entry per re-record.
+TEST_F(EngineTest, RerecordChurnDoesNotMoveABoundWait) {
+  // A head waits on an event recorded on an idle stream, which is then
+  // re-recorded 20000 times at ever later host times while the head sits
+  // in the start heap. The wait bound to the first record: the head
+  // keeps its one heap entry and releases at the first record time.
   const StreamId s = eng_.create_stream();
   const StreamId src = eng_.create_stream();
   const EventId ev = eng_.create_event();
@@ -592,35 +622,33 @@ TEST_F(EngineTest, StartHeapCompactionBoundsRerecordChurn) {
   const int kRerecords = 20000;
   for (int i = 1; i <= kRerecords; ++i) {
     eng_.record_event(ev, src, 1e6 + i);
-    eng_.advance_to(eng_.now());  // drain the wake: re-examines the head
+    eng_.advance_to(eng_.now());
+    if (i % 1000 == 0) eng_.audit();
   }
-  // The heap stayed bounded (one live entry plus at most the compaction
-  // hysteresis) instead of holding kRerecords entries.
-  EXPECT_GT(eng_.start_heap_compactions(), 0);
-  EXPECT_LE(eng_.start_heap_size(), 64u);
-  EXPECT_LE(eng_.start_heap_stale(),
-            static_cast<long>(eng_.start_heap_size()));
-
-  // The schedule is unaffected: the head releases at the final re-record
-  // time and the kernel runs to completion.
   const TimeUs end = eng_.run_all();
-  EXPECT_DOUBLE_EQ(end, 1e6 + kRerecords + 10);
+  EXPECT_DOUBLE_EQ(end, 1e6 + 10);
+  EXPECT_DOUBLE_EQ(eng_.event_done_time(ev), 1e6 + kRerecords);
+  eng_.audit();
 }
 
-TEST_F(EngineTest, StartHeapStaleAccountingStaysConsistent) {
-  // Mixed workload with future enqueue times exercising push / consume /
-  // discard paths; afterwards the stale counter matches reality (zero once
-  // everything drained).
+TEST_F(EngineTest, FutureStartsReleaseThroughTheStartHeap) {
+  // Future enqueue times park heads in the start heap; every entry must
+  // name a queued stream head at every step, and none is left once the
+  // engine drains (the audit checks both).
   const StreamId s1 = eng_.create_stream();
   const StreamId s2 = eng_.create_stream();
+  std::vector<OpId> ids;
   for (int i = 0; i < 40; ++i) {
-    eng_.enqueue(raw_kernel(i % 2 ? s1 : s2, 2.0, 1, 0.5),
-                 /*host_time=*/i * 3.0);
+    ids.push_back(eng_.enqueue(raw_kernel(i % 2 ? s1 : s2, 2.0, 1, 0.5),
+                               /*host_time=*/i * 3.0));
     eng_.advance_to(i * 1.5);
+    eng_.audit();
   }
   eng_.run_all();
-  EXPECT_EQ(eng_.start_heap_size(), 0u);
-  EXPECT_EQ(eng_.start_heap_stale(), 0);
+  eng_.audit();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_GE(eng_.op(ids[i]).start_time, static_cast<double>(i) * 3.0);
+  }
 }
 
 TEST_F(EngineTest, StallWatchdogReportsState) {
@@ -635,12 +663,22 @@ TEST_F(EngineTest, StallWatchdogReportsState) {
   op.stream = s1;
   op.name = "stuck";
   op.work = 100;  // a marker with work: no rate will ever be assigned
-  eng_.enqueue(op, 0);
+  const OpId stuck = eng_.enqueue(op, 0);
+  // A head on another stream gated on the stuck op: the report names its
+  // `after` gates.
+  const StreamId s2 = eng_.create_stream();
+  Op behind = raw_kernel(s2, 10, 1, 1.0, 0, "behind");
+  behind.after = {stuck};
+  eng_.enqueue(behind, 0);
   try {
     eng_.run_all();
     FAIL() << "expected stall or deadlock report";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("stuck"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stuck"), std::string::npos);
+    EXPECT_NE(what.find("'behind' enqueue_t 0 after " + std::to_string(stuck)),
+              std::string::npos)
+        << what;
   }
 }
 
