@@ -26,7 +26,7 @@ double solo_us_for_block(rt::Context& ctx, rt::Kernel& kernel, long n,
   const long blocks = std::min<long>((n + block - 1) / block, 65535);
   kernel(blocks, block)(x, n);
   ctx.synchronize();
-  return ctx.computations().back()->solo_us;
+  return ctx.dag().vertices().back().solo_us;
 }
 
 }  // namespace
@@ -41,6 +41,7 @@ int main() {
   rt::Options opts = kernels::default_options();
   opts.functional = false;
   rt::Context ctx(gpu, opts);
+  ctx.record_dag();  // each trial reads its launch's solo time back
 
   const struct {
     const char* name;
@@ -71,7 +72,7 @@ int main() {
         const long blocks = std::min<long>((c.n + block - 1) / block, 65535);
         kernel(blocks, block)(x, d, c.n);
         ctx.synchronize();
-        us = ctx.computations().back()->solo_us;
+        us = ctx.dag().vertices().back().solo_us;
       } else {
         us = solo_us_for_block(ctx, kernel, c.n, block);
       }

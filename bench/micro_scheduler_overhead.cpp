@@ -72,19 +72,19 @@ void BM_DependencyInference(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     rt::ArrayState array;
-    std::vector<std::unique_ptr<rt::Computation>> comps;
+    rt::ComputationPool pool;
     auto make = [&](bool read_only) -> rt::Computation& {
-      auto c = std::make_unique<rt::Computation>();
-      c->id = static_cast<long>(comps.size());
-      c->state = rt::Computation::State::Scheduled;
-      c->uses = {{&array, read_only}};
-      comps.push_back(std::move(c));
-      return *comps.back();
+      rt::Computation& c = pool.acquire();
+      c.state = rt::Computation::State::Scheduled;
+      c.uses = {{&array, read_only}};
+      return c;
     };
-    for (int i = 0; i < width; ++i) (void)rt::infer_dependencies(make(true));
+    for (int i = 0; i < width; ++i) {
+      (void)rt::infer_dependencies(make(true), pool);
+    }
     state.ResumeTiming();
     auto& writer = make(false);
-    benchmark::DoNotOptimize(rt::infer_dependencies(writer));
+    benchmark::DoNotOptimize(rt::infer_dependencies(writer, pool));
   }
 }
 BENCHMARK(BM_DependencyInference)->Arg(1)->Arg(4)->Arg(16)->Arg(64);

@@ -20,6 +20,7 @@ using namespace psched;
 int main() {
   sim::GpuRuntime gpu(sim::DeviceSpec::gtx1660super());
   rt::Context ctx(gpu, kernels::default_options());
+  ctx.record_dag();  // keep the DAG for the Graphviz dump at the end
 
   constexpr long kN = 1 << 18;
 

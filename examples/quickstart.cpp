@@ -14,6 +14,7 @@ int main() {
   // A simulated Tesla P100 hosts the computation.
   sim::GpuRuntime gpu(sim::DeviceSpec::tesla_p100());
   rt::Context ctx(gpu, kernels::default_options());
+  ctx.record_dag();  // keep the DAG for the Graphviz dump at the end
 
   constexpr long kN = 1'000'000;
 

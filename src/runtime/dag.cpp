@@ -5,93 +5,89 @@
 
 namespace psched::rt {
 
-void DagRecorder::add_vertex(const Computation& c) {
-  Vertex v;
-  v.id = c.id;
-  v.label = c.label;
-  v.kind = c.kind;
-  v.device = c.device;
-  v.stream = c.stream;
-  v.solo_us = c.solo_us;
-  v.transfer_bytes = c.transfer_bytes;
-  v.epoch = current_epoch_;
-  if (c.id != static_cast<long>(vertices_.size())) {
-    throw sim::ApiError("DagRecorder: non-contiguous computation id");
+void DagRecorder::record_history() {
+  if (added_) {
+    throw sim::ApiError(
+        "DagRecorder: history must be enabled before the first vertex");
   }
-  vertices_.push_back(std::move(v));
+  recording_ = true;
 }
 
-void DagRecorder::annotate_vertex(const Computation& c) {
-  if (c.id < 0 || c.id >= static_cast<long>(vertices_.size())) {
-    throw sim::ApiError("DagRecorder: unknown vertex");
-  }
-  Vertex& v = vertices_[static_cast<std::size_t>(c.id)];
-  v.device = c.device;
-  v.stream = c.stream;
-  v.solo_us = c.solo_us;
-  v.transfer_bytes = c.transfer_bytes;
-}
-
-void DagRecorder::add_edge(long from, long to) {
-  if (from < 0 || to < 0 || from >= static_cast<long>(vertices_.size()) ||
-      to >= static_cast<long>(vertices_.size())) {
-    throw sim::ApiError("DagRecorder: edge references unknown vertex");
-  }
-  if (from >= to) {
+void DagRecorder::add(Computation& c) {
+  for (const Computation* p : c.parents) {
     // Computations are registered in program order; an edge can only point
     // from an earlier to a later element.
-    throw sim::ApiError("DagRecorder: edge violates registration order");
+    if (p->id < 0 || p->id >= c.id) {
+      throw sim::ApiError("DagRecorder: edge violates registration order");
+    }
   }
-  edges_.emplace_back(from, to);
-}
+  if (recording_) {
+    if (c.id != static_cast<long>(vertices_.size())) {
+      throw sim::ApiError("DagRecorder: non-contiguous computation id");
+    }
+    // Parents ids are below c.id == vertices_.size(): all recorded.
+    Vertex v;
+    v.id = c.id;
+    v.label.assign(c.label_prefix()).append(c.name);
+    v.kind = c.kind;
+    v.device = c.device;
+    v.stream = c.stream;
+    v.op = c.op;
+    v.solo_us = c.solo_us;
+    v.transfer_bytes = c.transfer_bytes;
+    v.epoch = epoch_;
+    vertices_.push_back(std::move(v));
+    for (const Computation* p : c.parents) edges_.emplace_back(p->id, c.id);
+  }
+  added_ = true;
 
-bool DagRecorder::has_edge(long from, long to) const {
-  return std::find(edges_.begin(), edges_.end(), std::make_pair(from, to)) !=
-         edges_.end();
+  // Vertices arrive in registration order, after their parents, so one
+  // relaxation per vertex settles it. It starts no earlier than the finish
+  // floor of all previous epochs: even with unlimited hardware the host
+  // cannot issue work past a blocking read.
+  double start = epoch_floor_;
+  for (const Computation* p : c.parents) {
+    start = std::max(start, p->path_finish_us);
+  }
+  const double cost =
+      c.solo_us + (pcie_bytes_per_us_ > 0
+                       ? c.transfer_bytes / pcie_bytes_per_us_
+                       : 0);
+  c.path_finish_us = start + cost;
+  best_ = std::max(best_, c.path_finish_us);
 }
 
 double DagRecorder::critical_path_us(double pcie_bytes_per_us) const {
-  // Vertex ids (and epochs) are monotone in submission order, so one
-  // forward pass relaxes every edge. Each vertex starts no earlier than
-  // the finish floor of all previous epochs: even with unlimited hardware
-  // the host cannot issue work past a blocking read.
-  const std::size_t nv = vertices_.size();
-  // Incoming edges grouped by destination with one counting sort, so the
-  // pass is O(V + E) whatever order the edges were recorded in.
-  std::vector<std::size_t> first(nv + 1, 0);
-  for (const auto& [from, to] : edges_) {
-    ++first[static_cast<std::size_t>(to) + 1];
+  if (pcie_bytes_per_us != pcie_bytes_per_us_) {
+    throw sim::ApiError("DagRecorder: critical path kept at " +
+                        std::to_string(pcie_bytes_per_us_) +
+                        " bytes/us, queried at " +
+                        std::to_string(pcie_bytes_per_us));
   }
-  for (std::size_t i = 0; i < nv; ++i) first[i + 1] += first[i];
-  std::vector<std::size_t> next(first.begin(), first.end() - 1);
-  std::vector<std::size_t> preds(edges_.size());
-  for (const auto& [from, to] : edges_) {
-    preds[next[static_cast<std::size_t>(to)]++] =
-        static_cast<std::size_t>(from);
-  }
+  return best_;
+}
 
-  std::vector<double> longest(nv, 0);
-  double best = 0;
-  double epoch_floor = 0;   // max finish over all completed epochs
-  double epoch_best = 0;    // max finish inside the current epoch
-  long epoch = 0;
-  for (std::size_t i = 0; i < nv; ++i) {
-    const Vertex& v = vertices_[i];
-    if (v.epoch != epoch) {
-      epoch_floor = std::max(epoch_floor, epoch_best);
-      epoch = v.epoch;
-    }
-    const double cost = v.solo_us + (pcie_bytes_per_us > 0
-                                         ? v.transfer_bytes / pcie_bytes_per_us
-                                         : 0);
-    longest[i] = epoch_floor + cost;
-    for (std::size_t k = first[i]; k < first[i + 1]; ++k) {
-      longest[i] = std::max(longest[i], longest[preds[k]] + cost);
-    }
-    epoch_best = std::max(epoch_best, longest[i]);
-    best = std::max(best, longest[i]);
+void DagRecorder::require_history() const {
+  if (!recording_) {
+    throw sim::ApiError(
+        "DagRecorder: no history recorded (enable it before registering "
+        "computations, e.g. Context::record_dag)");
   }
-  return best;
+}
+
+const std::vector<DagRecorder::Vertex>& DagRecorder::vertices() const {
+  require_history();
+  return vertices_;
+}
+
+const std::vector<std::pair<long, long>>& DagRecorder::edges() const {
+  require_history();
+  return edges_;
+}
+
+bool DagRecorder::has_edge(long from, long to) const {
+  return std::find(edges().begin(), edges().end(),
+                   std::make_pair(from, to)) != edges().end();
 }
 
 std::string DagRecorder::to_dot() const {
@@ -100,7 +96,7 @@ std::string DagRecorder::to_dot() const {
                                   "orange",    "turquoise", "pink"};
   std::ostringstream out;
   out << "digraph computation {\n  rankdir=TB;\n";
-  for (const Vertex& v : vertices_) {
+  for (const Vertex& v : vertices()) {
     const char* color =
         v.stream >= 0
             ? kColors[static_cast<std::size_t>(v.stream) % std::size(kColors)]
@@ -113,11 +109,6 @@ std::string DagRecorder::to_dot() const {
   }
   out << "}\n";
   return out.str();
-}
-
-void DagRecorder::clear() {
-  vertices_.clear();
-  edges_.clear();
 }
 
 }  // namespace psched::rt

@@ -19,6 +19,12 @@
 //
 // Scalars never appear here (they are passed by copy). Computations that
 // the CPU has already synchronized (State::Finished) never contribute.
+//
+// Every pointer this module stores — an array's last_writer and reader
+// entries, a computation's parent links — holds a reference on the
+// computation it names (ComputationPool::retain), and every pointer it
+// drops releases one, so a finished computation retires as soon as the
+// tracking stops naming it.
 #pragma once
 
 #include <span>
@@ -31,12 +37,18 @@ namespace psched::rt {
 /// writer/reader tracking and all dependency sets, wire the DAG links, and
 /// return the parent computations it found (deduplicated, excluding `c`
 /// itself and inactive elements) — a view of the tail of `c.parents`,
-/// valid until `c.parents` next changes. Allocates nothing for arities up
-/// to the Computation record's inline capacities.
+/// valid until `c.parents` next changes. References are taken and dropped
+/// through `pool`, which owns `c` and every computation the arrays name.
+/// Allocates nothing for arities up to the Computation record's inline
+/// capacities.
 ///
 /// With `honor_read_only == false` every use is treated as a write — the
 /// conservative behaviour the paper prescribes for unannotated signatures.
 [[nodiscard]] std::span<Computation* const> infer_dependencies(
-    Computation& c, bool honor_read_only = true);
+    Computation& c, ComputationPool& pool, bool honor_read_only = true);
+
+/// Drop every computation `array` tracks (its last writer and readers),
+/// releasing their references: the array's next version starts clean.
+void forget_tracking(ArrayState& array, ComputationPool& pool);
 
 }  // namespace psched::rt

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "runtime/dependency.hpp"
 
@@ -14,7 +16,7 @@ constexpr sim::TimeUs kSchedulingOverheadUs = 1.0;
 }  // namespace
 
 Context::Context(sim::GpuRuntime& gpu, Options opts)
-    : gpu_(&gpu), opts_(opts) {
+    : gpu_(&gpu), opts_(opts), dag_(gpu.spec().pcie_bytes_per_us()) {
   streams_ = std::make_unique<StreamManager>(gpu, opts_.stream_policy);
   placer_ = std::make_unique<DevicePlacer>(gpu, opts_.device_policy);
 }
@@ -86,11 +88,7 @@ void Context::synchronize() {
   activate();
   gpu_->synchronize_device();
   ++stats_.blocking_syncs;
-  for (Computation* c : active_) {
-    if (c->state == Computation::State::Scheduled) {
-      c->state = Computation::State::Finished;
-    }
-  }
+  for (Computation* c : active_) pool_.finish(*c);
   active_.clear();
   dag_.host_barrier();
 }
@@ -99,22 +97,16 @@ ContextStats Context::stats() const {
   ContextStats s = stats_;
   s.streams_created = static_cast<long>(streams_->num_streams());
   s.devices_used = std::popcount(devices_used_mask_);
+  s.peak_live_computations = static_cast<long>(pool_.peak_live());
   return s;
 }
 
 Computation& Context::new_computation(Computation::Kind kind,
-                                      std::string label) {
-  const std::size_t id = comps_.size();
-  if (id % kComputationChunk == 0) {
-    comp_chunks_.push_back(std::make_unique<Computation[]>(kComputationChunk));
-  }
-  Computation& c = comp_chunks_.back()[id % kComputationChunk];
-  c.id = static_cast<long>(id);
+                                      std::string_view name) {
+  Computation& c = pool_.acquire();
   c.kind = kind;
-  c.label = std::move(label);
-  comps_.push_back(&c);
+  c.name = name;
   ++stats_.computations;
-  dag_.add_vertex(c);
   return c;
 }
 
@@ -160,7 +152,7 @@ sim::LaunchSpec& Context::launch_spec(const Computation& c,
                                       const sim::KernelProfile& profile,
                                       std::function<void()> functional) {
   sim::LaunchSpec& spec = launch_spec_;
-  spec.name = c.label;
+  spec.name.assign(c.label_prefix()).append(c.name);
   spec.config = cfg;
   spec.profile = profile;
   spec.arrays.clear();
@@ -176,13 +168,14 @@ void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
   activate();
   check_args(kernel.name(), kernel.signature(), values);
   const KernelDef* def = kernel.def_;
-
-  Computation& c = new_computation(Computation::Kind::Kernel, kernel.name());
-  collect_uses(c, kernel.signature(), values);
-  ++stats_.kernels;
-
+  // The cost model runs before registration: a throwing model leaves no
+  // trace in the context.
   const sim::KernelProfile profile =
       def->cost_fn(cfg, ArgsView(values, /*functional=*/false));
+
+  Computation& c = new_computation(Computation::Kind::Kernel, def->name);
+  collect_uses(c, kernel.signature(), values);
+  ++stats_.kernels;
 
   std::function<void()> functional;
   if (opts_.functional && def->host_fn) {
@@ -193,20 +186,21 @@ void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
     functional = [fn, cfg, vals]() { fn(cfg, ArgsView(*vals, true)); };
   }
 
-  if (opts_.policy == SchedulePolicy::Serial) {
-    schedule_serial(c, cfg, profile, std::move(functional));
-  } else {
-    schedule_async(c, cfg, profile, std::move(functional));
-  }
+  const double solo_us =
+      opts_.policy == SchedulePolicy::Serial
+          ? schedule_serial(c, cfg, profile, std::move(functional))
+          : schedule_async(c, cfg, profile, std::move(functional));
 
   // Feed the execution history that drives block-size recommendations:
   // the work size is the largest array the launch touched.
   double work_items = 0;
-  for (const Computation::Use& use : c.uses) {
-    work_items = std::max(work_items, static_cast<double>(use.array->size));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (kernel.signature()[i].is_pointer()) {
+      work_items = std::max(
+          work_items, static_cast<double>(values[i].as_array().size()));
+    }
   }
-  tuner_.record(kernel.name(), cfg.threads_per_block(), c.solo_us,
-                work_items);
+  tuner_.record(kernel.name(), cfg.threads_per_block(), solo_us, work_items);
 }
 
 void Context::submit_library(const LibraryFunctionDef& def,
@@ -216,10 +210,9 @@ void Context::submit_library(const LibraryFunctionDef& def,
   ++stats_.library_calls;
 
   if (def.stream_aware) {
-    Computation& c =
-        new_computation(Computation::Kind::Library, "lib:" + def.name);
-    collect_uses(c, def.params, values);
     const sim::KernelProfile profile = def.cost_fn(ArgsView(values, false));
+    Computation& c = new_computation(Computation::Kind::Library, def.name);
+    collect_uses(c, def.params, values);
     // Library internals choose their own launch geometry; model a
     // device-filling configuration.
     const auto cfg = sim::LaunchConfig::linear(1024, 256);
@@ -250,17 +243,16 @@ void Context::submit_library(const LibraryFunctionDef& def,
   if (def.host_duration_us) gpu_->host_advance(def.host_duration_us(view));
 }
 
-void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
-                             const sim::KernelProfile& profile,
-                             std::function<void()> functional) {
+double Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
+                               const sim::KernelProfile& profile,
+                               std::function<void()> functional) {
   // Model the cost of dependency computation and stream selection. It only
   // moves the host clock: the runtime calls below advance the engine at
   // their entry (the one-advance rule, GpuRuntime::note_api_call).
   gpu_->charge_host(kSchedulingOverheadUs);
 
   const std::span<Computation* const> deps =
-      infer_dependencies(c, opts_.honor_read_only);
-  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
+      infer_dependencies(c, pool_, opts_.honor_read_only);
   stats_.edges += static_cast<long>(deps.size());
 
   // Placement before stream acquisition: the device policy decides where
@@ -313,12 +305,13 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
 
   c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
-  dag_.annotate_vertex(c);
+  dag_.add(c);
+  return c.solo_us;
 }
 
-void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
-                              const sim::KernelProfile& profile,
-                              std::function<void()> functional) {
+double Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
+                                const sim::KernelProfile& profile,
+                                std::function<void()> functional) {
   // The original GrCUDA scheduler: default stream, blocking, no dependency
   // computation, no prefetching (overheads are even smaller, section V-C).
   c.device = sim::kDefaultDevice;
@@ -338,11 +331,13 @@ void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
   launch_spec_.functional = nullptr;  // the launch keeps its own copy
   gpu_->synchronize_stream(c.stream);
   ++stats_.blocking_syncs;
-  c.state = Computation::State::Finished;
 
   c.solo_us = demand.solo_us;
   c.transfer_bytes = staged_bytes;
-  dag_.annotate_vertex(c);
+  dag_.add(c);
+  // No dependency tracking names a serial computation: it retires here.
+  pool_.finish(c);
+  return demand.solo_us;
 }
 
 void Context::wait_for(Computation& c) {
@@ -384,13 +379,12 @@ void Context::unpin(DeviceArray& a, sim::DeviceId d) {
 }
 
 void Context::sweep_finished() {
+  // Parents precede their children here (registration order), so a child
+  // finishing releases parents that are already finished and retires them.
   std::erase_if(active_, [this](Computation* c) {
-    if (c->state == Computation::State::Scheduled &&
-        c->op != sim::kInvalidOp && gpu_->engine().op_done(c->op)) {
-      c->state = Computation::State::Finished;
-      return true;
-    }
-    return c->state == Computation::State::Finished;
+    if (!gpu_->engine().op_done(c->op)) return false;
+    pool_.finish(*c);
+    return true;
   });
 }
 
@@ -425,31 +419,7 @@ void Context::on_host_read(ArrayState* array) {
     return;
   }
 
-  Computation& c =
-      new_computation(Computation::Kind::HostRead, "read:" + array->name);
-  c.uses.push_back({array, /*read_only=*/true});
-  const std::span<Computation* const> deps =
-      infer_dependencies(c, /*honor_read_only=*/true);
-  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  stats_.edges += static_cast<long>(deps.size());
-  ++stats_.host_accesses;
-
-  for (Computation* d : deps) wait_for(*d);
-  if (!page_fault) {
-    // Pre-Pascal: the CPU may not touch an array while *any* kernel uses
-    // it; wait for the remaining readers as well.
-    for (Computation* r : array->readers) {
-      if (r != &c && r->is_active() &&
-          r->state == Computation::State::Scheduled) {
-        wait_for(*r);
-      }
-    }
-  }
-  c.state = Computation::State::Finished;
-  gpu_->host_read(array->sim_id);
-  // The host observed a result: later submissions form a new host epoch
-  // for the contention-free bound.
-  if (!deps.empty()) dag_.host_barrier();
+  host_access(Computation::Kind::HostRead, array);
 }
 
 void Context::on_host_write(ArrayState* array) {
@@ -473,25 +443,105 @@ void Context::on_host_write(ArrayState* array) {
   if (!conflict) {
     ++stats_.immediate_accesses;
     // Still becomes the logical last version: clear stale tracking.
-    array->last_writer = nullptr;
-    array->readers.clear();
+    forget_tracking(*array, pool_);
     gpu_->host_write(array->sim_id);
     return;
   }
+  host_access(Computation::Kind::HostWrite, array);
+}
 
-  Computation& c =
-      new_computation(Computation::Kind::HostWrite, "write:" + array->name);
-  c.uses.push_back({array, /*read_only=*/false});
+void Context::host_access(Computation::Kind kind, ArrayState* array) {
+  const bool read = kind == Computation::Kind::HostRead;
+  Computation& c = new_computation(kind, array->name);
+  c.uses.push_back({array, /*read_only=*/read});
   const std::span<Computation* const> deps =
-      infer_dependencies(c, /*honor_read_only=*/true);
-  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
+      infer_dependencies(c, pool_, /*honor_read_only=*/true);
   stats_.edges += static_cast<long>(deps.size());
   ++stats_.host_accesses;
+  dag_.add(c);
+  const bool had_deps = !deps.empty();
 
   for (Computation* d : deps) wait_for(*d);
-  c.state = Computation::State::Finished;
-  gpu_->host_write(array->sim_id);
-  if (!deps.empty()) dag_.host_barrier();
+  if (read && !gpu_->spec().page_fault_um) {
+    // Pre-Pascal: the CPU may not touch an array while *any* kernel uses
+    // it; wait for the remaining readers as well.
+    for (Computation* r : array->readers) {
+      if (r != &c && r->is_active() &&
+          r->state == Computation::State::Scheduled) {
+        wait_for(*r);
+      }
+    }
+  }
+  pool_.finish(c);
+  if (read) {
+    gpu_->host_read(array->sim_id);
+  } else {
+    gpu_->host_write(array->sim_id);
+  }
+  // The host observed a result: later submissions form a new host epoch
+  // for the contention-free bound.
+  if (had_deps) dag_.host_barrier();
+}
+
+void Context::audit() const {
+  auto fail = [](const std::string& what) {
+    throw sim::Error("Context::audit: " + what);
+  };
+  // Live records (id >= 0) and their expected reference counts, rebuilt
+  // from every holder: array tracking and live children's parent links.
+  std::unordered_map<const Computation*, int> refs;
+  for (const Computation& c : pool_.slots()) {
+    if (c.id >= 0) refs.emplace(&c, 0);
+  }
+  if (refs.size() != pool_.live()) fail("live count disagrees with slots");
+  auto hold = [&](const Computation* c, const std::string& holder) {
+    auto it = refs.find(c);
+    if (it == refs.end()) fail(holder + " names a retired or foreign slot");
+    ++it->second;
+  };
+  for (const auto& a : arrays_) {
+    if (a->last_writer != nullptr) {
+      hold(a->last_writer, "last_writer of '" + a->name + "'");
+    }
+    for (const Computation* r : a->readers) {
+      hold(r, "a reader of '" + a->name + "'");
+    }
+  }
+  for (const Computation& c : pool_.slots()) {
+    if (c.id < 0) continue;
+    if (!c.is_active() && !c.parents.empty()) {
+      fail("finished computation " + std::to_string(c.id) +
+           " keeps parent links");
+    }
+    for (const Computation* p : c.parents) {
+      hold(p, "a parent link of computation " + std::to_string(c.id));
+    }
+  }
+  for (const auto& [c, n] : refs) {
+    if (c->refs != n) {
+      fail("computation " + std::to_string(c->id) + " counts " +
+           std::to_string(c->refs) + " references, " + std::to_string(n) +
+           " are held");
+    }
+    if (n == 0 && !c->is_active()) {
+      fail("computation " + std::to_string(c->id) +
+           " is finished and unreferenced but not retired");
+    }
+  }
+  for (const Computation* c : active_) {
+    if (!refs.contains(c)) fail("active list names a retired slot");
+    if (c->state != Computation::State::Scheduled) {
+      fail("active computation " + std::to_string(c->id) +
+           " is not Scheduled");
+    }
+  }
+  // With the live count checked above, this makes the free list and the
+  // live set partition the slots.
+  std::unordered_set<const Computation*> free;
+  for (const Computation* c : pool_.free_slots()) {
+    if (refs.contains(c)) fail("free list names a live computation");
+    if (!free.insert(c).second) fail("free list holds a slot twice");
+  }
 }
 
 }  // namespace psched::rt

@@ -12,6 +12,11 @@
 //      producing the accessed data, after which those elements retire from
 //      the active frontier.
 //
+// The context keeps only live computations: a retired element (finished,
+// and named by no array's tracking and no live child) returns its slot to
+// the pool, and the DAG recorder keeps the Fig. 9 bound online. Full DAG
+// history is opt-in (record_dag()).
+//
 // The serial policy reproduces the original GrCUDA scheduler the paper uses
 // as its baseline: default stream, blocking launches, no dependency
 // computation, no prefetching.
@@ -74,6 +79,8 @@ struct ContextStats {
   long streams_created = 0;
   long devices_used = 0;  ///< distinct devices computations were placed on
   long advised_evictions = 0;  ///< advise_evict calls that released pages
+  /// Most computation records held at once (live: not yet retired).
+  long peak_live_computations = 0;
 };
 
 class Context {
@@ -119,7 +126,12 @@ class Context {
 
   // --- introspection ---
   [[nodiscard]] const Options& options() const { return opts_; }
+  /// The contention-free critical path (at the device's PCIe rate) and,
+  /// after record_dag(), the full DAG history.
   [[nodiscard]] const DagRecorder& dag() const { return dag_; }
+  /// Keep every DAG vertex and edge (to_dot, has_edge, vertices). Call
+  /// before the first computation registers; ApiError otherwise.
+  void record_dag() { dag_.record_history(); }
   /// Per-kernel execution history used for block-size recommendations
   /// (the paper's future-work heuristic; see Kernel::autotuned()).
   [[nodiscard]] const BlockSizeTuner& tuner() const { return tuner_; }
@@ -128,11 +140,16 @@ class Context {
   [[nodiscard]] const StreamManager& stream_manager() const {
     return *streams_;
   }
-  /// All computations registered so far, in registration (id) order
-  /// (stable addresses).
-  [[nodiscard]] const std::vector<Computation*>& computations() const {
-    return comps_;
+  /// The active frontier: computations issued to the device whose
+  /// completion the host has not observed yet, in registration order.
+  [[nodiscard]] std::span<Computation* const> active() const {
+    return active_;
   }
+  /// Check the live-frontier invariants: array tracking, parent links and
+  /// the active list name live records only, the free list is disjoint
+  /// from the live set, and every record's reference count matches the
+  /// references held on it. Throws sim::Error naming the first violation.
+  void audit() const;
 
   // --- internal entry points (DeviceArray / ConfiguredKernel / Library) ---
   void submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
@@ -154,7 +171,7 @@ class Context {
   /// own tenant instead, so work another thread queued for this tenant
   /// is committed before the observation no matter who is ambient.
   void flush_ingest() { gpu_->flush_ingest(opts_.tenant); }
-  Computation& new_computation(Computation::Kind kind, std::string label);
+  Computation& new_computation(Computation::Kind kind, std::string_view name);
   /// Validate invocation values against a NIDL signature, freed arrays
   /// included — before anything is registered, so a rejected call leaves
   /// no trace in the context or its DAG.
@@ -171,29 +188,29 @@ class Context {
                                const sim::LaunchConfig& cfg,
                                const sim::KernelProfile& profile,
                                std::function<void()> functional);
-  /// Common path for kernels and stream-aware library calls.
-  void schedule_async(Computation& c, const sim::LaunchConfig& cfg,
-                      const sim::KernelProfile& profile,
-                      std::function<void()> functional);
+  /// Common path for kernels and stream-aware library calls. Returns the
+  /// launch's solo duration (`c` may retire before the caller reads it).
+  double schedule_async(Computation& c, const sim::LaunchConfig& cfg,
+                        const sim::KernelProfile& profile,
+                        std::function<void()> functional);
   /// Serial (original GrCUDA) path: default stream + blocking sync.
-  void schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
-                       const sim::KernelProfile& profile,
-                       std::function<void()> functional);
+  double schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
+                         const sim::KernelProfile& profile,
+                         std::function<void()> functional);
   /// Block until `c`'s event completes; then retire finished computations.
   void wait_for(Computation& c);
   /// Mark every computation whose device op has completed as Finished.
   void sweep_finished();
+  /// Shared tail of on_host_read / on_host_write: register the access as a
+  /// DAG element, wait for its parents, and retire it.
+  void host_access(Computation::Kind kind, ArrayState* array);
 
   sim::GpuRuntime* gpu_;
   Options opts_;
   std::unique_ptr<StreamManager> streams_;
   std::unique_ptr<DevicePlacer> placer_;
   std::uint32_t devices_used_mask_ = 0;
-  /// Computation storage: fixed-size chunks, so registering one allocates
-  /// only once per kComputationChunk; comps_ indexes them by id.
-  static constexpr std::size_t kComputationChunk = 128;
-  std::vector<std::unique_ptr<Computation[]>> comp_chunks_;
-  std::vector<Computation*> comps_;
+  ComputationPool pool_;  ///< live computation records
   sim::LaunchSpec launch_spec_;  ///< reused by every launch (capacity kept)
   std::vector<Computation*> active_;  ///< Scheduled, not yet Finished
   std::vector<std::shared_ptr<ArrayState>> arrays_;

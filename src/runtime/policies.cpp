@@ -24,8 +24,7 @@ sim::DeviceId DevicePlacer::place(const Computation& c) {
   // which pins it to the parent's device.
   for (const Computation* p : c.parents) {
     if (p->stream == sim::kInvalidStream) continue;  // synchronous parent
-    if (!p->children.empty() && p->children.front() == &c &&
-        p->device != sim::kInvalidDevice) {
+    if (p->first_child == c.id && p->device != sim::kInvalidDevice) {
       return p->device;
     }
   }

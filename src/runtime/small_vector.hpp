@@ -1,6 +1,6 @@
 // Inline-capacity containers for the per-computation records.
 //
-// A computation has a handful of array arguments, parents and children;
+// A computation has a handful of array arguments and parents;
 // SmallVec keeps up to N of them inside the record and spills to the heap
 // only beyond that, so registering a computation of ordinary arity
 // allocates nothing. SmallSet is the same storage with set semantics by

@@ -48,8 +48,7 @@ sim::StreamId StreamManager::inherit_from_parent(
   // when the parent's stream lives on the device `c` was placed on.
   for (const Computation* p : c.parents) {
     if (p->stream == sim::kInvalidStream) continue;  // synchronous parent
-    if (!p->children.empty() && p->children.front() == &c &&
-        gpu_->stream_device(p->stream) == device) {
+    if (p->first_child == c.id && gpu_->stream_device(p->stream) == device) {
       return p->stream;
     }
   }

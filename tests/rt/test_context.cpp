@@ -36,28 +36,30 @@ TEST(Context, VecPipelineComputesCorrectResult) {
 TEST(Context, IndependentKernelsGetDistinctStreams) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   // Large enough that the first kernel is still busy at the second submit.
   auto x = ctx.array<float>(1 << 16, "X");
   auto y = ctx.array<float>(1 << 16, "Y");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(x, 1L << 16, 1.0);
   init(4, 64)(y, 1L << 16, 2.0);
-  const auto& comps = ctx.computations();
+  const auto& comps = ctx.dag().vertices();
   ASSERT_EQ(comps.size(), 2u);
-  EXPECT_NE(comps[0]->stream, comps[1]->stream);
+  EXPECT_NE(comps[0].stream, comps[1].stream);
   ctx.synchronize();
 }
 
 TEST(Context, FirstChildInheritsParentStream) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   auto scale = ctx.build_kernel("scale", "pointer, sint32, float");
   init(4, 64)(x, 256L, 1.0);
   scale(4, 64)(x, 256L, 2.0);  // depends on init -> same stream, no event wait
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(comps[0]->stream, comps[1]->stream);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_EQ(comps[0].stream, comps[1].stream);
   EXPECT_EQ(ctx.stats().event_waits, 0);
   ctx.synchronize();
 }
@@ -66,6 +68,7 @@ TEST(Context, JoinInheritsOneStreamAndWaitsForOther) {
   // VEC shape: K1 and K2 independent; K3 reads both results.
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(1 << 16, "X");
   auto y = ctx.array<float>(1 << 16, "Y");
   auto z = ctx.array<float>(1 << 16, "Z");
@@ -75,11 +78,11 @@ TEST(Context, JoinInheritsOneStreamAndWaitsForOther) {
   init(4, 64)(x, 1L << 16, 1.0);
   init(4, 64)(y, 1L << 16, 2.0);
   add2(4, 64)(x, y, z, 1L << 16);
-  const auto& comps = ctx.computations();
+  const auto& comps = ctx.dag().vertices();
   ASSERT_EQ(comps.size(), 3u);
   // The join runs on the first parent's stream and waits on exactly one
   // cross-stream event.
-  EXPECT_EQ(comps[2]->stream, comps[0]->stream);
+  EXPECT_EQ(comps[2].stream, comps[0].stream);
   EXPECT_EQ(ctx.stats().event_waits, 1);
   ctx.synchronize();
 }
@@ -88,6 +91,7 @@ TEST(Context, ReadOnlySharedInputAllowsConcurrency) {
   // ML-style: two classifiers read the same input matrix.
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(1 << 16, "X");
   auto r1 = ctx.array<float>(1 << 16, "R1");
   auto r2 = ctx.array<float>(1 << 16, "R2");
@@ -95,8 +99,8 @@ TEST(Context, ReadOnlySharedInputAllowsConcurrency) {
   auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
   affine(4, 64)(x, r1, 1L << 16);
   affine(4, 64)(x, r2, 1L << 16);
-  const auto& comps = ctx.computations();
-  EXPECT_NE(comps[0]->stream, comps[1]->stream);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_NE(comps[0].stream, comps[1].stream);
   EXPECT_EQ(ctx.dag().num_edges(), 0u);  // no dependency through X
   ctx.synchronize();
 }
@@ -104,6 +108,7 @@ TEST(Context, ReadOnlySharedInputAllowsConcurrency) {
 TEST(Context, WithoutConstAnnotationReadersSerialize) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto r1 = ctx.array<float>(256, "R1");
   auto r2 = ctx.array<float>(256, "R2");
@@ -120,6 +125,7 @@ TEST(Context, HonorReadOnlyAblationFlag) {
   opts.honor_read_only = false;
   Fixture f(opts);
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto r1 = ctx.array<float>(256, "R1");
   auto r2 = ctx.array<float>(256, "R2");
@@ -135,6 +141,7 @@ TEST(Context, CpuReadSyncsOnlyProducingStream) {
   // operating on this data".
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(1 << 16, "X");
   auto y = ctx.array<float>(256, "Y");
   auto slow = ctx.build_kernel("slow", "pointer, sint32");
@@ -142,10 +149,11 @@ TEST(Context, CpuReadSyncsOnlyProducingStream) {
   slow(16, 256)(x, 1L << 16);   // long-running on stream A
   init(4, 64)(y, 256L, 7.0);    // quick on stream B
   EXPECT_DOUBLE_EQ(y.get(0), 7.0);  // waits only for init
-  const auto& comps = ctx.computations();
-  EXPECT_FALSE(f.gpu->engine().op_done(comps[0]->op));  // slow still running
-  EXPECT_EQ(comps[1]->state, Computation::State::Finished);
-  EXPECT_EQ(comps[0]->state, Computation::State::Scheduled);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_FALSE(f.gpu->engine().op_done(comps[0].op));  // slow still running
+  // init retired from the frontier; slow is still active.
+  ASSERT_EQ(ctx.active().size(), 1u);
+  EXPECT_EQ(ctx.active()[0]->id, comps[0].id);
   ctx.synchronize();
 }
 
@@ -162,15 +170,16 @@ TEST(Context, CpuReadOfUntouchedArrayIsImmediate) {
 TEST(Context, CpuWriteWaitsForActiveReaders) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(1 << 16, "X");
   x.fill(1.0);
   auto slow = ctx.build_kernel("slow", "const pointer, sint32");
   slow(16, 256)(x, 1L << 16);  // reads X for a long time
   x.fill(2.0);                 // WAR: must wait for the reader
-  const auto& comps = ctx.computations();
+  const auto& comps = ctx.dag().vertices();
   ASSERT_GE(comps.size(), 2u);  // kernel + host-write element
-  EXPECT_EQ(comps[1]->kind, Computation::Kind::HostWrite);
-  EXPECT_TRUE(f.gpu->engine().op_done(comps[0]->op));
+  EXPECT_EQ(comps[1].kind, Computation::Kind::HostWrite);
+  EXPECT_TRUE(f.gpu->engine().op_done(comps[0].op));
   EXPECT_EQ(f.gpu->hazard_count(), 0);
   ctx.synchronize();
 }
@@ -178,13 +187,14 @@ TEST(Context, CpuWriteWaitsForActiveReaders) {
 TEST(Context, StreamsReusedAfterSync) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(x, 256L, 1.0);
   ctx.synchronize();
-  const auto s0 = ctx.computations()[0]->stream;
+  const auto s0 = ctx.dag().vertices()[0].stream;
   init(4, 64)(x, 256L, 2.0);
-  EXPECT_EQ(ctx.computations()[1]->stream, s0);  // FIFO reuse
+  EXPECT_EQ(ctx.dag().vertices()[1].stream, s0);  // FIFO reuse
   EXPECT_EQ(ctx.stats().streams_created, 1);
   ctx.synchronize();
 }
@@ -194,15 +204,18 @@ TEST(Context, SerialPolicyBlocksAndUsesDefaultStream) {
   opts.policy = SchedulePolicy::Serial;
   Fixture f(opts);
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto y = ctx.array<float>(256, "Y");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(x, 256L, 1.0);
   init(4, 64)(y, 256L, 2.0);
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(comps[0]->stream, sim::kDefaultStream);
-  EXPECT_EQ(comps[1]->stream, sim::kDefaultStream);
-  EXPECT_EQ(comps[0]->state, Computation::State::Finished);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_EQ(comps[0].stream, sim::kDefaultStream);
+  EXPECT_EQ(comps[1].stream, sim::kDefaultStream);
+  // Blocking and untracked: each computation retires at once.
+  EXPECT_TRUE(ctx.active().empty());
+  EXPECT_EQ(ctx.stats().peak_live_computations, 1);
   EXPECT_EQ(ctx.stats().edges, 0);  // no dependency computation
   EXPECT_EQ(ctx.stats().blocking_syncs, 2);
   EXPECT_EQ(ctx.stats().streams_created, 0);
@@ -370,6 +383,7 @@ TEST(Context, RejectedLaunchRegistersNothing) {
   // counter bump survives the ApiError.
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto y = ctx.array<float>(256, "Y");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
@@ -377,7 +391,6 @@ TEST(Context, RejectedLaunchRegistersNothing) {
   ctx.free(x);
   const ContextStats before = ctx.stats();
   const std::size_t vertices = ctx.dag().num_vertices();
-  const std::size_t comps = ctx.computations().size();
 
   EXPECT_THROW(init(4, 64)(x, 256L, 2.0), sim::ApiError);
   const ContextStats after = ctx.stats();
@@ -385,17 +398,16 @@ TEST(Context, RejectedLaunchRegistersNothing) {
   EXPECT_EQ(after.kernels, before.kernels);
   EXPECT_EQ(after.edges, before.edges);
   EXPECT_EQ(ctx.dag().num_vertices(), vertices);
-  EXPECT_EQ(ctx.computations().size(), comps);
-  EXPECT_EQ(static_cast<std::size_t>(after.computations), comps);
+  EXPECT_EQ(static_cast<std::size_t>(after.computations), vertices);
+  ctx.audit();
 
   // The context carries on normally.
   init(4, 64)(y, 256L, 3.0);
   EXPECT_EQ(ctx.stats().kernels, before.kernels + 1);
   EXPECT_EQ(ctx.dag().num_vertices(), vertices + 1);
   ctx.synchronize();
-  for (const Computation* c : ctx.computations()) {
-    EXPECT_EQ(c->state, Computation::State::Finished);
-  }
+  EXPECT_TRUE(ctx.active().empty());
+  ctx.audit();
   EXPECT_DOUBLE_EQ(y.get(0), 3.0);
   EXPECT_EQ(f.gpu->hazard_count(), 0);
 }
@@ -420,6 +432,7 @@ TEST(Context, BuildKernelWithSourceStringIsAccepted) {
 TEST(Context, ScalarsNeverCreateDependencies) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   auto y = ctx.array<float>(256, "Y");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
@@ -448,17 +461,24 @@ TEST(Context, SynchronizeRetiresEverything) {
   Fixture f;
   auto& ctx = *f.ctx;
   auto x = ctx.array<float>(256, "X");
+  auto y = ctx.array<float>(256, "Y");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(x, 256L, 1.0);
+  init(4, 64)(y, 256L, 1.0);
+  init(4, 64)(x, 256L, 2.0);
+  ASSERT_EQ(ctx.active().size(), 3u);
   ctx.synchronize();
-  for (const auto& c : ctx.computations()) {
-    EXPECT_EQ(c->state, Computation::State::Finished);
-  }
+  EXPECT_TRUE(ctx.active().empty());
+  // Only each array's last writer is still named by the tracking; the
+  // overwritten first launch retired.
+  EXPECT_EQ(ctx.stats().peak_live_computations, 3);
+  ctx.audit();
 }
 
 TEST(Context, LibraryFunctionStreamAwareIsScheduled) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(256, "X");
   LibraryFunctionDef def;
   def.name = "saxpy_lib";

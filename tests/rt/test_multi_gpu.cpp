@@ -21,7 +21,7 @@ sim::Machine two_gpus() {
 long launch_init(Context& ctx, DeviceArray& a, double v) {
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(a, static_cast<long>(a.size()), v);
-  return static_cast<long>(ctx.computations().size()) - 1;
+  return ctx.stats().computations - 1;
 }
 
 TEST(MultiGpu, SingleDevicePolicyMatchesSingleGpuSchedule) {
@@ -54,16 +54,17 @@ TEST(MultiGpu, RoundRobinSpreadsIndependentRoots) {
   opts.device_policy = DevicePolicy::RoundRobin;
   Fixture f(opts, two_gpus());
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto a = ctx.array<float>(kN, "a");
   auto b = ctx.array<float>(kN, "b");
   launch_init(ctx, a, 1);
   launch_init(ctx, b, 2);
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(comps[0]->device, 0);
-  EXPECT_EQ(comps[1]->device, 1);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_EQ(comps[0].device, 0);
+  EXPECT_EQ(comps[1].device, 1);
   // Streams live on the devices their computations were placed on.
-  EXPECT_EQ(f.gpu->stream_device(comps[0]->stream), 0);
-  EXPECT_EQ(f.gpu->stream_device(comps[1]->stream), 1);
+  EXPECT_EQ(f.gpu->stream_device(comps[0].stream), 0);
+  EXPECT_EQ(f.gpu->stream_device(comps[1].stream), 1);
   ctx.synchronize();
   EXPECT_EQ(ctx.stats().devices_used, 2);
   // Residency tracks the writes: each array is fresh only where written.
@@ -78,15 +79,16 @@ TEST(MultiGpu, FirstChildInheritsParentsDevice) {
   opts.device_policy = DevicePolicy::RoundRobin;
   Fixture f(opts, two_gpus());
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(kN, "x");
   launch_init(ctx, x, 1);
   // First consumer of x: inherits device AND stream (no event wait).
   auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
   auto r1 = ctx.array<float>(kN, "r1");
   affine(4, 64)(x, r1, static_cast<long>(kN));
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(comps[1]->device, comps[0]->device);
-  EXPECT_EQ(comps[1]->stream, comps[0]->stream);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_EQ(comps[1].device, comps[0].device);
+  EXPECT_EQ(comps[1].stream, comps[0].stream);
   EXPECT_EQ(ctx.stats().event_waits, 0);
   ctx.synchronize();
 }
@@ -96,6 +98,7 @@ TEST(MultiGpu, CrossDeviceDependencyMaterializesAsP2P) {
   opts.device_policy = DevicePolicy::RoundRobin;
   Fixture f(opts, two_gpus());
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(kN, "x");
   auto r1 = ctx.array<float>(kN, "r1");
   auto r2 = ctx.array<float>(kN, "r2");
@@ -106,9 +109,9 @@ TEST(MultiGpu, CrossDeviceDependencyMaterializesAsP2P) {
   affine(4, 64)(x, r1, static_cast<long>(kN));
   affine(4, 64)(x, r2, static_cast<long>(kN));
   ctx.synchronize();
-  const auto& comps = ctx.computations();
-  EXPECT_EQ(comps[1]->device, 0);
-  EXPECT_EQ(comps[2]->device, 1);
+  const auto& comps = ctx.dag().vertices();
+  EXPECT_EQ(comps[1].device, 0);
+  EXPECT_EQ(comps[2].device, 1);
   EXPECT_GT(f.gpu->bytes_p2p(), 0.0);
   // x is now fresh on both devices; the outputs only where they ran.
   EXPECT_TRUE(x.resident_on(0));
@@ -117,7 +120,7 @@ TEST(MultiGpu, CrossDeviceDependencyMaterializesAsP2P) {
   EXPECT_FALSE(r2.resident_on(0));
   // The peer copy reads the producer's output: it must not start before
   // the producing kernel (comps[0], on device 0) has finished.
-  const sim::Op producer = f.gpu->engine().op(comps[0]->op);
+  const sim::Op producer = f.gpu->engine().op(comps[0].op);
   long p2p_entries = 0;
   for (const auto& e : f.gpu->timeline().entries()) {
     if (e.kind == sim::OpKind::CopyP2P) {
@@ -137,21 +140,21 @@ TEST(MultiGpu, MinTransferFollowsResidency) {
   opts.device_policy = DevicePolicy::MinTransfer;
   Fixture f(opts, two_gpus());
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto a = ctx.array<float>(kN, "a");
   auto b = ctx.array<float>(kN, "b");
   launch_init(ctx, a, 1);  // all-equal costs: rr fallback -> device 0
   launch_init(ctx, b, 2);  // -> device 1
   ctx.synchronize();
-  ASSERT_EQ(ctx.computations()[0]->device, 0);
-  ASSERT_EQ(ctx.computations()[1]->device, 1);
+  ASSERT_EQ(ctx.dag().vertices()[0].device, 0);
+  ASSERT_EQ(ctx.dag().vertices()[1].device, 1);
 
   // A reducer over b alone: b resides on device 1, so min-transfer places
   // it there (zero bytes to move) even though round-robin would not.
   auto sum = ctx.build_kernel("sum", "const pointer, pointer, sint32");
   auto out = ctx.array<float>(16, "out");
   sum(1, 32)(b, out, static_cast<long>(kN));
-  const Computation* reducer = ctx.computations().back();
-  EXPECT_EQ(reducer->device, 1);
+  EXPECT_EQ(ctx.dag().vertices().back().device, 1);
   ctx.synchronize();
   EXPECT_DOUBLE_EQ(f.gpu->bytes_p2p(), 0.0);  // nothing crossed the links
 }
@@ -256,10 +259,11 @@ TEST(MultiGpu, MinPressureSteersAwayFromThrashingDevice) {
   opts.device_policy = DevicePolicy::MinPressure;
   opts.registry = &test::test_registry();
   Context ctx(gpu, opts);
+  ctx.record_dag();
   auto x = ctx.array<float>(1024, "x");
   launch_init(ctx, x, 1.0);
   ctx.synchronize();
-  EXPECT_EQ(ctx.computations().front()->device, 1);
+  EXPECT_EQ(ctx.dag().vertices().front().device, 1);
 }
 
 TEST(MultiGpu, PerDeviceStreamPoolsReuseIndependently) {
@@ -280,6 +284,31 @@ TEST(MultiGpu, PerDeviceStreamPoolsReuseIndependently) {
   EXPECT_EQ(ctx.stats().streams_created, 2);
   EXPECT_EQ(ctx.stream_manager().num_streams(0), 1u);
   EXPECT_EQ(ctx.stream_manager().num_streams(1), 1u);
+}
+
+TEST(MultiGpu, RecycledSlotDoesNotInheritPredecessorsParentDevice) {
+  // Placement follows the first-child rule too: a computation reusing the
+  // retired first child's slot is placed by the policy (round-robin:
+  // device 0), not pinned to the parent's device 1.
+  sim::GpuRuntime gpu(two_gpus());
+  DevicePlacer placer(gpu, DevicePolicy::RoundRobin);
+  ComputationPool pool;
+  Computation& parent = pool.acquire();
+  parent.state = Computation::State::Scheduled;
+  parent.device = 1;
+  parent.stream = gpu.create_stream(1);
+  auto link = [&](Computation& child) -> Computation& {
+    if (parent.first_child < 0) parent.first_child = child.id;
+    pool.retain(parent);
+    child.parents.push_back(&parent);
+    return child;
+  };
+  Computation& first = link(pool.acquire());
+  EXPECT_EQ(placer.place(first), 1);  // the first child follows its parent
+  pool.finish(first);
+  Computation& later = link(pool.acquire());
+  ASSERT_EQ(&later, &first);
+  EXPECT_EQ(placer.place(later), 0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "critical_path_oracle.hpp"
 #include "rt_test_util.hpp"
 
 namespace psched::rt {
@@ -80,10 +81,12 @@ std::set<std::pair<long, long>> oracle_edges(
   return edges;
 }
 
-/// Run the program through a real context; returns the context for checks.
+/// Run the program through a real context. `after_step(i)` runs after
+/// step i's launch (host accesses, audits).
+template <typename AfterStep>
 void run_program(Context& ctx, const std::vector<RandomStep>& prog,
                  std::vector<DeviceArray>& arrays, int num_arrays,
-                 std::size_t n) {
+                 std::size_t n, AfterStep after_step) {
   for (int a = 0; a < num_arrays; ++a) {
     arrays.push_back(ctx.array<float>(n, "A" + std::to_string(a)));
     arrays.back().fill(a + 1.0);
@@ -92,7 +95,8 @@ void run_program(Context& ctx, const std::vector<RandomStep>& prog,
   auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
   auto add2 = ctx.build_kernel(
       "add2", "const pointer, const pointer, pointer, sint32");
-  for (const RandomStep& s : prog) {
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    const RandomStep& s = prog[i];
     const long ln = static_cast<long>(n);
     if (s.reads.empty()) {
       scale(4, 64)(arrays[static_cast<std::size_t>(s.write)], ln,
@@ -105,7 +109,14 @@ void run_program(Context& ctx, const std::vector<RandomStep>& prog,
                   arrays[static_cast<std::size_t>(s.reads[1])],
                   arrays[static_cast<std::size_t>(s.write)], ln);
     }
+    after_step(i);
   }
+}
+
+void run_program(Context& ctx, const std::vector<RandomStep>& prog,
+                 std::vector<DeviceArray>& arrays, int num_arrays,
+                 std::size_t n) {
+  run_program(ctx, prog, arrays, num_arrays, n, [](std::size_t) {});
 }
 
 class RandomProgram : public ::testing::TestWithParam<int> {};
@@ -117,6 +128,7 @@ TEST_P(RandomProgram, DependenciesMatchOracle) {
   const auto expected = oracle_edges(prog);
 
   test::Fixture f;
+  f.ctx->record_dag();
   std::vector<DeviceArray> arrays;
   run_program(*f.ctx, prog, arrays, num_arrays, 64);
 
@@ -131,14 +143,15 @@ TEST_P(RandomProgram, TimelineRespectsEveryEdge) {
   const auto prog = make_program(rng, 5, 24);
 
   test::Fixture f;
+  f.ctx->record_dag();
   std::vector<DeviceArray> arrays;
   run_program(*f.ctx, prog, arrays, 5, 64);
   f.ctx->synchronize();
 
-  const auto& comps = f.ctx->computations();
+  const auto& comps = f.ctx->dag().vertices();
   for (const auto& [from, to] : f.ctx->dag().edges()) {
-    const auto& a = *comps[static_cast<std::size_t>(from)];
-    const auto& b = *comps[static_cast<std::size_t>(to)];
+    const auto& a = comps[static_cast<std::size_t>(from)];
+    const auto& b = comps[static_cast<std::size_t>(to)];
     if (a.op == sim::kInvalidOp || b.op == sim::kInvalidOp) continue;
     const auto& oa = f.gpu->engine().op(a.op);
     const auto& ob = f.gpu->engine().op(b.op);
@@ -224,6 +237,48 @@ TEST_P(RandomProgram, PrePascalAgreesWithPascal) {
     return out;
   };
   EXPECT_EQ(result(true), result(false));
+}
+
+TEST_P(RandomProgram, OnlineCriticalPathMatchesReference) {
+  // Host reads of freshly written arrays split the program into epochs,
+  // and retire computations mid-run so their slots are reused. After
+  // every step the live frontier audits clean; at the end the online
+  // bound equals the offline reference pass over the recorded history,
+  // at the device's PCIe rate (the context's own recorder) and at rate 0
+  // (the history replayed through a second recorder).
+  std::mt19937 rng(static_cast<unsigned>(GetParam()));
+  const int num_arrays = 5;
+  const auto prog = make_program(rng, num_arrays, 48);
+  std::bernoulli_distribution read_now(0.25);
+
+  test::Fixture f;
+  Context& ctx = *f.ctx;
+  ctx.record_dag();
+  std::vector<DeviceArray> arrays;
+  run_program(ctx, prog, arrays, num_arrays, 64, [&](std::size_t i) {
+    if (read_now(rng)) {
+      (void)arrays[static_cast<std::size_t>(prog[i].write)].get(0);
+    }
+    ctx.audit();
+  });
+  ctx.synchronize();
+  ctx.audit();
+
+  const DagRecorder& dag = ctx.dag();
+  ASSERT_GT(dag.vertices().back().epoch, 0) << "no host epochs";
+  EXPECT_LT(ctx.stats().peak_live_computations, ctx.stats().computations);
+  const double pcie = f.gpu->spec().pcie_bytes_per_us();
+  EXPECT_EQ(dag.critical_path_us(pcie),
+            test::reference_critical_path_us(dag, pcie))
+      << "seed " << GetParam();
+
+  DagRecorder at_zero(0);
+  const auto replayed = test::replay(dag, at_zero);
+  EXPECT_EQ(at_zero.critical_path_us(0),
+            test::reference_critical_path_us(dag, 0))
+      << "seed " << GetParam();
+  // Transfers are staged (arrays start host-side), so the rates differ.
+  EXPECT_LT(at_zero.critical_path_us(0), dag.critical_path_us(pcie));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,

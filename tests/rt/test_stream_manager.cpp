@@ -15,12 +15,13 @@ constexpr std::size_t kN = 1 << 16;
 long launch_init(Context& ctx, DeviceArray& a, double v) {
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   init(4, 64)(a, static_cast<long>(a.size()), v);
-  return static_cast<long>(ctx.computations().size()) - 1;
+  return ctx.stats().computations - 1;
 }
 
 TEST(StreamManager, FifoReuseCreatesOnlyWhenBusy) {
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto a = ctx.array<float>(kN, "a");
   auto b = ctx.array<float>(kN, "b");
   auto c = ctx.array<float>(kN, "c");
@@ -33,8 +34,8 @@ TEST(StreamManager, FifoReuseCreatesOnlyWhenBusy) {
   // All idle now: the next computation reuses the first stream.
   launch_init(ctx, a, 4);
   EXPECT_EQ(ctx.stats().streams_created, 3);
-  EXPECT_EQ(ctx.computations().back()->stream,
-            ctx.computations().front()->stream);
+  EXPECT_EQ(ctx.dag().vertices().back().stream,
+            ctx.dag().vertices().front().stream);
   ctx.synchronize();
 }
 
@@ -62,12 +63,13 @@ TEST(StreamManager, SingleStreamPolicySerializesOnDevice) {
   opts.stream_policy = StreamPolicy::SingleStream;
   Fixture f(opts);
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto a = ctx.array<float>(kN, "a");
   auto b = ctx.array<float>(kN, "b");
   launch_init(ctx, a, 1);
   launch_init(ctx, b, 2);
   EXPECT_EQ(ctx.stats().streams_created, 1);
-  EXPECT_EQ(ctx.computations()[0]->stream, ctx.computations()[1]->stream);
+  EXPECT_EQ(ctx.dag().vertices()[0].stream, ctx.dag().vertices()[1].stream);
   EXPECT_EQ(ctx.stats().event_waits, 0);  // same stream: no events needed
   ctx.synchronize();
 }
@@ -76,6 +78,7 @@ TEST(StreamManager, FirstChildInheritsSecondChildMovesAway) {
   // One parent, two children reading its output.
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(kN, "x");
   auto r1 = ctx.array<float>(kN, "r1");
   auto r2 = ctx.array<float>(kN, "r2");
@@ -83,10 +86,10 @@ TEST(StreamManager, FirstChildInheritsSecondChildMovesAway) {
   auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
   affine(4, 64)(x, r1, static_cast<long>(kN));
   affine(4, 64)(x, r2, static_cast<long>(kN));
-  const auto& comps = ctx.computations();
+  const auto& comps = ctx.dag().vertices();
   ASSERT_EQ(comps.size(), 3u);
-  EXPECT_EQ(comps[1]->stream, comps[0]->stream);  // first child inherits
-  EXPECT_NE(comps[2]->stream, comps[0]->stream);  // second child moves away
+  EXPECT_EQ(comps[1].stream, comps[0].stream);  // first child inherits
+  EXPECT_NE(comps[2].stream, comps[0].stream);  // second child moves away
   // Only the second child pays a synchronization event.
   EXPECT_EQ(ctx.stats().event_waits, 1);
   ctx.synchronize();
@@ -96,6 +99,7 @@ TEST(StreamManager, DiamondUsesTwoStreamsAndOneJoinWait) {
   // K0 -> (K1, K2) -> K3, all through data dependencies.
   Fixture f;
   auto& ctx = *f.ctx;
+  ctx.record_dag();
   auto x = ctx.array<float>(kN, "x");
   auto r1 = ctx.array<float>(kN, "r1");
   auto r2 = ctx.array<float>(kN, "r2");
@@ -107,10 +111,10 @@ TEST(StreamManager, DiamondUsesTwoStreamsAndOneJoinWait) {
   affine(4, 64)(x, r1, static_cast<long>(kN));
   affine(4, 64)(x, r2, static_cast<long>(kN));
   add2(4, 64)(r1, r2, out, static_cast<long>(kN));
-  const auto& comps = ctx.computations();
+  const auto& comps = ctx.dag().vertices();
   // Join inherits the first branch's stream (it is r1's first consumer and
   // the branch tail), and waits once for the other branch.
-  EXPECT_EQ(comps[3]->stream, comps[1]->stream);
+  EXPECT_EQ(comps[3].stream, comps[1].stream);
   EXPECT_EQ(ctx.stats().event_waits, 2);  // branch2 split + join wait
   EXPECT_EQ(ctx.stats().streams_created, 2);
   ctx.synchronize();
@@ -166,6 +170,32 @@ TEST(StreamManager, ChainNeverPaysEvents) {
   EXPECT_EQ(ctx.stats().event_waits, 0);
   EXPECT_EQ(ctx.stats().streams_created, 1);
   ctx.synchronize();
+}
+
+TEST(StreamManager, RecycledSlotDoesNotInheritPredecessorsParentStream) {
+  // The first-child rule names the child by id: a later computation that
+  // lands in the retired first child's slot is the parent's second child
+  // and must not take the parent's stream.
+  sim::GpuRuntime gpu(sim::DeviceSpec::test_device());
+  StreamManager streams(gpu, StreamPolicy::AlwaysNew);
+  ComputationPool pool;
+  Computation& parent = pool.acquire();
+  parent.state = Computation::State::Scheduled;
+  parent.device = sim::kDefaultDevice;
+  parent.stream = gpu.create_stream();
+  auto link = [&](Computation& child) -> Computation& {
+    if (parent.first_child < 0) parent.first_child = child.id;
+    pool.retain(parent);
+    child.parents.push_back(&parent);
+    child.device = sim::kDefaultDevice;
+    return child;
+  };
+  Computation& first = link(pool.acquire());
+  EXPECT_EQ(streams.acquire(first), parent.stream);  // first child inherits
+  pool.finish(first);  // unreferenced: its slot goes on the free list
+  Computation& later = link(pool.acquire());
+  ASSERT_EQ(&later, &first);
+  EXPECT_NE(streams.acquire(later), parent.stream);
 }
 
 }  // namespace
