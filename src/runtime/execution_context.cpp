@@ -186,10 +186,7 @@ void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
     functional = [fn, cfg, vals]() { fn(cfg, ArgsView(*vals, true)); };
   }
 
-  const double solo_us =
-      opts_.policy == SchedulePolicy::Serial
-          ? schedule_serial(c, cfg, profile, std::move(functional))
-          : schedule_async(c, cfg, profile, std::move(functional));
+  const double solo_us = schedule(c, cfg, profile, std::move(functional));
 
   // Feed the execution history that drives block-size recommendations:
   // the work size is the largest array the launch touched.
@@ -222,11 +219,7 @@ void Context::submit_library(const LibraryFunctionDef& def,
       auto fn = def.host_fn;
       functional = [fn, vals]() { fn(ArgsView(*vals, true)); };
     }
-    if (opts_.policy == SchedulePolicy::Serial) {
-      schedule_serial(c, cfg, profile, std::move(functional));
-    } else {
-      schedule_async(c, cfg, profile, std::move(functional));
-    }
+    schedule(c, cfg, profile, std::move(functional));
     return;
   }
 
@@ -241,6 +234,26 @@ void Context::submit_library(const LibraryFunctionDef& def,
   }
   if (def.host_fn && opts_.functional) def.host_fn(view);
   if (def.host_duration_us) gpu_->host_advance(def.host_duration_us(view));
+}
+
+double Context::schedule(Computation& c, const sim::LaunchConfig& cfg,
+                         const sim::KernelProfile& profile,
+                         std::function<void()> functional) {
+  try {
+    return opts_.policy == SchedulePolicy::Serial
+               ? schedule_serial(c, cfg, profile, std::move(functional))
+               : schedule_async(c, cfg, profile, std::move(functional));
+  } catch (...) {
+    // A launch the runtime rejected (out of memory, admission) never runs.
+    // It still took its id and its place in the array tracking: record it
+    // at zero cost, as a vertex with no work, and finish it so later
+    // computations do not wait on it and its slot can retire.
+    if (c.state == Computation::State::Created) {
+      dag_.add(c);
+      pool_.finish(c);
+    }
+    throw;
+  }
 }
 
 double Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,

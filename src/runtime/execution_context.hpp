@@ -188,8 +188,14 @@ class Context {
                                const sim::LaunchConfig& cfg,
                                const sim::KernelProfile& profile,
                                std::function<void()> functional);
-  /// Common path for kernels and stream-aware library calls. Returns the
-  /// launch's solo duration (`c` may retire before the caller reads it).
+  /// Schedule `c` under the configured policy and return the launch's solo
+  /// duration (`c` may retire before the caller could read it). If the
+  /// runtime rejects the launch, `c` is finished before the error
+  /// propagates, so the frontier keeps no computation that never ran.
+  double schedule(Computation& c, const sim::LaunchConfig& cfg,
+                  const sim::KernelProfile& profile,
+                  std::function<void()> functional);
+  /// Common path for kernels and stream-aware library calls.
   double schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                         const sim::KernelProfile& profile,
                         std::function<void()> functional);

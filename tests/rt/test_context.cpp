@@ -412,6 +412,41 @@ TEST(Context, RejectedLaunchRegistersNothing) {
   EXPECT_EQ(f.gpu->hazard_count(), 0);
 }
 
+TEST(Context, LaunchTheRuntimeRejectsLeavesNoPhantom) {
+  // An out-of-memory launch is rejected after the context registered it
+  // and wired its dependencies. It never runs, so it must not stay in the
+  // frontier as a parent of later work, and the history stays indexed by
+  // id (each rejected launch is a vertex with no work).
+  sim::DeviceSpec spec = sim::DeviceSpec::test_device();
+  spec.memory_bytes = 1 << 20;
+  Options opts;
+  opts.functional = false;
+  Fixture f(opts, sim::Machine::uniform(spec, 2, true));
+  auto& ctx = *f.ctx;
+  ctx.record_dag();
+  auto big = ctx.array<float>((3 << 20) / 8, "big");  // 1.5 MiB on device 0
+  auto small = ctx.array<float>(1024, "small");
+  auto init = ctx.build_kernel("init", "pointer, sint32, float");
+  auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
+  const long n = static_cast<long>(big.size());
+  EXPECT_THROW(init(4, 64)(big, n, 1.0), sim::OutOfMemoryError);
+  EXPECT_TRUE(ctx.active().empty());
+  ctx.audit();
+  // A second writer of `big` finds no writer to wait for.
+  EXPECT_THROW(init(4, 64)(big, n, 2.0), sim::OutOfMemoryError);
+  EXPECT_EQ(ctx.stats().edges, 0);
+  ctx.audit();
+
+  init(4, 64)(small, 1024L, 3.0);
+  affine(4, 64)(small, small, 1024L);  // RAW on the init: one edge
+  EXPECT_EQ(ctx.stats().edges, 1);
+  ASSERT_EQ(ctx.dag().num_vertices(), 4u);
+  EXPECT_EQ(ctx.dag().vertices()[3].label, "affine");
+  ctx.synchronize();
+  ctx.audit();
+  EXPECT_EQ(ctx.stats().peak_live_computations, 3);
+}
+
 TEST(Context, FreeWaitsForInFlightWork) {
   Fixture f;
   auto& ctx = *f.ctx;
