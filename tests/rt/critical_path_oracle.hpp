@@ -63,9 +63,8 @@ inline double reference_critical_path_us(const DagRecorder& dag,
 
 /// Feed `history`'s vertices, edges and host epochs through `out` (a fresh
 /// recorder, possibly at another rate) in registration order, the way a
-/// Context would have. Returns the computations it built.
-inline std::deque<Computation> replay(const DagRecorder& history,
-                                      DagRecorder& out) {
+/// Context would have.
+inline void replay(const DagRecorder& history, DagRecorder& out) {
   std::deque<Computation> comps;
   for (const DagRecorder::Vertex& v : history.vertices()) {
     Computation& c = comps.emplace_back();
@@ -83,7 +82,6 @@ inline std::deque<Computation> replay(const DagRecorder& history,
     for (; epoch < v.epoch; ++epoch) out.host_barrier();
     out.add(comps[static_cast<std::size_t>(v.id)]);
   }
-  return comps;
 }
 
 }  // namespace psched::rt::test

@@ -504,9 +504,9 @@ TEST(Context, SynchronizeRetiresEverything) {
   ASSERT_EQ(ctx.active().size(), 3u);
   ctx.synchronize();
   EXPECT_TRUE(ctx.active().empty());
-  // Only each array's last writer is still named by the tracking; the
-  // overwritten first launch retired.
   EXPECT_EQ(ctx.stats().peak_live_computations, 3);
+  // The overwritten first launch is finished and no longer tracked: the
+  // audit fails unless it retired.
   ctx.audit();
 }
 

@@ -273,7 +273,7 @@ TEST_P(RandomProgram, OnlineCriticalPathMatchesReference) {
       << "seed " << GetParam();
 
   DagRecorder at_zero(0);
-  const auto replayed = test::replay(dag, at_zero);
+  test::replay(dag, at_zero);
   EXPECT_EQ(at_zero.critical_path_us(0),
             test::reference_critical_path_us(dag, 0))
       << "seed " << GetParam();
