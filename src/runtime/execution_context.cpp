@@ -244,14 +244,12 @@ double Context::schedule(Computation& c, const sim::LaunchConfig& cfg,
                ? schedule_serial(c, cfg, profile, std::move(functional))
                : schedule_async(c, cfg, profile, std::move(functional));
   } catch (...) {
-    // A launch the runtime rejected (out of memory, admission) never runs.
-    // It still took its id and its place in the array tracking: record it
-    // at zero cost, as a vertex with no work, and finish it so later
-    // computations do not wait on it and its slot can retire.
-    if (c.state == Computation::State::Created) {
-      dag_.add(c);
-      pool_.finish(c);
-    }
+    // A launch the runtime rejected (out of memory) never runs, but it
+    // took its id and its place in the array tracking at registration. It
+    // stays there, so later work on its arrays still orders behind the
+    // stream it acquired, and gets a vertex with no work: history stays
+    // indexed by id and the bound keeps its parents' paths.
+    if (c.state == Computation::State::Created) dag_.add(c);
     throw;
   }
 }

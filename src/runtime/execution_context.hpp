@@ -190,8 +190,8 @@ class Context {
                                std::function<void()> functional);
   /// Schedule `c` under the configured policy and return the launch's solo
   /// duration (`c` may retire before the caller could read it). If the
-  /// runtime rejects the launch, `c` is finished before the error
-  /// propagates, so the frontier keeps no computation that never ran.
+  /// runtime rejects the launch, `c` is recorded with no work and stays in
+  /// the frontier, as registered, before the error propagates.
   double schedule(Computation& c, const sim::LaunchConfig& cfg,
                   const sim::KernelProfile& profile,
                   std::function<void()> functional);

@@ -2,6 +2,7 @@
 // stream assignment, CPU-access synchronization, prefetching, policies.
 #include <gtest/gtest.h>
 
+#include "critical_path_oracle.hpp"
 #include "rt_test_util.hpp"
 
 namespace psched::rt {
@@ -412,39 +413,43 @@ TEST(Context, RejectedLaunchRegistersNothing) {
   EXPECT_EQ(f.gpu->hazard_count(), 0);
 }
 
-TEST(Context, LaunchTheRuntimeRejectsLeavesNoPhantom) {
-  // An out-of-memory launch is rejected after the context registered it
-  // and wired its dependencies. It never runs, so it must not stay in the
-  // frontier as a parent of later work, and the history stays indexed by
-  // id (each rejected launch is a vertex with no work).
+TEST(Context, LaunchTheRuntimeRejectsKeepsOrderingOnEarlierWork) {
+  // W writes X; R writes X and reads an array too big for the device, so
+  // the runtime rejects it after the context wired its dependencies; K
+  // reads X. R displaced W as X's writer, so K must still be ordered after
+  // W: R stays in the frontier on the stream it acquired and K inherits it.
   sim::DeviceSpec spec = sim::DeviceSpec::test_device();
   spec.memory_bytes = 1 << 20;
   Options opts;
   opts.functional = false;
-  Fixture f(opts, sim::Machine::uniform(spec, 2, true));
+  Fixture f(opts, spec);
   auto& ctx = *f.ctx;
   ctx.record_dag();
-  auto big = ctx.array<float>((3 << 20) / 8, "big");  // 1.5 MiB on device 0
-  auto small = ctx.array<float>(1024, "small");
-  auto init = ctx.build_kernel("init", "pointer, sint32, float");
+  const long n = 1 << 14;
+  auto x = ctx.array<float>(n, "X");
+  auto y = ctx.array<float>(n, "Y");
+  auto big = ctx.array<float>((3 << 20) / 8, "big");  // 1.5 MiB
+  auto slow = ctx.build_kernel("slow", "pointer, sint32");
   auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
-  const long n = static_cast<long>(big.size());
-  EXPECT_THROW(init(4, 64)(big, n, 1.0), sim::OutOfMemoryError);
-  EXPECT_TRUE(ctx.active().empty());
+  slow(4, 64)(x, n);                                                // W
+  EXPECT_THROW(affine(4, 64)(big, x, n), sim::OutOfMemoryError);  // R
   ctx.audit();
-  // A second writer of `big` finds no writer to wait for.
-  EXPECT_THROW(init(4, 64)(big, n, 2.0), sim::OutOfMemoryError);
-  EXPECT_EQ(ctx.stats().edges, 0);
+  affine(4, 64)(x, y, n);                                           // K
   ctx.audit();
-
-  init(4, 64)(small, 1024L, 3.0);
-  affine(4, 64)(small, small, 1024L);  // RAW on the init: one edge
-  EXPECT_EQ(ctx.stats().edges, 1);
-  ASSERT_EQ(ctx.dag().num_vertices(), 4u);
-  EXPECT_EQ(ctx.dag().vertices()[3].label, "affine");
   ctx.synchronize();
   ctx.audit();
-  EXPECT_EQ(ctx.stats().peak_live_computations, 3);
+  EXPECT_EQ(f.gpu->hazard_count(), 0);
+  // The rejected launch keeps its vertex: ids stay contiguous, and the
+  // contention-free path runs W -> R -> K with R at zero cost.
+  const DagRecorder& dag = ctx.dag();
+  ASSERT_EQ(dag.num_vertices(), 3u);
+  EXPECT_TRUE(dag.has_edge(0, 1));
+  EXPECT_TRUE(dag.has_edge(1, 2));
+  EXPECT_EQ(dag.vertices()[1].solo_us, 0);
+  EXPECT_EQ(dag.vertices()[2].stream, dag.vertices()[0].stream);
+  const double pcie = f.gpu->spec().pcie_bytes_per_us();
+  EXPECT_EQ(dag.critical_path_us(pcie),
+            test::reference_critical_path_us(dag, pcie));
 }
 
 TEST(Context, FreeWaitsForInFlightWork) {
